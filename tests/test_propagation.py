@@ -7,6 +7,7 @@ from aireliab.datasets import constant_exposure
 from aireliab.propagation import (
     DEFAULT_SOURCES,
     EPModel,
+    InjectionWindow,
     ModuleEventLog,
     compensator_transform,
     ep_intensity,
@@ -180,6 +181,33 @@ def test_fit_alpha_gamma_recovery():
         errs_d.append(np.mean(np.abs(decays - 1.0) / 1.0))
     assert np.median(errs_j) < 0.25, f"jump error {np.median(errs_j):.3f}"
     assert np.median(errs_d) < 0.25, f"decay error {np.median(errs_d):.3f}"
+
+
+# the bundled EP truth of demos/build_sample_data.py
+BUNDLED_TRUTH = EPModel(
+    {"2d": (1.1, 0.9), "3d": (1.0, 1.0), "localization": (1.0, 2.5)},
+    {("localization", "2d"): (1.5, 1.2), ("localization", "3d"): (1.5, 1.2)},
+)
+
+
+def localization_only(model):
+    return EPModel({"localization": model.baseline["localization"]},
+                   {key: v for key, v in model.edges.items() if key[0] == "localization"})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_reaches_generator_loglik_at_w100(seed):
+    # a decay search started below its clip used to stall there once W >= 100
+    window = 100.0
+    logs = [
+        simulate_ep_cascade(BUNDLED_TRUTH, DEFAULT_SOURCES, window,
+                            {m: InjectionWindow(start, window, 0.8) for m in ("2d", "3d")},
+                            seed=derive_seed(seed, i))
+        for i, start in enumerate((0.0, window / 2))
+    ]
+    fitted = ep_log_likelihood(localization_only(fit_ep(logs).model), logs)
+    generator = ep_log_likelihood(localization_only(BUNDLED_TRUTH), logs)
+    assert fitted >= generator - 1e-6 * abs(generator)
 
 
 def test_evaluate_mae_perfect_prediction_is_zero():
