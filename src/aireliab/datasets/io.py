@@ -71,27 +71,28 @@ def parse_records(source, schema_name: str, **options):
     if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return parse_records(handle, schema_name, **options)
-    reader = csv.DictReader(source)
-    header = reader.fieldnames
+    reader = csv.reader(source)
+    header = next(reader, None)
     if header is None:
         raise SchemaError("file has no header row")
     missing = [c for c in schema.columns if c not in header]
     if missing:
         raise SchemaError(f"malformed header: missing column(s) {missing}")
+    parse_row = schema.row_parser(header)
     violations: list[Violation] = []
-    records = []
     rows_records = []
     n_rows = 0
-    for row_no, raw in enumerate(reader, start=1):
+    for cells in reader:
+        if not cells:  # a blank line holds no row
+            continue
         n_rows += 1
-        record = schema.parse_row(row_no, raw, violations)
+        record = parse_row(n_rows, cells, violations)
         if record is not None:
-            records.append(record)
-            rows_records.append((row_no, record))
+            rows_records.append((n_rows, record))
     if schema.file_checks is not None:
         violations.extend(schema.file_checks(rows_records, **options))
     report = ValidationReport(schema_name, n_rows, tuple(violations))
-    return records, report
+    return [record for _, record in rows_records], report
 
 
 def validate(source, schema_name: str, **options) -> ValidationReport:
@@ -117,13 +118,12 @@ def dump(records, schema_name: str, target) -> None:
         for key in getattr(rec, "extras", {}):
             if key not in extra_cols:
                 extra_cols.append(key)
-    columns = list(schema.columns) + extra_cols
+    format_row = schema.row_formatter(extra_cols)
 
     def write(handle):
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(schema.format_record(rec))
+        writer = csv.writer(handle)
+        writer.writerow(schema.columns + tuple(extra_cols))
+        writer.writerows(map(format_row, records))
 
     if hasattr(target, "write"):
         write(target)

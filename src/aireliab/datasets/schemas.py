@@ -1,4 +1,4 @@
-"""Record types and row/file invariant checks for the repository schemas.
+"""Record types, column specs and row/file invariant checks for the repository schemas.
 
 Six dataset schemas (incident, mixture, adversarial, module_error,
 disengagement, collision) plus the two auxiliary tables that accompany
@@ -6,12 +6,22 @@ the vehicle data (mileage, month).  All files are UTF-8 CSV with a
 mandatory header row; dates are ISO-8601 and months are "YYYY-MM".
 Columns beyond a schema's required set are preserved verbatim in each
 record's ``extras`` so files round-trip untouched.
+
+Each schema is declared once, as a column spec: per column the header
+name, the record attribute, the cell type and an optional range rule.
+One generic parser and one generic formatter work from the specs; only
+the invariants that span several fields of a row (row checks) or several
+rows of a file (file checks) are written by hand.
 """
 
 from __future__ import annotations
 
+import calendar
 import datetime as dt
-from dataclasses import dataclass, field
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 from .exposure import MileageRow, MonthRow
 
@@ -123,44 +133,14 @@ class IncidentRecord:
     extras: dict = field(default_factory=dict)
 
 
-# parsed forms of the auxiliary tables reuse the exposure-module rows
-MileageRecord = MileageRow
-MonthRecord = MonthRow
-
-
 # ---------------------------------------------------------------------------
-# field parsing helpers; each appends a Violation and returns None on failure
+# cell types, range rules and column specs
 
 
-def _float(raw, row, col, out):
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        out.append(Violation(row, col, "number format", f"not a number: {raw!r}"))
-        return None
-
-
-def _int(raw, row, col, out):
-    try:
+def _flag(raw: str) -> int:
+    if raw == "0" or raw == "1":
         return int(raw)
-    except (TypeError, ValueError):
-        out.append(Violation(row, col, "integer format", f"not an integer: {raw!r}"))
-        return None
-
-
-def _date(raw, row, col, out):
-    try:
-        return dt.date.fromisoformat(raw)
-    except (TypeError, ValueError):
-        out.append(Violation(row, col, "date format", f"not an ISO date: {raw!r}"))
-        return None
-
-
-def _binary(raw, row, col, out):
-    if raw in ("0", "1"):
-        return int(raw)
-    out.append(Violation(row, col, "binary flag", f"expected 0 or 1, got {raw!r}"))
-    return None
+    raise ValueError(raw)
 
 
 def _fmt(value) -> str:
@@ -169,101 +149,245 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _extras(raw: dict, columns) -> dict:
-    known = set(columns)
-    return {k: v for k, v in raw.items() if k not in known and k is not None}
+@dataclass(frozen=True)
+class Cell:
+    """Conversion between one CSV cell and a record value; ``parse`` raises
+    ValueError on a malformed cell, which is reported under ``rule``."""
+
+    parse: Callable[[str], object]
+    format: Callable[[object], object]
+    rule: str = ""
 
 
+STR = Cell(str, lambda value: value)
+OPTIONAL_STR = Cell(lambda raw: raw or None, lambda value: value or "")
+INT = Cell(int, str, "integer format")
+FLOAT = Cell(float, _fmt, "number format")
+DATE = Cell(dt.date.fromisoformat, lambda value: value.isoformat(), "date format")
+FLAG = Cell(_flag, str, "binary flag")
+
+
+@dataclass(frozen=True)
+class Range:
+    """Bounds a parsed value must keep; a breach is reported under ``rule``.
+
+    With ``hi`` the value must lie in [lo, hi], so a NaN breaches it.  With
+    ``lo`` alone the value must not fall below ``lo`` (nor equal it when
+    ``strict``), which a NaN does not.  A ``reject`` breach costs the row
+    its record, as a malformed cell does; other breaches only report.
+    """
+
+    rule: str
+    lo: float
+    hi: float | None = None
+    strict: bool = False
+    reject: bool = False
+
+    def breached(self, value) -> bool:
+        if self.hi is not None:
+            return not self.lo <= value <= self.hi
+        return value <= self.lo if self.strict else value < self.lo
+
+
+@dataclass(frozen=True)
+class Column:
+    """One CSV column: its header name, the record attribute it fills, its
+    cell type and an optional range rule.  Columns that share an attribute
+    fill a tuple in column order."""
+
+    name: str
+    attr: str
+    cell: Cell
+    range: Range | None = None
+
+
+@dataclass(frozen=True)
+class SchemaDef:
+    """One schema: its column spec plus the checks no single column states.
+
+    ``row_checks(row, record, out)`` sees each record whose cells all
+    parsed and appends violations to ``out``; it returns True when the row
+    must yield no record.  ``file_checks(rows_records, **options)`` sees
+    the (row, record) pairs of a whole file and returns violations.
+    """
+
+    name: str
+    record_type: type
+    spec: tuple[Column, ...]
+    row_checks: Callable | None = None
+    file_checks: Callable | None = None
+    options: tuple[str, ...] = ()
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(col.name for col in self.spec)
+
+    def _slots(self) -> dict[str, list[int]]:
+        """Spec positions of each record attribute, in column order."""
+        slots: dict[str, list[int]] = {}
+        for j, col in enumerate(self.spec):
+            slots.setdefault(col.attr, []).append(j)
+        return slots
+
+    def row_parser(self, header):
+        """Parser of the data rows of a file with ``header``.
+
+        ``parse(row, cells, out)`` returns the row's record, or None after
+        appending to ``out`` why the row yields none: its cell count differs
+        from the header's, a cell is malformed or breaks a ``reject`` range,
+        or a row check drops it.  Cells are parsed in column order; the
+        range rules that only report run last, on rows that yield a record.
+        """
+        index = {name: i for i, name in enumerate(header)}
+        parsers = [(index[col.name], col.cell.parse) for col in self.spec]
+        rejects = [(j, col) for j, col in enumerate(self.spec)
+                   if col.range is not None and col.range.reject]
+        ranged = [(j, col) for j, col in enumerate(self.spec)
+                  if col.range is not None and not col.range.reject]
+        slots = self._slots()
+        names = [f.name for f in fields(self.record_type)]
+        # one getter per record field, in field order; a shared attribute's
+        # getter takes several positions and so returns a tuple
+        getters = [itemgetter(*slots[name]) for name in names if name != "extras"]
+        extras = None
+        if "extras" in names:
+            extras = [(name, i) for name, i in index.items() if name not in self.columns]
+        record_type, row_checks = self.record_type, self.row_checks
+
+        def report_cells(row, cells, out):
+            for (i, parse_cell), col in zip(parsers, self.spec):
+                try:
+                    value = parse_cell(cells[i])
+                except ValueError:
+                    out.append(Violation(row, col.name, col.cell.rule,
+                                         f"malformed cell {cells[i]!r}"))
+                    continue
+                if col.range is not None and col.range.reject and col.range.breached(value):
+                    out.append(Violation(row, col.name, col.range.rule, f"got {value!r}"))
+
+        def parse(row, cells, out):
+            if len(cells) != len(header):
+                out.append(Violation(row, None, "row length",
+                                     f"{len(cells)} cells under {len(header)} columns"))
+                return None
+            try:
+                values = [parse_cell(cells[i]) for i, parse_cell in parsers]
+            except ValueError:
+                values = None
+            if values is None or any(col.range.breached(values[j]) for j, col in rejects):
+                report_cells(row, cells, out)
+                return None
+            args = [get(values) for get in getters]
+            if extras is not None:
+                args.append({name: cells[i] for name, i in extras})
+            record = record_type(*args)
+            if row_checks is not None and row_checks(row, record, out):
+                return None
+            for j, col in ranged:
+                if col.range.breached(values[j]):
+                    out.append(Violation(row, col.name, col.range.rule, f"got {values[j]!r}"))
+            return record
+
+        return parse
+
+    def row_formatter(self, extra_columns):
+        """Function from a record to its cells under the schema columns
+        followed by ``extra_columns``, which are read from ``extras``."""
+        slots = self._slots().items()
+        formats = [col.cell.format for col in self.spec]
+
+        def format_row(record):
+            cells = [None] * len(formats)
+            for attr, js in slots:
+                value = getattr(record, attr)
+                if len(js) == 1:
+                    cells[js[0]] = formats[js[0]](value)
+                else:  # a tuple of the wrong length raises, not a misaligned row
+                    for j, item in zip(js, value, strict=True):
+                        cells[j] = formats[j](item)
+            return cells + [record.extras.get(c, "") for c in extra_columns]
+
+        return format_row
+
+
+# ---------------------------------------------------------------------------
+# row checks: invariants across several fields of one row
+
+
+@functools.lru_cache(maxsize=1024)  # the rows of a file share a few dozen months
 def _month_window(month: str):
     """First and last date of a 'YYYY-MM' month string, or None."""
     try:
         start = dt.date.fromisoformat(month + "-01")
     except ValueError:
         return None
-    if start.month == 12:
-        nxt = dt.date(start.year + 1, 1, 1)
-    else:
-        nxt = dt.date(start.year, start.month + 1, 1)
-    return start, nxt - dt.timedelta(days=1)
+    return start, start.replace(day=calendar.monthrange(start.year, start.month)[1])
 
 
-def _check_event_date(record, row, out):
-    """Shared disengagement/collision row invariants."""
-    if not 1 <= record.month_id <= N_MILEAGE_MONTHS:
-        out.append(Violation(row, "MonthID", "month id range",
-                             f"month id {record.month_id} outside 1..{N_MILEAGE_MONTHS}"))
-    window = _month_window(record.month)
+def _event_date_checks(row, rec, out):
+    """Disengagement and collision dates fall inside their month."""
+    window = _month_window(rec.month)
     if window is None:
-        out.append(Violation(row, "Month", "month format", f"expected YYYY-MM, got {record.month!r}"))
-    elif not window[0] <= record.date <= window[1]:
+        out.append(Violation(row, "Month", "month format", f"expected YYYY-MM, got {rec.month!r}"))
+    elif not window[0] <= rec.date <= window[1]:
         out.append(Violation(row, "Date", "date month mismatch",
-                             f"{record.date} not in month {record.month}"))
+                             f"{rec.date} not in month {rec.month}"))
+
+
+def _month_checks(row, rec, out):
+    span = (rec.end_date - rec.start_date).days + 1
+    if span != rec.n_days:
+        out.append(Violation(row, "NDays", "day count", f"{rec.start_date}..{rec.end_date} "
+                             f"spans {span} days, not {rec.n_days}"))
+
+
+def _module_error_checks(row, rec, out):
+    """Injection intervals and the time stamp lie inside an ordered window;
+    a row whose window is out of order yields no record."""
+    start, end = rec.window
+    if start >= end:
+        out.append(Violation(row, "WindowEnd", "window order", "window end must exceed start"))
+        return True
+    for col, (lo, hi) in (("EI2DStart", rec.ei_time_2d), ("EI3DStart", rec.ei_time_3d)):
+        if lo < start or hi > end or lo >= hi:
+            out.append(Violation(row, col, "injection window",
+                                 f"[{lo}, {hi}) not inside window {rec.window}"))
+    if not start <= rec.timestamp <= end:
+        out.append(Violation(row, "TimeStamp", "timestamp window",
+                             f"{rec.timestamp} outside window {rec.window}"))
+
+
+SIMPLEX_TOL = 1e-9
+
+
+def _mixture_checks(row, rec, out):
+    """Class proportions form a simplex point and one scenario flag is set."""
+    xs = (rec.x1, rec.x2, rec.x3)
+    if any(not 0 <= x <= 1 for x in xs):
+        out.append(Violation(row, "x1", "proportion range", "class proportions must lie in [0, 1]"))
+    if abs(sum(xs) - 1.0) > SIMPLEX_TOL:
+        out.append(Violation(row, "x1", "simplex sum", f"x1 + x2 + x3 = {sum(xs)!r}, expected 1"))
+    if rec.c1 + rec.c2 + rec.c3 != 1:
+        out.append(Violation(row, "c1", "scenario one-hot",
+                             "exactly one of c1, c2, c3 must equal 1"))
+
+
+ATTACK_MIX_TOL = 1e-6
+
+
+def _adversarial_checks(row, rec, out):
+    """The epsilon range is an interval in [0, 1]; FGSM and PGD shares sum to 100."""
+    lo, hi = rec.epsilon_range
+    if not (0 <= lo <= hi <= 1):
+        out.append(Violation(row, "EpsilonRangeLow", "epsilon range",
+                             f"[{lo}, {hi}] is not an interval inside [0, 1]"))
+    mix = rec.fgsm_pct + rec.pgd_pct
+    if abs(mix - 100.0) > ATTACK_MIX_TOL:
+        out.append(Violation(row, "FGSM", "attack mix sum", f"FGSM + PGD = {mix!r}, expected 100"))
 
 
 # ---------------------------------------------------------------------------
-# per-schema parse / format / file checks
-
-
-def _parse_disengagement(row, raw, out):
-    date = _date(raw.get("Date"), row, "Date", out)
-    month_id = _int(raw.get("MonthID"), row, "MonthID", out)
-    if date is None or month_id is None:
-        return None
-    rec = DisengagementRecord(
-        manufacture=raw.get("Manufacture", ""),
-        vin=raw.get("VIN", ""),
-        date=date,
-        month=raw.get("Month", ""),
-        month_id=month_id,
-        extras=_extras(raw, DISENGAGEMENT_COLUMNS),
-    )
-    _check_event_date(rec, row, out)
-    return rec
-
-
-def _format_disengagement(rec):
-    return {
-        "Manufacture": rec.manufacture,
-        "VIN": rec.vin,
-        "Date": rec.date.isoformat(),
-        "Month": rec.month,
-        "MonthID": str(rec.month_id),
-        **rec.extras,
-    }
-
-
-def _parse_collision(row, raw, out):
-    date = _date(raw.get("Date"), row, "Date", out)
-    month_id = _int(raw.get("MonthID"), row, "MonthID", out)
-    event_id = _int(raw.get("EventID"), row, "EventID", out)
-    if None in (date, month_id, event_id):
-        return None
-    if event_id < 1:
-        out.append(Violation(row, "EventID", "event id range", "event id must be >= 1"))
-    vin = raw.get("VIN", "") or None
-    rec = CollisionRecord(
-        manufacture=raw.get("Manufacture", ""),
-        vin=vin,
-        date=date,
-        month=raw.get("Month", ""),
-        month_id=month_id,
-        event_id=event_id,
-        extras=_extras(raw, COLLISION_COLUMNS),
-    )
-    _check_event_date(rec, row, out)
-    return rec
-
-
-def _format_collision(rec):
-    return {
-        "Manufacture": rec.manufacture,
-        "VIN": rec.vin or "",
-        "Date": rec.date.isoformat(),
-        "Month": rec.month,
-        "MonthID": str(rec.month_id),
-        "EventID": str(rec.event_id),
-        **rec.extras,
-    }
+# file checks: invariants across the rows of one file
 
 
 def _collision_file_checks(rows_records):
@@ -285,58 +409,6 @@ def _collision_file_checks(rows_records):
     return out
 
 
-def _parse_mileage(row, raw, out):
-    miles = []
-    ok = True
-    for j in range(1, N_MILEAGE_MONTHS + 1):
-        val = _float(raw.get(f"M{j}"), row, f"M{j}", out)
-        if val is None:
-            ok = False
-            continue
-        if val < 0:
-            out.append(Violation(row, f"M{j}", "negative mileage", f"{val} < 0"))
-            ok = False
-        miles.append(val)
-    if not ok:
-        return None
-    return MileageRow(
-        manufacture=raw.get("Manufacture", ""),
-        vin=raw.get("VIN", ""),
-        monthly_miles=tuple(miles),
-    )
-
-
-def _format_mileage(rec):
-    out = {"Manufacture": rec.manufacture, "VIN": rec.vin}
-    for j, v in enumerate(rec.monthly_miles, start=1):
-        out[f"M{j}"] = _fmt(v)
-    return out
-
-
-def _parse_month(row, raw, out):
-    month_id = _int(raw.get("MonthID"), row, "MonthID", out)
-    start = _date(raw.get("StartDate"), row, "StartDate", out)
-    end = _date(raw.get("EndDate"), row, "EndDate", out)
-    n_days = _int(raw.get("NDays"), row, "NDays", out)
-    if None in (month_id, start, end, n_days):
-        return None
-    if n_days < 28:
-        out.append(Violation(row, "NDays", "month length", f"{n_days} < 28"))
-    if (end - start).days + 1 != n_days:
-        out.append(Violation(row, "NDays", "day count",
-                             f"{start}..{end} spans {(end - start).days + 1} days, not {n_days}"))
-    return MonthRow(month_id=month_id, start_date=start, end_date=end, n_days=n_days)
-
-
-def _format_month(rec):
-    return {
-        "MonthID": str(rec.month_id),
-        "StartDate": rec.start_date.isoformat(),
-        "EndDate": rec.end_date.isoformat(),
-        "NDays": str(rec.n_days),
-    }
-
-
 def _month_file_checks(rows_records):
     out = []
     ids = [rec.month_id for _, rec in rows_records]
@@ -344,181 +416,6 @@ def _month_file_checks(rows_records):
         out.append(Violation(None, "MonthID", "month sequence",
                              "month ids must run 1..N consecutively"))
     return out
-
-
-def _parse_module_error(row, raw, out):
-    vals = {}
-    for col in ("WindowStart", "WindowEnd", "EI2DStart", "EI2DEnd", "EI2DProb",
-                "EI3DStart", "EI3DEnd", "EI3DProb", "TimeStamp"):
-        vals[col] = _float(raw.get(col), row, col, out)
-    scenario = _int(raw.get("ScenarioID"), row, "ScenarioID", out)
-    flags = {}
-    for col in ("Error2D", "Error3D", "ErrorLoc"):
-        flags[col] = _binary(raw.get(col), row, col, out)
-    if scenario is None or None in vals.values() or None in flags.values():
-        return None
-    window = (vals["WindowStart"], vals["WindowEnd"])
-    if window[0] >= window[1]:
-        out.append(Violation(row, "WindowEnd", "window order", "window end must exceed start"))
-        return None
-    for prefix in ("EI2D", "EI3D"):
-        lo, hi = vals[f"{prefix}Start"], vals[f"{prefix}End"]
-        if lo < window[0] or hi > window[1] or lo >= hi:
-            out.append(Violation(row, f"{prefix}Start", "injection window",
-                                 f"[{lo}, {hi}) not inside window {window}"))
-        prob = vals[f"{prefix}Prob"]
-        if not 0 <= prob <= 1:
-            out.append(Violation(row, f"{prefix}Prob", "probability range", f"{prob} outside [0, 1]"))
-    if not window[0] <= vals["TimeStamp"] <= window[1]:
-        out.append(Violation(row, "TimeStamp", "timestamp window",
-                             f"{vals['TimeStamp']} outside window {window}"))
-    return ModuleErrorRecord(
-        scenario_id=scenario,
-        weather=raw.get("Weather", ""),
-        window=window,
-        ei_time_2d=(vals["EI2DStart"], vals["EI2DEnd"]),
-        ei_prob_2d=vals["EI2DProb"],
-        ei_time_3d=(vals["EI3DStart"], vals["EI3DEnd"]),
-        ei_prob_3d=vals["EI3DProb"],
-        timestamp=vals["TimeStamp"],
-        err_2d=flags["Error2D"],
-        err_3d=flags["Error3D"],
-        err_loc=flags["ErrorLoc"],
-        extras=_extras(raw, MODULE_ERROR_COLUMNS),
-    )
-
-
-def _format_module_error(rec):
-    return {
-        "ScenarioID": str(rec.scenario_id),
-        "Weather": rec.weather,
-        "WindowStart": _fmt(rec.window[0]),
-        "WindowEnd": _fmt(rec.window[1]),
-        "EI2DStart": _fmt(rec.ei_time_2d[0]),
-        "EI2DEnd": _fmt(rec.ei_time_2d[1]),
-        "EI2DProb": _fmt(rec.ei_prob_2d),
-        "EI3DStart": _fmt(rec.ei_time_3d[0]),
-        "EI3DEnd": _fmt(rec.ei_time_3d[1]),
-        "EI3DProb": _fmt(rec.ei_prob_3d),
-        "TimeStamp": _fmt(rec.timestamp),
-        "Error2D": str(rec.err_2d),
-        "Error3D": str(rec.err_3d),
-        "ErrorLoc": str(rec.err_loc),
-        **rec.extras,
-    }
-
-
-SIMPLEX_TOL = 1e-9
-
-
-def _parse_mixture(row, raw, out):
-    xs = [_float(raw.get(c), row, c, out) for c in ("x1", "x2", "x3")]
-    ys = [_float(raw.get(c), row, c, out) for c in ("y1", "y2")]
-    flags = [_binary(raw.get(c), row, c, out) for c in ("z1", "z2", "c1", "c2", "c3")]
-    if None in xs or None in ys or None in flags:
-        return None
-    if any(not 0 <= x <= 1 for x in xs):
-        out.append(Violation(row, "x1", "proportion range", "class proportions must lie in [0, 1]"))
-    if abs(sum(xs) - 1.0) > SIMPLEX_TOL:
-        out.append(Violation(row, "x1", "simplex sum",
-                             f"x1 + x2 + x3 = {sum(xs)!r}, expected 1"))
-    if flags[2] + flags[3] + flags[4] != 1:
-        out.append(Violation(row, "c1", "scenario one-hot",
-                             "exactly one of c1, c2, c3 must equal 1"))
-    if not 0 <= ys[0] <= 1:
-        out.append(Violation(row, "y1", "response range", "mean AUC must lie in [0, 1]"))
-    return MixtureRecord(
-        x1=xs[0], x2=xs[1], x3=xs[2],
-        z1=flags[0], z2=flags[1], c1=flags[2], c2=flags[3], c3=flags[4],
-        y1=ys[0], y2=ys[1],
-        extras=_extras(raw, MIXTURE_COLUMNS),
-    )
-
-
-def _format_mixture(rec):
-    return {
-        "x1": _fmt(rec.x1), "x2": _fmt(rec.x2), "x3": _fmt(rec.x3),
-        "z1": str(rec.z1), "z2": str(rec.z2),
-        "c1": str(rec.c1), "c2": str(rec.c2), "c3": str(rec.c3),
-        "y1": _fmt(rec.y1), "y2": _fmt(rec.y2),
-        **rec.extras,
-    }
-
-
-ATTACK_MIX_TOL = 1e-6
-
-
-def _parse_adversarial(row, raw, out):
-    ints = {c: _int(raw.get(c), row, c, out) for c in ("Scenario", "T", "FC")}
-    floats = {}
-    for c in ("EpsilonRangeLow", "EpsilonRangeHigh", "Alpha", "F1", "Epsilon",
-              "FGSM", "PGD", "TrainingAccuracy", "TrainingLoss",
-              "ValidationAccuracy", "ValidationLoss", "TestAccuracy",
-              "TestLoss", "Memory"):
-        floats[c] = _float(raw.get(c), row, c, out)
-    if None in ints.values() or None in floats.values():
-        return None
-    if ints["FC"] < 0:
-        out.append(Violation(row, "FC", "count range", "failure count must be >= 0"))
-    if floats["Alpha"] <= 0:
-        out.append(Violation(row, "Alpha", "positive rate", "learning rate must be positive"))
-    lo, hi = floats["EpsilonRangeLow"], floats["EpsilonRangeHigh"]
-    if not (0 <= lo <= hi <= 1):
-        out.append(Violation(row, "EpsilonRangeLow", "epsilon range",
-                             f"[{lo}, {hi}] is not an interval inside [0, 1]"))
-    for c in ("F1", "Epsilon"):
-        if not 0 <= floats[c] <= 1:
-            out.append(Violation(row, c, "unit range", f"{floats[c]} outside [0, 1]"))
-    for c in ("FGSM", "PGD"):
-        if not 0 <= floats[c] <= 100:
-            out.append(Violation(row, c, "percent range", f"{floats[c]} outside [0, 100]"))
-    if abs(floats["FGSM"] + floats["PGD"] - 100.0) > ATTACK_MIX_TOL:
-        out.append(Violation(row, "FGSM", "attack mix sum",
-                             f"FGSM + PGD = {floats['FGSM'] + floats['PGD']!r}, expected 100"))
-    if floats["Memory"] < 0:
-        out.append(Violation(row, "Memory", "memory range", "memory must be >= 0"))
-    return AdversarialCountRecord(
-        scenario=ints["Scenario"],
-        epsilon_range=(lo, hi),
-        t=ints["T"],
-        fc=ints["FC"],
-        alpha=floats["Alpha"],
-        f1=floats["F1"],
-        epsilon=floats["Epsilon"],
-        fgsm_pct=floats["FGSM"],
-        pgd_pct=floats["PGD"],
-        train_acc=floats["TrainingAccuracy"],
-        train_loss=floats["TrainingLoss"],
-        val_acc=floats["ValidationAccuracy"],
-        val_loss=floats["ValidationLoss"],
-        test_acc=floats["TestAccuracy"],
-        test_loss=floats["TestLoss"],
-        memory=floats["Memory"],
-        extras=_extras(raw, ADVERSARIAL_COLUMNS),
-    )
-
-
-def _format_adversarial(rec):
-    return {
-        "Scenario": str(rec.scenario),
-        "EpsilonRangeLow": _fmt(rec.epsilon_range[0]),
-        "EpsilonRangeHigh": _fmt(rec.epsilon_range[1]),
-        "T": str(rec.t),
-        "FC": str(rec.fc),
-        "Alpha": _fmt(rec.alpha),
-        "F1": _fmt(rec.f1),
-        "Epsilon": _fmt(rec.epsilon),
-        "FGSM": _fmt(rec.fgsm_pct),
-        "PGD": _fmt(rec.pgd_pct),
-        "TrainingAccuracy": _fmt(rec.train_acc),
-        "TrainingLoss": _fmt(rec.train_loss),
-        "ValidationAccuracy": _fmt(rec.val_acc),
-        "ValidationLoss": _fmt(rec.val_loss),
-        "TestAccuracy": _fmt(rec.test_acc),
-        "TestLoss": _fmt(rec.test_loss),
-        "Memory": _fmt(rec.memory),
-        **rec.extras,
-    }
 
 
 def _adversarial_file_checks(rows_records, accuracy_scale: str = "auto"):
@@ -531,50 +428,12 @@ def _adversarial_file_checks(rows_records, accuracy_scale: str = "auto"):
     if accuracy_scale not in ("proportion", "percent"):
         raise ValueError("accuracy_scale must be 'auto', 'proportion', or 'percent'")
     hi = 1.0 if accuracy_scale == "proportion" else 100.0
-    names = {"train_acc": "TrainingAccuracy", "val_acc": "ValidationAccuracy",
-             "test_acc": "TestAccuracy"}
+    names = {col.attr: col.name for col in SCHEMAS["adversarial"].spec}
     for row, col, v in values:
         if not 0 <= v <= hi:
             out.append(Violation(row, names[col], "accuracy range",
                                  f"{v} outside [0, {hi:g}] ({accuracy_scale} scale)"))
     return out
-
-
-def _parse_incident(row, raw, out):
-    no = _int(raw.get("IncidentNo"), row, "IncidentNo", out)
-    cas = _binary(raw.get("Casuality"), row, "Casuality", out)
-    inj = _binary(raw.get("Injured"), row, "Injured", out)
-    if None in (no, cas, inj):
-        return None
-    return IncidentRecord(
-        incident_no=no,
-        company=raw.get("Company", ""),
-        sector=raw.get("Sector", ""),
-        system=raw.get("System", ""),
-        algorithm=raw.get("Algorithm", ""),
-        cause=raw.get("Cause", ""),
-        description=raw.get("IncidentDescription", ""),
-        casuality=cas,
-        injured=inj,
-        comment=raw.get("Comment", ""),
-        extras=_extras(raw, INCIDENT_COLUMNS),
-    )
-
-
-def _format_incident(rec):
-    return {
-        "IncidentNo": str(rec.incident_no),
-        "Company": rec.company,
-        "Sector": rec.sector,
-        "System": rec.system,
-        "Algorithm": rec.algorithm,
-        "Cause": rec.cause,
-        "IncidentDescription": rec.description,
-        "Casuality": str(rec.casuality),
-        "Injured": str(rec.injured),
-        "Comment": rec.comment,
-        **rec.extras,
-    }
 
 
 def _incident_file_checks(rows_records):
@@ -592,57 +451,100 @@ def _incident_file_checks(rows_records):
 # ---------------------------------------------------------------------------
 # registry
 
-
-DISENGAGEMENT_COLUMNS = ("Manufacture", "VIN", "Date", "Month", "MonthID")
-COLLISION_COLUMNS = ("Manufacture", "VIN", "Date", "Month", "MonthID", "EventID")
-MILEAGE_COLUMNS = ("Manufacture", "VIN") + tuple(f"M{j}" for j in range(1, N_MILEAGE_MONTHS + 1))
-MONTH_COLUMNS = ("MonthID", "StartDate", "EndDate", "NDays")
-MODULE_ERROR_COLUMNS = (
-    "ScenarioID", "Weather", "WindowStart", "WindowEnd",
-    "EI2DStart", "EI2DEnd", "EI2DProb", "EI3DStart", "EI3DEnd", "EI3DProb",
-    "TimeStamp", "Error2D", "Error3D", "ErrorLoc",
-)
-MIXTURE_COLUMNS = ("x1", "x2", "x3", "z1", "z2", "c1", "c2", "c3", "y1", "y2")
-ADVERSARIAL_COLUMNS = (
-    "Scenario", "EpsilonRangeLow", "EpsilonRangeHigh", "T", "FC", "Alpha", "F1",
-    "Epsilon", "FGSM", "PGD", "TrainingAccuracy", "TrainingLoss",
-    "ValidationAccuracy", "ValidationLoss", "TestAccuracy", "TestLoss", "Memory",
-)
-INCIDENT_COLUMNS = (
-    "IncidentNo", "Company", "Sector", "System", "Algorithm", "Cause",
-    "IncidentDescription", "Casuality", "Injured", "Comment",
-)
-
-
-@dataclass(frozen=True)
-class SchemaDef:
-    name: str
-    columns: tuple[str, ...]
-    record_type: type
-    parse_row: callable
-    format_record: callable
-    file_checks: callable = None
-    options: tuple[str, ...] = ()
-
+MONTH_ID = Range("month id range", 1, N_MILEAGE_MONTHS)
+PROBABILITY = Range("probability range", 0, 1)
+UNIT = Range("unit range", 0, 1)
+PERCENT = Range("percent range", 0, 100)
 
 SCHEMAS = {
     s.name: s
     for s in (
-        SchemaDef("disengagement", DISENGAGEMENT_COLUMNS, DisengagementRecord,
-                  _parse_disengagement, _format_disengagement),
-        SchemaDef("collision", COLLISION_COLUMNS, CollisionRecord,
-                  _parse_collision, _format_collision, _collision_file_checks),
-        SchemaDef("mileage", MILEAGE_COLUMNS, MileageRow, _parse_mileage, _format_mileage),
-        SchemaDef("month", MONTH_COLUMNS, MonthRow, _parse_month, _format_month,
-                  _month_file_checks),
-        SchemaDef("module_error", MODULE_ERROR_COLUMNS, ModuleErrorRecord,
-                  _parse_module_error, _format_module_error),
-        SchemaDef("mixture", MIXTURE_COLUMNS, MixtureRecord, _parse_mixture, _format_mixture),
-        SchemaDef("adversarial", ADVERSARIAL_COLUMNS, AdversarialCountRecord,
-                  _parse_adversarial, _format_adversarial, _adversarial_file_checks,
-                  options=("accuracy_scale",)),
-        SchemaDef("incident", INCIDENT_COLUMNS, IncidentRecord,
-                  _parse_incident, _format_incident, _incident_file_checks),
+        SchemaDef("disengagement", DisengagementRecord, (
+            Column("Manufacture", "manufacture", STR),
+            Column("VIN", "vin", STR),
+            Column("Date", "date", DATE),
+            Column("Month", "month", STR),
+            Column("MonthID", "month_id", INT, MONTH_ID),
+        ), _event_date_checks),
+        SchemaDef("collision", CollisionRecord, (
+            Column("Manufacture", "manufacture", STR),
+            Column("VIN", "vin", OPTIONAL_STR),
+            Column("Date", "date", DATE),
+            Column("Month", "month", STR),
+            Column("MonthID", "month_id", INT, MONTH_ID),
+            Column("EventID", "event_id", INT, Range("event id range", 1)),
+        ), _event_date_checks, _collision_file_checks),
+        SchemaDef("mileage", MileageRow, (
+            Column("Manufacture", "manufacture", STR),
+            Column("VIN", "vin", STR),
+            *(Column(f"M{j}", "monthly_miles", FLOAT, Range("negative mileage", 0, reject=True))
+              for j in range(1, N_MILEAGE_MONTHS + 1)),
+        )),
+        SchemaDef("month", MonthRow, (
+            Column("MonthID", "month_id", INT),
+            Column("StartDate", "start_date", DATE),
+            Column("EndDate", "end_date", DATE),
+            Column("NDays", "n_days", INT, Range("month length", 28)),
+        ), _month_checks, _month_file_checks),
+        SchemaDef("module_error", ModuleErrorRecord, (
+            Column("ScenarioID", "scenario_id", INT),
+            Column("Weather", "weather", STR),
+            Column("WindowStart", "window", FLOAT),
+            Column("WindowEnd", "window", FLOAT),
+            Column("EI2DStart", "ei_time_2d", FLOAT),
+            Column("EI2DEnd", "ei_time_2d", FLOAT),
+            Column("EI2DProb", "ei_prob_2d", FLOAT, PROBABILITY),
+            Column("EI3DStart", "ei_time_3d", FLOAT),
+            Column("EI3DEnd", "ei_time_3d", FLOAT),
+            Column("EI3DProb", "ei_prob_3d", FLOAT, PROBABILITY),
+            Column("TimeStamp", "timestamp", FLOAT),
+            Column("Error2D", "err_2d", FLAG),
+            Column("Error3D", "err_3d", FLAG),
+            Column("ErrorLoc", "err_loc", FLAG),
+        ), _module_error_checks),
+        SchemaDef("mixture", MixtureRecord, (
+            Column("x1", "x1", FLOAT),
+            Column("x2", "x2", FLOAT),
+            Column("x3", "x3", FLOAT),
+            Column("z1", "z1", FLAG),
+            Column("z2", "z2", FLAG),
+            Column("c1", "c1", FLAG),
+            Column("c2", "c2", FLAG),
+            Column("c3", "c3", FLAG),
+            Column("y1", "y1", FLOAT, Range("response range", 0, 1)),
+            Column("y2", "y2", FLOAT),
+        ), _mixture_checks),
+        SchemaDef("adversarial", AdversarialCountRecord, (
+            Column("Scenario", "scenario", INT),
+            Column("EpsilonRangeLow", "epsilon_range", FLOAT),
+            Column("EpsilonRangeHigh", "epsilon_range", FLOAT),
+            Column("T", "t", INT),
+            Column("FC", "fc", INT, Range("count range", 0)),
+            Column("Alpha", "alpha", FLOAT, Range("positive rate", 0, strict=True)),
+            Column("F1", "f1", FLOAT, UNIT),
+            Column("Epsilon", "epsilon", FLOAT, UNIT),
+            Column("FGSM", "fgsm_pct", FLOAT, PERCENT),
+            Column("PGD", "pgd_pct", FLOAT, PERCENT),
+            Column("TrainingAccuracy", "train_acc", FLOAT),
+            Column("TrainingLoss", "train_loss", FLOAT),
+            Column("ValidationAccuracy", "val_acc", FLOAT),
+            Column("ValidationLoss", "val_loss", FLOAT),
+            Column("TestAccuracy", "test_acc", FLOAT),
+            Column("TestLoss", "test_loss", FLOAT),
+            Column("Memory", "memory", FLOAT, Range("memory range", 0)),
+        ), _adversarial_checks, _adversarial_file_checks, options=("accuracy_scale",)),
+        SchemaDef("incident", IncidentRecord, (
+            Column("IncidentNo", "incident_no", INT),
+            Column("Company", "company", STR),
+            Column("Sector", "sector", STR),
+            Column("System", "system", STR),
+            Column("Algorithm", "algorithm", STR),
+            Column("Cause", "cause", STR),
+            Column("IncidentDescription", "description", STR),
+            Column("Casuality", "casuality", FLAG),
+            Column("Injured", "injured", FLAG),
+            Column("Comment", "comment", STR),
+        ), None, _incident_file_checks),
     )
 }
 

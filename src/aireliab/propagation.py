@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas
 
-from .recurrent import BaselineIntensityModel, _maximize, baseline_intensity, cumulative_baseline
+from ._optim import maximize
+from .recurrent import BaselineIntensityModel, baseline_intensity, cumulative_baseline
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
 
@@ -66,7 +67,7 @@ class ModuleEventLog:
         object.__setattr__(self, "events", events)
         sources = {m: tuple(srcs) for m, srcs in self.sources.items()}
         object.__setattr__(self, "sources", sources)
-        _toposort(set(events) | set(sources), sources)  # raises on cycles
+        toposort(set(events) | set(sources), sources)  # raises on cycles
         if self.injection:
             for name, win in self.injection.items():
                 if win.end > self.window + 1e-9:
@@ -80,7 +81,8 @@ class ModuleEventLog:
         return len(self.events[module])
 
 
-def _toposort(modules, sources) -> list[str]:
+def toposort(modules, sources) -> list[str]:
+    """Modules ordered so that each follows its sources; raises ValueError on a cycle."""
     remaining = {m: set(sources.get(m, ())) & set(modules) for m in modules}
     order = []
     while remaining:
@@ -336,7 +338,7 @@ def _fit_module(module, logs, source_names, *, multistarts, tolerance, max_iter,
     jitter = np.random.default_rng(2024)
     for _ in range(max(0, multistarts - 1)):
         starts.append(seed + jitter.normal(0.0, 0.5, size=len(seed)))
-    fun, z_hat, ok, iters = _maximize(negloglik, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik, starts, tolerance, max_iter)
     shape, scale, edges = unpack(z_hat)
     return (shape, scale), edges, -fun, ok, iters
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._optim import maximize, numeric_stderr
 from .datasets.exposure import ExposureSchedule, sum_schedules
 
 FAMILY_PARAMS = {
@@ -239,80 +239,6 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-def _numeric_stderr(negloglik, theta) -> tuple[float, ...] | None:
-    """Standard errors from a central-difference Hessian, when it is PD."""
-    k = len(theta)
-    h = 1e-5 * (np.abs(theta) + 1e-8)
-    hess = np.empty((k, k))
-    f0 = negloglik(theta)
-    if not np.isfinite(f0):
-        return None
-    for i in range(k):
-        for j in range(i, k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                val = (negloglik(theta + ei) - 2 * f0 + negloglik(theta - ei)) / h[i] ** 2
-            else:
-                val = (
-                    negloglik(theta + ei + ej)
-                    - negloglik(theta + ei - ej)
-                    - negloglik(theta - ei + ej)
-                    + negloglik(theta - ei - ej)
-                ) / (4 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        return None
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
-        return None
-    return tuple(np.sqrt(diag))
-
-
-def _maximize(negloglik_z, z0_list, tol, max_iter):
-    """Simplex descent per start, then quasi-Newton polish; best kept.
-
-    The simplex stage works to ``tol`` relative in the objective; the
-    L-BFGS-B polish (finite-difference gradients) sharpens the optimum.
-    """
-    best = None
-    iterations = 0
-    for z0 in z0_list:
-        f0 = negloglik_z(np.asarray(z0, dtype=float))
-        fatol = tol * (1.0 + (abs(f0) if np.isfinite(f0) else 1.0))
-        nm_iter = min(max_iter, 250 * len(z0))
-        # infinite objective values off the feasible region trip benign
-        # invalid-subtract warnings inside the optimizers
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = minimize(
-                negloglik_z,
-                z0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-6, "fatol": fatol, "maxiter": nm_iter, "maxfev": 2 * nm_iter},
-            )
-            iterations += res.nit
-            polish = minimize(
-                negloglik_z,
-                res.x,
-                method="L-BFGS-B",
-                options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
-            )
-        iterations += polish.nit
-        cand = polish if polish.fun <= res.fun else res
-        ok = bool(res.success or polish.success)
-        if np.isfinite(cand.fun) and (best is None or cand.fun < best[0]):
-            best = (cand.fun, cand.x, ok)
-    if best is None:
-        raise RuntimeError("likelihood evaluation failed for every start")
-    return best[0], best[1], best[2], iterations
-
-
 def _starts(seed_params: np.ndarray, multistarts: int) -> list[np.ndarray]:
     # fixed-seed jitter keeps fits pure functions of their inputs
     z0 = np.log(seed_params)
@@ -372,7 +298,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
         model = BaselineIntensityModel(family, tuple(np.exp(z)))
         return -packed.log_lik(model)
 
-    fun, z_hat, ok, iters = _maximize(
+    fun, z_hat, ok, iters = maximize(
         negloglik_z, _starts(_moment_seed(family, packed), multistarts), tolerance, max_iter
     )
     theta = tuple(np.exp(z_hat))
@@ -384,7 +310,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
             return np.inf
         return -packed.log_lik(BaselineIntensityModel(family, tuple(th)))
 
-    stderr = _numeric_stderr(negloglik_theta, np.array(theta))
+    stderr = numeric_stderr(negloglik_theta, np.array(theta))
     return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, stderr)
 
 
@@ -463,7 +389,7 @@ def fit_proportional(units, covariates, family: str, *, names=None,
         s[:k_theta] += jitter.normal(0.0, 0.5, size=k_theta)
         s[k_theta:] += jitter.normal(0.0, 0.25, size=q_act)
         starts.append(s)
-    fun, z_hat, ok, iters = _maximize(negloglik_z, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik_z, starts, tolerance, max_iter)
     theta = tuple(np.exp(z_hat[:k_theta]))
     beta = np.zeros(q)
     beta[active] = z_hat[k_theta:]

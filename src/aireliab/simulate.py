@@ -28,7 +28,7 @@ from .datasets.schemas import (
     MixtureRecord,
     ModuleErrorRecord,
 )
-from .propagation import DEFAULT_SOURCES, EPModel, InjectionWindow, ModuleEventLog, _toposort
+from .propagation import DEFAULT_SOURCES, EPModel, InjectionWindow, ModuleEventLog, toposort
 from .recurrent import BaselineIntensityModel, EventSeries, baseline_intensity
 from .regression import mixture_design
 from .srgm import DiscreteHazard, IntervalCountSeries, mean_value_increments
@@ -124,7 +124,7 @@ def simulate_ep_cascade(model: EPModel, sources: dict, window: float,
     """
     modules = sorted(model.baseline)
     stream = {m: i for i, m in enumerate(modules)}
-    order = _toposort(set(modules), {m: tuple(sources.get(m, ())) for m in modules})
+    order = toposort(set(modules), {m: tuple(sources.get(m, ())) for m in modules})
     injection = dict(injection or {})
     events: dict[str, np.ndarray] = {}
     for module in order:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .recurrent import _maximize
+from ._optim import maximize
 
 # parameter names and constraint type per family ("unit" = (0,1), "pos" = > 0)
 HAZARD_FAMILIES = {
@@ -295,7 +295,7 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     jitter = np.random.default_rng(777)
     for _ in range(max(0, multistarts - 1)):
         starts.append(seed + jitter.normal(0.0, 0.4, size=len(seed)))
-    fun, z_hat, ok, iters = _maximize(negloglik, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik, starts, tolerance, max_iter)
     hazard = DiscreteHazard(hazard_family, unpack(z_hat[:k_h]))
     beta_vec = z_hat[k_h:]
     s = mean_value_increments(1.0, hazard, beta_vec, X, n_fit)
