@@ -171,10 +171,10 @@ FLAG = Cell(_flag, str, "binary flag")
 class Range:
     """Bounds a parsed value must keep; a breach is reported under ``rule``.
 
-    With ``hi`` the value must lie in [lo, hi], so a NaN breaches it.  With
-    ``lo`` alone the value must not fall below ``lo`` (nor equal it when
-    ``strict``), which a NaN does not.  A ``reject`` breach costs the row
-    its record, as a malformed cell does; other breaches only report.
+    With ``hi`` the value must lie in [lo, hi]; with ``lo`` alone it must
+    be at least ``lo`` (above it when ``strict``).  A NaN breaches either
+    form.  A ``reject`` breach costs the row its record, as a malformed
+    cell does; other breaches only report.
     """
 
     rule: str
@@ -186,7 +186,7 @@ class Range:
     def breached(self, value) -> bool:
         if self.hi is not None:
             return not self.lo <= value <= self.hi
-        return value <= self.lo if self.strict else value < self.lo
+        return not (value > self.lo if self.strict else value >= self.lo)
 
 
 @dataclass(frozen=True)
@@ -363,8 +363,9 @@ SIMPLEX_TOL = 1e-9
 def _mixture_checks(row, rec, out):
     """Class proportions form a simplex point and one scenario flag is set."""
     xs = (rec.x1, rec.x2, rec.x3)
-    if any(not 0 <= x <= 1 for x in xs):
-        out.append(Violation(row, "x1", "proportion range", "class proportions must lie in [0, 1]"))
+    for col, x in zip(("x1", "x2", "x3"), xs):
+        if not 0 <= x <= 1:
+            out.append(Violation(row, col, "proportion range", f"{x!r} outside [0, 1]"))
     if abs(sum(xs) - 1.0) > SIMPLEX_TOL:
         out.append(Violation(row, "x1", "simplex sum", f"x1 + x2 + x3 = {sum(xs)!r}, expected 1"))
     if rec.c1 + rec.c2 + rec.c3 != 1:

@@ -19,7 +19,8 @@ The gompertz and musa_okumoto forms are the conventional software
 reliability growth shapes, rescaled so the cumulative baseline starts at
 zero.  Log-likelihoods use the fact that exposure is piecewise constant,
 so each unit's compensator reduces to rate-weighted differences of the
-cumulative baseline at segment boundaries.
+cumulative baseline at segment boundaries; summed over units, they need
+the cumulative baseline only at the distinct breakpoints.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class BaselineIntensityModel:
 def baseline_intensity(model: BaselineIntensityModel, t):
     """Baseline intensity lambda0(t) for t > 0 (scalar or array)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise ValueError("baseline intensity requires t > 0")
     th = model.theta
     if model.family == "hpp":
@@ -93,7 +94,7 @@ def baseline_intensity(model: BaselineIntensityModel, t):
 def cumulative_baseline(model: BaselineIntensityModel, t):
     """Cumulative baseline intensity Lambda0(t) for t >= 0 (closed form)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("cumulative baseline requires t >= 0")
     th = model.theta
     if model.family == "hpp":
@@ -158,7 +159,16 @@ class RecurrentFit:
 
 
 class _Packed:
-    """Flattened view of a unit list for fast repeated likelihood evaluation."""
+    """A unit list reduced to the sufficient statistics of its likelihood.
+
+    With piecewise-constant exposure the likelihood depends on the data
+    only through the count at each distinct event time and the summed rate
+    on each distinct exposure interval, so one evaluation costs O(distinct
+    event times + distinct breakpoints), not O(events + unit segments).
+    Both are small for DMV data: events fall on whole days and every
+    vehicle shares the month breakpoints.  The interval and the unit of
+    every positive-rate segment are kept for per-unit intensity scales.
+    """
 
     def __init__(self, units):
         units = list(units)
@@ -169,45 +179,63 @@ class _Packed:
             raise ValueError("all units must share the same tau")
         self.tau = tau
         self.n_units = len(units)
-        self.times = np.concatenate([u.event_times for u in units]) if units else np.array([])
-        self.n_events = len(self.times)
-        # exposure value at each event, and its fixed log-contribution
-        xs = np.concatenate([np.atleast_1d(u.exposure.rate_at(u.event_times)) for u in units])
+        self.events_per_unit = np.array([u.n_events for u in units])
+        times = np.concatenate([u.event_times for u in units])
+        self.n_events = len(times)
+        self.event_times, self.event_counts = np.unique(times, return_counts=True)
+
+        # every unit's segments, in unit order, as index pairs into one grid
+        # of breakpoints: a unit's last breakpoint opens no segment and its
+        # first closes none
+        rates = [u.exposure.daily_rate for u in units]
+        n_seg = np.array([len(r) for r in rates])
+        self.grid, at = np.unique(np.concatenate([u.exposure.breakpoints for u in units]),
+                                  return_inverse=True)
+        n_grid = len(self.grid)
+        first = np.cumsum(n_seg + 1) - n_seg - 1
+        lo_idx, hi_idx = np.delete(at, first + n_seg), np.delete(at, first)
+        seg_rate = np.concatenate(rates)
+        seg_unit = np.repeat(np.arange(self.n_units), n_seg)
+
+        # exposure at each event: the unit's segment holding the grid cell
+        # (grid[g], grid[g+1]] that contains the event (t = 0 and t > tau
+        # fall in the first and last segments, as in ExposureSchedule.rate_at)
+        cell = np.clip(np.searchsorted(self.grid, times) - 1, 0, n_grid - 2)
+        event_key = np.repeat(np.arange(self.n_units), self.events_per_unit) * n_grid + cell
+        xs = seg_rate[np.searchsorted(seg_unit * n_grid + lo_idx, event_key, side="right") - 1]
         if np.any(xs <= 0):
             bad = int(np.nonzero(xs <= 0)[0][0])
             raise DataInconsistencyError(
-                f"event at t={self.times[bad]:g} has zero exposure (intensity would be zero)"
+                f"event at t={times[bad]:g} has zero exposure (intensity would be zero)"
             )
         self.log_exposure_sum = float(np.sum(np.log(xs)))
-        # segment table: compensator = sum rate_j * (L0(hi_j) - L0(lo_j))
-        lo, hi, rate, unit_idx = [], [], [], []
-        for k, u in enumerate(units):
-            keep = u.exposure.daily_rate > 0
-            lo.append(u.exposure.breakpoints[:-1][keep])
-            hi.append(u.exposure.breakpoints[1:][keep])
-            rate.append(u.exposure.daily_rate[keep])
-            unit_idx.append(np.full(int(keep.sum()), k))
-        self.seg_lo = np.concatenate(lo) if lo else np.array([])
-        self.seg_hi = np.concatenate(hi) if hi else np.array([])
-        self.seg_rate = np.concatenate(rate) if rate else np.array([])
-        self.seg_unit = np.concatenate(unit_idx) if unit_idx else np.array([], dtype=int)
-        self.total_exposure = float(np.dot(self.seg_rate, self.seg_hi - self.seg_lo))
-        self.events_per_unit = np.array([u.n_events for u in units])
+
+        # compensator = sum over distinct intervals (lo, hi) of the summed
+        # rate times L0(hi) - L0(lo); zero-rate segments are left out
+        keep = seg_rate > 0
+        seg_rate, seg_unit = seg_rate[keep], seg_unit[keep]
+        lo_idx, hi_idx = lo_idx[keep], hi_idx[keep]
+        self.seg_rate, self.seg_unit = seg_rate, seg_unit
+        self.total_exposure = float(np.dot(seg_rate, self.grid[hi_idx] - self.grid[lo_idx]))
+        intervals, self.seg_interval = np.unique(lo_idx * n_grid + hi_idx, return_inverse=True)
+        self.interval_lo, self.interval_hi = np.divmod(intervals, n_grid)
+        self.interval_rate = np.bincount(self.seg_interval, seg_rate, minlength=len(intervals))
 
     def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
         """Log-likelihood; ``unit_scale`` multiplies each unit's intensity."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lam0 = baseline_intensity(model, self.times) if self.n_events else np.array([])
-            if np.any(lam0 <= 0):
+            lam0 = baseline_intensity(model, self.event_times)
+            if (lam0 <= 0).any():
                 return -np.inf
-            event_term = float(np.sum(np.log(lam0))) + self.log_exposure_sum
-            comp = self.seg_rate * (
-                cumulative_baseline(model, self.seg_hi) - cumulative_baseline(model, self.seg_lo)
-            )
-            if unit_scale is not None:
+            event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
+            if unit_scale is None:
+                weights = self.interval_rate
+            else:
                 event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
-                comp = comp * unit_scale[self.seg_unit]
-            total = event_term - float(np.sum(comp))
+                weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
+                                      minlength=len(self.interval_rate))
+            cum = cumulative_baseline(model, self.grid)
+            total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
         return total if np.isfinite(total) else -np.inf
 
 

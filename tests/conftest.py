@@ -2,11 +2,18 @@ import datetime as dt
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from aireliab import datasets
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
+
+# one profile for every property test: a fixed example sequence, so a
+# run repeats exactly, and no example database between runs
+settings.register_profile("property", max_examples=150, deadline=None, derandomize=True,
+                          database=None, suppress_health_check=[HealthCheck.too_slow])
+PROPERTY = settings.get_profile("property")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,10 @@
 ``datasets.schemas`` declares each CSV schema once as a column spec and
 parses and formats every schema with one generic routine.  Before that,
 each schema had its own ``_parse_*``/``_format_*`` pair, kept here
-verbatim as the reference the generic code is tested against.  The
+as the reference the generic code is tested against.  Two rules have
+since changed on purpose, here as in the package: a NaN breaches the
+one-sided range rules (mileage, ``Alpha``, ``Memory``), and a mixture
+``proportion range`` breach is reported once per bad column.  The
 oracle reads rows with ``csv.DictReader`` and writes them with
 ``csv.DictWriter``, as the package once did, and runs the package's file
 checks, which did not change.
@@ -176,7 +179,7 @@ def _parse_mileage(row, raw, out):
         if val is None:
             ok = False
             continue
-        if val < 0:
+        if not val >= 0:
             out.append(Violation(row, f"M{j}", "negative mileage", f"{val} < 0"))
             ok = False
         miles.append(val)
@@ -291,8 +294,10 @@ def _parse_mixture(row, raw, out):
     flags = [_binary(raw.get(c), row, c, out) for c in ("z1", "z2", "c1", "c2", "c3")]
     if None in xs or None in ys or None in flags:
         return None
-    if any(not 0 <= x <= 1 for x in xs):
-        out.append(Violation(row, "x1", "proportion range", "class proportions must lie in [0, 1]"))
+    for col, x in zip(("x1", "x2", "x3"), xs):
+        if not 0 <= x <= 1:
+            out.append(Violation(row, col, "proportion range",
+                                 "class proportions must lie in [0, 1]"))
     if abs(sum(xs) - 1.0) > SIMPLEX_TOL:
         out.append(Violation(row, "x1", "simplex sum",
                              f"x1 + x2 + x3 = {sum(xs)!r}, expected 1"))
@@ -334,7 +339,7 @@ def _parse_adversarial(row, raw, out):
         return None
     if ints["FC"] < 0:
         out.append(Violation(row, "FC", "count range", "failure count must be >= 0"))
-    if floats["Alpha"] <= 0:
+    if not floats["Alpha"] > 0:
         out.append(Violation(row, "Alpha", "positive rate", "learning rate must be positive"))
     lo, hi = floats["EpsilonRangeLow"], floats["EpsilonRangeHigh"]
     if not (0 <= lo <= hi <= 1):
@@ -349,7 +354,7 @@ def _parse_adversarial(row, raw, out):
     if abs(floats["FGSM"] + floats["PGD"] - 100.0) > ATTACK_MIX_TOL:
         out.append(Violation(row, "FGSM", "attack mix sum",
                              f"FGSM + PGD = {floats['FGSM'] + floats['PGD']!r}, expected 100"))
-    if floats["Memory"] < 0:
+    if not floats["Memory"] >= 0:
         out.append(Violation(row, "Memory", "memory range", "memory must be >= 0"))
     return AdversarialCountRecord(
         scenario=ints["Scenario"],

@@ -9,7 +9,7 @@ source streams, single events and events at t = window.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aireliab.propagation import (
@@ -23,13 +23,12 @@ from aireliab.propagation import (
 )
 from aireliab.recurrent import baseline_intensity, cumulative_baseline
 
+from conftest import PROPERTY
+
 RTOL = 1e-10
 MODULES = ("2d", "3d", "localization")
 SOURCES = DEFAULT_SOURCES["localization"]
 DECAY_BOUNDS = (0.05, 10.0)
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 # ---------------------------------------------------------------------------

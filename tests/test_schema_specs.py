@@ -15,9 +15,11 @@ import csv
 import datetime as dt
 import importlib.util
 import io
+import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import schema_oracle as oracle
@@ -31,15 +33,14 @@ from aireliab.datasets import (
     MixtureRecord,
     ModuleErrorRecord,
     MonthRow,
+    MonthTable,
+    derive_exposure,
     dumps,
     parse_records,
 )
 from aireliab.datasets.schemas import DATE, FLAG, FLOAT, INT
 
-from conftest import REPO_ROOT
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+from conftest import PROPERTY, REPO_ROOT, build_months
 
 ALL_SCHEMAS = tuple(SCHEMAS)
 
@@ -295,3 +296,57 @@ def test_generic_parser_matches_oracle_on_rows_with_several_faults(schema, heade
     assert repr(records) == repr(expected)
     assert row_violations(report.violations) == row_violations(violations)
     assert len(report.violations) > 2
+
+
+# ---------------------------------------------------------------------------
+# rules the specs changed on purpose (the oracle changed with them)
+
+
+def parse_row(schema, header, row):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, [row[c] for c in header]])
+    return parse_records(io.StringIO(buf.getvalue()), schema)
+
+
+def test_nan_breaches_one_sided_range_rules():
+    header = list(oracle.MILEAGE_COLUMNS)
+    records, report = parse_row(
+        "mileage", header, {"Manufacture": "A", "VIN": "V", **{c: "nan" for c in header[2:]}})
+    assert records == []
+    assert [(v.column, v.rule) for v in report.violations] == [
+        (f"M{j}", "negative mileage") for j in range(1, 25)]
+
+    header = list(oracle.ADVERSARIAL_COLUMNS)
+    row = {c: "0.5" for c in header} | {"Scenario": "1", "T": "1", "FC": "0", "FGSM": "50",
+                                         "PGD": "50", "Alpha": "nan", "Memory": "nan"}
+    records, report = parse_row("adversarial", header, row)
+    assert len(records) == 1
+    assert [(v.column, v.rule) for v in report.violations] == [
+        ("Alpha", "positive rate"), ("Memory", "memory range")]
+
+
+def test_mixture_proportion_range_names_each_bad_column():
+    header = list(oracle.MIXTURE_COLUMNS)
+    row = {"x1": "0.0", "x2": "-0.1", "x3": "1.2", "z1": "1", "z2": "0",
+           "c1": "1", "c2": "0", "c3": "0", "y1": "0.5", "y2": "0.0"}
+    _, report = parse_row("mixture", header, row)
+    assert [(v.column, v.rule) for v in report.violations] == [
+        ("x2", "proportion range"), ("x3", "proportion range"), ("x1", "simplex sum")]
+
+
+MILEAGE_CELLS = (st.floats(0, 1e6).map(repr)
+                 | st.sampled_from(["nan", "-nan", "NaN", "-0.5", "0", "2.25"]))
+
+
+@PROPERTY
+@given(rows=st.lists(st.lists(MILEAGE_CELLS, min_size=24, max_size=24), min_size=1, max_size=4))
+def test_clean_mileage_validation_gives_no_nan_schedule(rows):
+    header = list(oracle.MILEAGE_COLUMNS)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [["A", f"V{i}", *cells] for i, cells in enumerate(rows)])
+    records, report = parse_records(io.StringIO(buf.getvalue()), "mileage")
+    assert not any(math.isnan(v) for rec in records for v in rec.monthly_miles)
+    if not report.violations:
+        for schedule in derive_exposure(records, MonthTable(build_months())):
+            assert not np.isnan(schedule.daily_rate).any()
+            assert not math.isnan(schedule.total())
