@@ -115,6 +115,8 @@ class ExposureSchedule:
             raise ValueError("breakpoints must run from 0 to tau")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly ascending")
+        if not np.isfinite(rate).all():
+            raise ValueError("daily rates must be finite")
         if np.any(rate < 0):
             raise ValueError("daily rates must be non-negative")
         object.__setattr__(self, "breakpoints", bp)

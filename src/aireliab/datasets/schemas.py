@@ -19,6 +19,7 @@ from __future__ import annotations
 import calendar
 import datetime as dt
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
@@ -172,9 +173,9 @@ class Range:
     """Bounds a parsed value must keep; a breach is reported under ``rule``.
 
     With ``hi`` the value must lie in [lo, hi]; with ``lo`` alone it must
-    be at least ``lo`` (above it when ``strict``).  A NaN breaches either
-    form.  A ``reject`` breach costs the row its record, as a malformed
-    cell does; other breaches only report.
+    be at least ``lo`` (above it when ``strict``) and finite.  A NaN
+    breaches either form.  A ``reject`` breach costs the row its record,
+    as a malformed cell does; other breaches only report.
     """
 
     rule: str
@@ -186,7 +187,7 @@ class Range:
     def breached(self, value) -> bool:
         if self.hi is not None:
             return not self.lo <= value <= self.hi
-        return not (value > self.lo if self.strict else value >= self.lo)
+        return not (self.lo < value if self.strict else self.lo <= value) or value == math.inf
 
 
 @dataclass(frozen=True)

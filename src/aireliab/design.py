@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from ._rng import make_rng
 
@@ -57,7 +57,11 @@ def lh_levels(n: int) -> np.ndarray:
 
 
 def phi_criterion(design, k: int = 15, m: float = 2.0) -> float:
-    """Distance-reciprocal space-filling criterion; smaller is better."""
+    """Distance-reciprocal space-filling criterion; smaller is better.
+
+    This is the public entry point and validates the design and powers;
+    ``search_mmlhd`` keeps the same criterion up to date under swaps.
+    """
     pts = design.matrix if isinstance(design, LatinHypercube) else np.asarray(design, float)
     if pts.shape[0] < 2:
         raise ValueError("need at least two design points")
@@ -84,6 +88,68 @@ def random_latin_hypercube(n: int, p: int, rng) -> np.ndarray:
     return np.column_stack([rng.permutation(levels) for _ in range(p)])
 
 
+def _distances_from(pts, i: int, j: int, m: float) -> np.ndarray:
+    """Minkowski distances from rows i and j to every row, as a 2 x n array.
+
+    Each distance is summed factor by factor in column order, as ``pdist``
+    sums it, so the values are the ones ``pdist`` returns.
+    """
+    if m != 2.0:
+        return cdist(pts[[i, j]], pts, "minkowski", p=m)
+    sq = pts - pts[[i, j]][:, None, :]
+    sq *= sq
+    acc = sq[..., 0]
+    for c in range(1, pts.shape[1]):
+        acc += sq[..., c]
+    return np.sqrt(acc)
+
+
+class _SwapCriterion:
+    """phi of a design kept up to date under within-column swaps.
+
+    Holds ``pdist``'s condensed vector of d_ij^(-k) terms, plus one
+    scratch slot that takes each row's pair with itself.  A swap of rows i
+    and j recomputes only the 2(n - 1) terms that involve them, O(n p),
+    and phi re-sums the whole vector in ``pdist`` order, O(n^2) additions
+    in one call, so it equals ``phi_criterion`` of the swapped design bit
+    for bit.  ``undo`` swaps back and restores the saved terms.  ``pts``
+    is changed in place.
+    """
+
+    def __init__(self, pts, k: int, m: float):
+        n = pts.shape[0]
+        self.pts, self.power, self.root, self.m = pts, -float(k), 1.0 / k, m
+        self.size = n * (n - 1) // 2
+        self.terms = np.empty(self.size + 1)
+        self.terms[:self.size] = pdist(pts, "minkowski", p=m) ** self.power
+        # slot of the pair (a, b) in the condensed vector; (a, a) -> scratch
+        self.slot = np.full((n, n), self.size, dtype=np.intp)
+        a, b = np.triu_indices(n, 1)
+        self.slot[a, b] = self.slot[b, a] = np.arange(self.size)
+
+    def _exchange(self, col: int, i: int, j: int):
+        pts = self.pts
+        pts[i, col], pts[j, col] = pts[j, col], pts[i, col]
+
+    def swap(self, col: int, i: int, j: int) -> float:
+        """Exchange rows i and j of column ``col``; phi of the result."""
+        self._exchange(col, i, j)
+        d = _distances_from(self.pts, i, j, self.m)
+        # a row's distance to itself only fills the scratch slot; rows stay
+        # distinct under swaps, as every column keeps distinct levels
+        d[0, i] = d[1, j] = 1.0
+        slots = self.slot[[i, j]]
+        self.saved = slots, self.terms[slots]
+        self.terms[slots] = d ** self.power
+        return float(self.terms[:self.size].sum() ** self.root)
+
+    def undo(self, col: int, i: int, j: int) -> None:
+        """Reverse the last ``swap(col, i, j)``."""
+        self._exchange(col, i, j)
+        slots, old = self.saved
+        self.terms[slots] = old
+
+
 def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
                  budget: int = 10_000) -> SearchResult:
     """Simulated-annealing search for a small-phi Latin hypercube design.
@@ -91,7 +157,8 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     Moves swap two entries within one column.  The initial temperature is
     calibrated on probe moves so roughly 40% of early uphill moves are
     accepted, then cools geometrically to a fraction 1e-6 of itself over
-    the budget.  Deterministic for a given seed.
+    the budget.  Deterministic for a given seed.  Each move updates the
+    criterion in O(n p) plus one O(n^2) sum (see ``_SwapCriterion``).
 
     Returns the best design visited together with the non-increasing
     best-so-far criterion trace (one entry per proposal, plus the start).
@@ -103,6 +170,7 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     rng = make_rng(seed)
     current = random_latin_hypercube(n, p, rng)
     phi_cur = phi_criterion(current, k, m)
+    criterion = _SwapCriterion(current, k, m)
 
     def propose():
         col = int(rng.integers(p))
@@ -112,10 +180,9 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     # probe uphill move sizes from the start point to set the temperature
     uphill = []
     for _ in range(min(200, max(20, budget // 20))):
-        col, i, j = propose()
-        current[[i, j], col] = current[[j, i], col]
-        delta = phi_criterion(current, k, m) - phi_cur
-        current[[i, j], col] = current[[j, i], col]
+        move = propose()
+        delta = criterion.swap(*move) - phi_cur
+        criterion.undo(*move)
         if delta > 0:
             uphill.append(delta)
     t0 = float(np.median(uphill)) / np.log(1.0 / 0.4) if uphill else 1e-3 * max(phi_cur, 1.0)
@@ -128,9 +195,8 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     temperature = t0
     accepted = 0
     for step in range(budget):
-        col, i, j = propose()
-        current[[i, j], col] = current[[j, i], col]
-        phi_new = phi_criterion(current, k, m)
+        move = propose()
+        phi_new = criterion.swap(*move)
         delta = phi_new - phi_cur
         if delta <= 0 or rng.random() < np.exp(-delta / max(temperature, 1e-300)):
             phi_cur = phi_new
@@ -139,7 +205,7 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
                 phi_best = phi_cur
                 best = current.copy()
         else:
-            current[[i, j], col] = current[[j, i], col]  # undo
+            criterion.undo(*move)
         temperature *= cool
         trace[step + 1] = phi_best
     design = LatinHypercube(best)  # validates the marginal invariant

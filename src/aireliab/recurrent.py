@@ -67,53 +67,67 @@ class BaselineIntensityModel:
         object.__setattr__(self, "theta", theta)
 
 
-def baseline_intensity(model: BaselineIntensityModel, t):
-    """Baseline intensity lambda0(t) for t > 0 (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    if (t <= 0).any():
-        raise ValueError("baseline intensity requires t > 0")
-    th = model.theta
-    if model.family == "hpp":
-        out = np.full_like(t, th[0])
-    elif model.family == "power_law":
+def _intensity(family: str, th, t):
+    """lambda0(t) for a known family and positive finite ``th``; no checks."""
+    if family == "hpp":
+        return np.full_like(t, th[0])
+    if family == "power_law":
         shape, scale = th
-        out = (shape / scale) * (t / scale) ** (shape - 1.0)
-    elif model.family == "weibull_growth":
+        return (shape / scale) * (t / scale) ** (shape - 1.0)
+    if family == "weibull_growth":
         t1, t2, t3 = th
-        out = t1 * t2 * t3 * t ** (t3 - 1.0) * np.exp(-t2 * t**t3)
-    elif model.family == "gompertz":
+        return t1 * t2 * t3 * t ** (t3 - 1.0) * np.exp(-t2 * t**t3)
+    if family == "gompertz":
         t1, t2, t3 = th
         u = t2 * np.exp(-t3 * t)
-        out = t1 * t3 * u * np.exp(-u)
-    else:  # musa_okumoto
-        t1, t2 = th
-        out = t1 * t2 / (1.0 + t2 * t)
-    return out if out.ndim else float(out)
+        return t1 * t3 * u * np.exp(-u)
+    t1, t2 = th  # musa_okumoto
+    return t1 * t2 / (1.0 + t2 * t)
 
 
-def cumulative_baseline(model: BaselineIntensityModel, t):
-    """Cumulative baseline intensity Lambda0(t) for t >= 0 (closed form)."""
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise ValueError("cumulative baseline requires t >= 0")
-    th = model.theta
-    if model.family == "hpp":
-        out = th[0] * t
-    elif model.family == "power_law":
+def _cumulative(family: str, th, t):
+    """Lambda0(t) for a known family and positive finite ``th``; no checks."""
+    if family == "hpp":
+        return th[0] * t
+    if family == "power_law":
         shape, scale = th
-        out = (t / scale) ** shape
-    elif model.family == "weibull_growth":
+        return (t / scale) ** shape
+    if family == "weibull_growth":
         t1, t2, t3 = th
-        out = t1 * -np.expm1(-t2 * t**t3)
-    elif model.family == "gompertz":
+        return t1 * -np.expm1(-t2 * t**t3)
+    if family == "gompertz":
         # exp(-t2 u) - exp(-t2) with u = exp(-t3 t), written to stay
         # accurate when t2 is small
         t1, t2, t3 = th
         u = np.exp(-t3 * t)
-        out = t1 * np.exp(-t2) * np.expm1(t2 * (1.0 - u))
-    else:  # musa_okumoto
-        t1, t2 = th
-        out = t1 * np.log1p(t2 * t)
+        return t1 * np.exp(-t2) * np.expm1(t2 * (1.0 - u))
+    t1, t2 = th  # musa_okumoto
+    return t1 * np.log1p(t2 * t)
+
+
+def baseline_intensity(model: BaselineIntensityModel, t):
+    """Baseline intensity lambda0(t) for t > 0 (scalar or array).
+
+    This is the public entry point and validates ``t``; the fitters
+    evaluate the same formulas on a prepared grid of event times.
+    """
+    t = np.asarray(t, dtype=float)
+    if (t <= 0).any():
+        raise ValueError("baseline intensity requires t > 0")
+    out = _intensity(model.family, model.theta, t)
+    return out if out.ndim else float(out)
+
+
+def cumulative_baseline(model: BaselineIntensityModel, t):
+    """Cumulative baseline intensity Lambda0(t) for t >= 0 (closed form).
+
+    This is the public entry point and validates ``t``; the fitters
+    evaluate the same formulas on a prepared grid of breakpoints.
+    """
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError("cumulative baseline requires t >= 0")
+    out = _cumulative(model.family, model.theta, t)
     return out if out.ndim else float(out)
 
 
@@ -130,7 +144,7 @@ class EventSeries:
         times = np.asarray(self.event_times, dtype=float)
         if times.ndim != 1:
             raise ValueError("event_times must be one-dimensional")
-        if np.any(np.diff(times) < 0):
+        if (np.diff(times) < 0).any():
             raise ValueError("event_times must be ascending (ties allowed)")
         if times.size and (times[0] <= 0 or times[-1] > self.tau + 1e-9):
             raise ValueError("event_times must lie in (0, tau]")
@@ -203,7 +217,7 @@ class _Packed:
         cell = np.clip(np.searchsorted(self.grid, times) - 1, 0, n_grid - 2)
         event_key = np.repeat(np.arange(self.n_units), self.events_per_unit) * n_grid + cell
         xs = seg_rate[np.searchsorted(seg_unit * n_grid + lo_idx, event_key, side="right") - 1]
-        if np.any(xs <= 0):
+        if (xs <= 0).any():
             bad = int(np.nonzero(xs <= 0)[0][0])
             raise DataInconsistencyError(
                 f"event at t={times[bad]:g} has zero exposure (intensity would be zero)"
@@ -223,8 +237,17 @@ class _Packed:
 
     def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
         """Log-likelihood; ``unit_scale`` multiplies each unit's intensity."""
+        return self.log_lik_theta(model.family, model.theta, unit_scale)
+
+    def log_lik_theta(self, family: str, theta, unit_scale=None) -> float:
+        """``log_lik`` at raw parameters of a family the caller checked.
+
+        The event times are positive and the breakpoints non-negative by
+        construction, so the formulas run without the checks of
+        ``baseline_intensity`` and ``cumulative_baseline``.
+        """
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lam0 = baseline_intensity(model, self.event_times)
+            lam0 = _intensity(family, theta, self.event_times)
             if (lam0 <= 0).any():
                 return -np.inf
             event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
@@ -234,7 +257,7 @@ class _Packed:
                 event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
                 weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
                                       minlength=len(self.interval_rate))
-            cum = cumulative_baseline(model, self.grid)
+            cum = _cumulative(family, theta, self.grid)
             total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
         return total if np.isfinite(total) else -np.inf
 
@@ -275,6 +298,37 @@ def _starts(seed_params: np.ndarray, multistarts: int) -> list[np.ndarray]:
     for _ in range(max(0, multistarts - 1)):
         starts.append(z0 + jitter.normal(0.0, 0.5, size=len(z0)))
     return starts
+
+
+# The search objectives below take log parameters z.  For |z| <= 300 every
+# exp(z) is positive and finite, so the family's parameters need no check
+# inside the search; the family itself is checked once by the fitter.
+
+
+def _mle_objective(packed: _Packed, family: str):
+    """Negative log-likelihood of ``family`` at log parameters z."""
+
+    def negloglik_z(z):
+        if np.maximum.reduce(abs(z)) > 300:
+            return np.inf
+        return -packed.log_lik_theta(family, np.exp(z).tolist())
+
+    return negloglik_z
+
+
+def _proportional_objective(packed: _Packed, family: str, X):
+    """Negative log-likelihood of ``family`` with unit scales exp(X beta) at
+    z = (log theta, beta)."""
+    k = len(FAMILY_PARAMS[family])
+    ones = np.ones(packed.n_units)
+
+    def negloglik_z(z):
+        if np.maximum.reduce(abs(z)) > 300:
+            return np.inf
+        scale = np.exp(X @ z[k:]) if X.shape[1] else ones
+        return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
+
+    return negloglik_z
 
 
 def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8,
@@ -320,21 +374,16 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
     if packed.n_events == 0:
         raise ValueError(f"no events across units; cannot fit the {family} family")
 
-    def negloglik_z(z):
-        if np.any(np.abs(z) > 300):
-            return np.inf
-        model = BaselineIntensityModel(family, tuple(np.exp(z)))
-        return -packed.log_lik(model)
-
     fun, z_hat, ok, iters = maximize(
-        negloglik_z, _starts(_moment_seed(family, packed), multistarts), tolerance, max_iter
+        _mle_objective(packed, family), _starts(_moment_seed(family, packed), multistarts),
+        tolerance, max_iter
     )
     theta = tuple(np.exp(z_hat))
     model = BaselineIntensityModel(family, theta)
     ll = -fun
 
     def negloglik_theta(th):
-        if np.any(th <= 0):
+        if (th <= 0).any():
             return np.inf
         return -packed.log_lik(BaselineIntensityModel(family, tuple(th)))
 
@@ -385,7 +434,7 @@ def fit_proportional(units, covariates, family: str, *, names=None,
     # all-zero columns contribute exp(0) = 1 regardless of beta: pin them at 0.
     # any other collinearity (with the implicit baseline-scale intercept) is a
     # genuine identifiability failure and is rejected.
-    active = [j for j in range(q) if np.any(X[:, j] != 0)]
+    active = [j for j in range(q) if (X[:, j] != 0).any()]
     X_act = X[:, active]
     with_intercept = np.column_stack([np.ones(X.shape[0]), X_act])
     if np.linalg.matrix_rank(with_intercept) < len(active) + 1:
@@ -401,14 +450,6 @@ def fit_proportional(units, covariates, family: str, *, names=None,
 
     q_act = len(active)
 
-    def negloglik_z(z):
-        if np.any(np.abs(z) > 300):
-            return np.inf
-        model = BaselineIntensityModel(family, tuple(np.exp(z[:k_theta])))
-        scale = np.exp(X_act @ z[k_theta:]) if q_act else np.ones(packed.n_units)
-        val = packed.log_lik(model, unit_scale=scale)
-        return -val
-
     seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q_act)])
     starts = [seed]
     jitter = np.random.default_rng(12345)
@@ -417,7 +458,8 @@ def fit_proportional(units, covariates, family: str, *, names=None,
         s[:k_theta] += jitter.normal(0.0, 0.5, size=k_theta)
         s[k_theta:] += jitter.normal(0.0, 0.25, size=q_act)
         starts.append(s)
-    fun, z_hat, ok, iters = maximize(negloglik_z, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X_act), starts,
+                                     tolerance, max_iter)
     theta = tuple(np.exp(z_hat[:k_theta]))
     beta = np.zeros(q)
     beta[active] = z_hat[k_theta:]

@@ -28,6 +28,7 @@ tl       c > 0, d > 0        (1 - e^(-1/c)) / (1 + e^(-(l-d)/c))
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,25 +70,28 @@ class DiscreteHazard:
 
     def __call__(self, steps):
         l = np.asarray(steps, dtype=float)
-        if np.any(l < 1):
+        if (l < 1).any():
             raise ValueError("hazard is defined for intervals l >= 1")
-        p = self.params
-        if self.family == "gm":
-            out = np.full_like(l, p[0])
-        elif self.family == "nb2":
-            b = p[0]
-            out = l * b * b / (1.0 + b * (l - 1.0))
-        elif self.family == "dw2":
-            out = 1.0 - p[0] ** (2.0 * l - 1.0)
-        elif self.family == "dw3":
-            b, c = p
-            out = 1.0 - np.exp(-c * l**b)
-        elif self.family == "s":
-            out = p[0] * (1.0 - p[1] ** l)
-        else:  # tl
-            c, d = p
-            out = (1.0 - np.exp(-1.0 / c)) / (1.0 + np.exp(-(l - d) / c))
+        out = _hazard(self.family, self.params, l)
         return out if out.ndim else float(out)
+
+
+def _hazard(family: str, p, l):
+    """h(l) for a known family and in-domain parameters ``p`` on steps ``l``."""
+    if family == "gm":
+        return np.full_like(l, p[0])
+    if family == "nb2":
+        b = p[0]
+        return l * b * b / (1.0 + b * (l - 1.0))
+    if family == "dw2":
+        return 1.0 - p[0] ** (2.0 * l - 1.0)
+    if family == "dw3":
+        b, c = p
+        return 1.0 - np.exp(-c * l**b)
+    if family == "s":
+        return p[0] * (1.0 - p[1] ** l)
+    c, d = p  # tl
+    return (1.0 - np.exp(-1.0 / c)) / (1.0 + np.exp(-(l - d) / c))
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class IntervalCountSeries:
         counts = np.asarray(self.counts, dtype=float)
         if counts.ndim != 1 or len(counts) < 2:
             raise ValueError("need at least two intervals of counts")
-        if np.any(counts < 0) or np.any(counts != np.round(counts)):
+        if (counts < 0).any() or (counts != np.round(counts)).any():
             raise ValueError("counts must be non-negative integers")
         X = np.asarray(self.covariates, dtype=float)
         if X.size == 0:
@@ -142,7 +146,12 @@ def covariate_link(x, beta):
 
 
 def mean_value_increments(omega, hazard: DiscreteHazard, beta, covariates, t: int):
-    """Per-interval increments of the mean value function for l = 1..t."""
+    """Per-interval increments of the mean value function for l = 1..t.
+
+    This is the public entry point and validates its arguments;
+    ``fit_srgm`` evaluates the same arithmetic through an objective
+    prepared once per fit.
+    """
     if t < 1:
         raise ValueError("t must be at least 1")
     beta = np.asarray(beta, dtype=float)
@@ -157,7 +166,7 @@ def mean_value_increments(omega, hazard: DiscreteHazard, beta, covariates, t: in
     h = np.atleast_1d(h)
     # saturating families can round h onto 1.0 at late intervals; that is
     # the valid limit where the remaining mass collapses into one step
-    if np.any(h <= 0) or np.any(h > 1):
+    if (h <= 0).any() or (h > 1).any():
         raise ValueError("hazard must lie strictly in (0, 1) over 1..t")
     q = (1.0 - h) ** g
     prior = np.concatenate([[1.0], np.cumprod(q)[:-1]])
@@ -199,10 +208,8 @@ def _transforms(family):
         return np.asarray(out)
 
     def unpack(z):
-        out = []
-        for value, kind in zip(z, kinds):
-            out.append(1.0 / (1.0 + np.exp(-value)) if kind == "unit" else np.exp(value))
-        return tuple(out)
+        return tuple(float(1.0 / (1.0 + np.exp(-value)) if kind == "unit" else np.exp(value))
+                     for value, kind in zip(z, kinds))
 
     return pack, unpack, len(kinds)
 
@@ -215,6 +222,74 @@ _HAZARD_SEEDS = {
     "s": (0.3, 0.8),
     "tl": (2.0, 3.0),
 }
+
+
+class _Objective:
+    """Negative grouped-count log-likelihood of ``fit_srgm`` on the
+    transformed scale, with omega profiled out.
+
+    What depends only on the family and the fitting window is prepared
+    once: the step grid, the covariate rows, the observed-failure mask and
+    the buffer of the cumulative product.  A call maps ``z`` to parameters
+    and runs the arithmetic of ``DiscreteHazard`` and
+    ``mean_value_increments``; every point they would reject, or that
+    gives no finite log-likelihood, returns ``inf``.
+    """
+
+    def __init__(self, family: str, X, counts):
+        _, self.unpack, self.k_h = _transforms(family)
+        self.family = family
+        self.kinds = tuple(kind for _, kind in HAZARD_FAMILIES[family])
+        n = len(counts)
+        self.steps = np.arange(1, n + 1, dtype=float)
+        self.X = X
+        self.ones = np.ones(n)
+        self.counts = counts
+        self.observed = counts > 0
+        self.n_total = float(counts.sum())
+        self.lgam = float(np.sum(gammaln(counts + 1.0)))
+        # prior[l] = prod_{s<l} q_s, with the empty product in front
+        self.prior = np.empty(n)
+        self.prior[0] = 1.0
+
+    def __call__(self, z):
+        # beyond +-30 the logit transform rounds onto the (0, 1) boundary;
+        # the ufunc reductions are the array methods without their wrappers
+        if np.maximum.reduce(abs(z)) > 30:
+            return np.inf
+        params = self.unpack(z[:self.k_h])
+        for value, kind in zip(params, self.kinds):
+            if (not 0 < value < 1) if kind == "unit" else value <= 0:
+                return np.inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            h = _hazard(self.family, params, self.steps)
+            # in-domain parameters give no NaN hazard, so the extremes decide
+            if np.minimum.reduce(h) <= 0 or np.maximum.reduce(h) > 1:
+                return np.inf
+            g = np.exp(self.X @ z[self.k_h:]) if self.X.shape[1] else self.ones
+            q = (1.0 - h) ** g
+            q[:-1].cumprod(out=self.prior[1:])
+            s = (1.0 - q) * self.prior
+            # NaN propagates through min and max: this rejects any
+            # non-finite or negative increment
+            low = np.minimum.reduce(s)
+            if not (low >= 0 and np.maximum.reduce(s) < np.inf):
+                return np.inf
+            # an underflowed increment only rules the model out where a
+            # failure was actually observed in that interval
+            if low == 0 and ((s == 0) & self.observed).any():
+                return np.inf
+            mass = float(np.add.reduce(s))
+            if mass <= 0:
+                return np.inf
+            omega = self.n_total / mass
+            if low > 0:
+                dot = float(np.dot(self.counts, np.log(s)))
+            else:
+                pos = s > 0
+                dot = float(np.dot(self.counts[pos], np.log(s[pos])))
+            ll = dot + self.n_total * np.log(omega) - self.n_total - self.lgam
+        return -ll if math.isfinite(ll) else np.inf
 
 
 def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None,
@@ -262,34 +337,7 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
         raise ValueError("no failures in the fitting window")
     pack, unpack, k_h = _transforms(hazard_family)
     q = X.shape[1]
-    lgam = float(np.sum(gammaln(counts_fit + 1.0)))
-
-    def negloglik(z):
-        # beyond +-30 the logit transform rounds onto the (0, 1) boundary
-        if np.any(np.abs(z) > 30):
-            return np.inf
-        beta = z[k_h:]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            try:
-                hazard = DiscreteHazard(hazard_family, unpack(z[:k_h]))
-                s = mean_value_increments(1.0, hazard, beta, X, n_fit)
-            except ValueError:
-                return np.inf
-            if np.any(~np.isfinite(s)) or np.any(s < 0):
-                return np.inf
-            # an underflowed increment only rules the model out where a
-            # failure was actually observed in that interval
-            if np.any((s == 0) & (counts_fit > 0)):
-                return np.inf
-            mass = float(np.sum(s))
-            if mass <= 0:
-                return np.inf
-            omega = n_total / mass
-            pos = s > 0
-            ll = float(np.dot(counts_fit[pos], np.log(s[pos]))) \
-                + n_total * np.log(omega) - n_total - lgam
-        return -ll if np.isfinite(ll) else np.inf
-
+    negloglik = _Objective(hazard_family, X[:n_fit], counts_fit)
     seed = np.concatenate([pack(_HAZARD_SEEDS[hazard_family]), np.zeros(q)])
     starts = [seed]
     jitter = np.random.default_rng(777)

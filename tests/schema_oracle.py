@@ -4,9 +4,9 @@
 parses and formats every schema with one generic routine.  Before that,
 each schema had its own ``_parse_*``/``_format_*`` pair, kept here
 as the reference the generic code is tested against.  Two rules have
-since changed on purpose, here as in the package: a NaN breaches the
-one-sided range rules (mileage, ``Alpha``, ``Memory``), and a mixture
-``proportion range`` breach is reported once per bad column.  The
+since changed on purpose, here as in the package: a NaN or an infinity
+breaches the one-sided range rules (mileage, ``Alpha``, ``Memory``), and
+a mixture ``proportion range`` breach is reported once per bad column.  The
 oracle reads rows with ``csv.DictReader`` and writes them with
 ``csv.DictWriter``, as the package once did, and runs the package's file
 checks, which did not change.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 
 from aireliab.datasets.exposure import MileageRow, MonthRow
 from aireliab.datasets.schemas import (
@@ -179,7 +180,7 @@ def _parse_mileage(row, raw, out):
         if val is None:
             ok = False
             continue
-        if not val >= 0:
+        if not 0 <= val < math.inf:
             out.append(Violation(row, f"M{j}", "negative mileage", f"{val} < 0"))
             ok = False
         miles.append(val)
@@ -339,7 +340,7 @@ def _parse_adversarial(row, raw, out):
         return None
     if ints["FC"] < 0:
         out.append(Violation(row, "FC", "count range", "failure count must be >= 0"))
-    if not floats["Alpha"] > 0:
+    if not 0 < floats["Alpha"] < math.inf:
         out.append(Violation(row, "Alpha", "positive rate", "learning rate must be positive"))
     lo, hi = floats["EpsilonRangeLow"], floats["EpsilonRangeHigh"]
     if not (0 <= lo <= hi <= 1):
@@ -354,7 +355,7 @@ def _parse_adversarial(row, raw, out):
     if abs(floats["FGSM"] + floats["PGD"] - 100.0) > ATTACK_MIX_TOL:
         out.append(Violation(row, "FGSM", "attack mix sum",
                              f"FGSM + PGD = {floats['FGSM'] + floats['PGD']!r}, expected 100"))
-    if not floats["Memory"] >= 0:
+    if not 0 <= floats["Memory"] < math.inf:
         out.append(Violation(row, "Memory", "memory range", "memory must be >= 0"))
     return AdversarialCountRecord(
         scenario=ints["Scenario"],

@@ -11,6 +11,7 @@ from aireliab.datasets import (
     MonthTable,
     SchemaError,
     SchemaViolationError,
+    constant_exposure,
     derive_exposure,
     dump,
     dumps,
@@ -203,6 +204,16 @@ def test_derive_exposure_division_rule():
     assert schedule.daily_rate[0] == pytest.approx(0.1, abs=1e-15)
     assert np.all(schedule.daily_rate[1:] == 0.0)
     assert schedule.tau == 730.0
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_daily_rate_rejected(bad):
+    months = MonthTable(build_months())
+    row = MileageRow("Waymo", "V1", tuple([bad] + [1.0] * 23))
+    with pytest.raises(ValueError, match="finite"):
+        derive_exposure([row], months)
+    with pytest.raises(ValueError, match="finite"):
+        constant_exposure(bad, 730.0)
 
 
 def test_derive_exposure_conserves_mileage():

@@ -1,18 +1,26 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import weibull_min
 
+from aireliab._rng import make_rng
 from aireliab.design import (
     BOLTZMANN_EV,
     LatinHypercube,
+    _SwapCriterion,
     acceleration_factor,
     lh_levels,
     phi_criterion,
+    random_latin_hypercube,
     search_mmlhd,
     transform_cdf,
 )
+
+from conftest import PROPERTY
 
 
 def test_phi_single_pair():
@@ -102,6 +110,60 @@ def test_search_emits_valid_designs():
         res = search_mmlhd(n, p, seed=seed, budget=500)
         LatinHypercube(res.design.matrix)  # revalidates the marginal invariant
         assert res.criterion == pytest.approx(phi_criterion(res.design.matrix), rel=1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(2, 25), p=st.integers(1, 10), k=st.sampled_from([1, 2, 7, 15, 40]),
+       m=st.sampled_from([2.0, 2.0, 1.0, 1.5, 3.0, np.inf]), seed=st.integers(0, 2**32 - 1),
+       moves=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 24), st.integers(1, 24),
+                                st.booleans()), max_size=30))
+def test_swap_criterion_tracks_phi(n, p, k, m, seed, moves):
+    # after any sequence of swaps, kept or undone, the updated criterion is
+    # phi of the current design: bit for bit for m = 2 (pdist's own
+    # arithmetic); other m go through cdist and are held to 1e-12
+    current = random_latin_hypercube(n, p, make_rng(seed))
+    criterion = _SwapCriterion(current, k, m)
+    for col, i, step, undo in moves:
+        col, i, j = col % p, i % n, (i + step) % n
+        if i == j:
+            continue
+        value = criterion.swap(col, i, j)
+        if m == 2.0:
+            assert value == phi_criterion(current, k, m)
+        else:
+            assert value == pytest.approx(phi_criterion(current, k, m), rel=1e-12, abs=0.0)
+        if undo:
+            criterion.undo(col, i, j)
+    LatinHypercube(current)
+    final = criterion.swap(0, 0, 1)
+    assert final == pytest.approx(phi_criterion(current, k, m), rel=1e-12, abs=0.0)
+
+
+# search_mmlhd(n, 3, seed=7) as the full-recompute search gave it: criterion,
+# accepted moves, and SHA-256 of the design's level indices 2i - 1 (int64)
+# and of the trace (float64), both little-endian
+SEARCH_PINS = {
+    10: (2.358878452880127, 25,
+         "177ed021b6ad33589fa1351ec66240705cb8e46b72b4e562fd868c6ac97dfb2c",
+         "001b8704a69c26b5fa16022fe94ef6874b6403978a2f0984ab1e2ad9e4bce37c"),
+    50: (4.83460266418599, 390,
+         "1a1199600e68ca4a96e285b4a4f7b4a4abd5aa86a823bc34ba654c51a2ebadb4",
+         "667c588eb96c0bdc5a699fdc25b6a8ba135cb80f64fb78dc3104381020c17625"),
+    200: (9.452290958853588, 491,
+          "ecf1beee90895cec8a28aeeccce7ee6fe0d15b86eab5fabb03d5e00b5509d1ed",
+          "19704550d00bc6c78cc3ae0906fcf6c09336aab4dc4c3d7e7835e7811fe4dea0"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCH_PINS))
+def test_search_pinned_to_full_recompute(n):
+    criterion, accepted, design_sha, trace_sha = SEARCH_PINS[n]
+    res = search_mmlhd(n, 3, seed=7)
+    levels = np.rint(res.design.matrix * 2 * n).astype("<i8")
+    assert res.criterion == criterion
+    assert res.accepted == accepted
+    assert hashlib.sha256(levels.tobytes()).hexdigest() == design_sha
+    assert hashlib.sha256(res.trace.astype("<f8").tobytes()).hexdigest() == trace_sha
 
 
 def test_search_zero_budget_rejected():

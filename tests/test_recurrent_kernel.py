@@ -11,6 +11,12 @@ hold ``log_likelihood`` and ``proportional_log_likelihood`` to it within
 days (within and across units), zero-event units, zero-rate segments,
 events at t = tau, and per-unit breakpoints: constant, month-derived and
 arbitrary schedules side by side, and ``sum_schedules`` unions of them.
+
+The search objectives of ``fit_mle``, ``fit_manufacturer_level`` and
+``fit_proportional`` evaluate the per-family formulas on raw parameters.
+They are held exactly equal to the path that came before, which built a
+validated ``BaselineIntensityModel`` per call and went through the
+validating ``baseline_intensity`` and ``cumulative_baseline``.
 """
 
 import math
@@ -28,8 +34,10 @@ from aireliab.datasets import (
     derive_exposure,
     sum_schedules,
 )
+from aireliab._optim import maximize
 from aireliab.recurrent import (
     FAMILIES,
+    FAMILY_PARAMS,
     BaselineIntensityModel,
     DataInconsistencyError,
     EventSeries,
@@ -40,6 +48,9 @@ from aireliab.recurrent import (
     fit_proportional,
     log_likelihood,
     proportional_log_likelihood,
+    _mle_objective,
+    _Packed,
+    _proportional_objective,
 )
 from aireliab.simulate import simulate_fleet
 
@@ -272,3 +283,95 @@ def test_fits_report_the_reference_log_likelihood(family):
     fleet = fit_manufacturer_level(times, exposures, family, multistarts=2)
     fleet_unit = EventSeries("fleet", times, units[0].tau, sum_schedules(exposures))
     assert_close(fleet.log_lik, DenseReference([fleet_unit]).log_lik(fleet.model))
+
+
+# ---------------------------------------------------------------------------
+# search objectives against the model-building path
+
+
+def reference_log_lik(packed, model, unit_scale=None):
+    """``_Packed.log_lik`` through the validating public functions."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam0 = baseline_intensity(model, packed.event_times)
+        if (lam0 <= 0).any():
+            return -np.inf
+        event_term = float(np.dot(packed.event_counts, np.log(lam0))) + packed.log_exposure_sum
+        if unit_scale is None:
+            weights = packed.interval_rate
+        else:
+            event_term += float(np.dot(packed.events_per_unit, np.log(unit_scale)))
+            weights = np.bincount(packed.seg_interval,
+                                  packed.seg_rate * unit_scale[packed.seg_unit],
+                                  minlength=len(packed.interval_rate))
+        cum = cumulative_baseline(model, packed.grid)
+        total = event_term - float(weights @ (cum[packed.interval_hi] - cum[packed.interval_lo]))
+    return total if np.isfinite(total) else -np.inf
+
+
+def reference_mle_objective(packed, family):
+    def negloglik_z(z):
+        if np.any(np.abs(z) > 300):
+            return np.inf
+        return -reference_log_lik(packed, BaselineIntensityModel(family, tuple(np.exp(z))))
+
+    return negloglik_z
+
+
+def reference_proportional_objective(packed, family, X):
+    k = len(FAMILY_PARAMS[family])
+
+    def negloglik_z(z):
+        if np.any(np.abs(z) > 300):
+            return np.inf
+        model = BaselineIntensityModel(family, tuple(np.exp(z[:k])))
+        scale = np.exp(X @ z[k:]) if X.shape[1] else np.ones(packed.n_units)
+        return -reference_log_lik(packed, model, unit_scale=scale)
+
+    return negloglik_z
+
+
+def fleet_of(units):
+    times = np.sort(np.concatenate([u.event_times for u in units]))
+    fleet = sum_schedules([u.exposure for u in units])
+    return [EventSeries("fleet", times, fleet.tau, fleet)]
+
+
+Z = st.floats(-300.0, 300.0) | st.floats(-6.0, 6.0) | st.sampled_from(
+    [300.0, -300.0, np.nextafter(300.0, 301.0), -301.0, 709.0, -745.0])
+
+
+@PROPERTY
+@given(data=st.data(), family=st.sampled_from(FAMILIES))
+def test_search_objectives_equal_model_building_path(data, family):
+    units = data.draw(unit_lists())
+    k = len(FAMILY_PARAMS[family])
+    for packed in (_Packed(units), _Packed(fleet_of(units))):
+        objective = _mle_objective(packed, family)
+        reference = reference_mle_objective(packed, family)
+        for _ in range(3):
+            z = np.array(data.draw(st.lists(Z, min_size=k, max_size=k)))
+            assert objective(z) == reference(z)
+    packed = _Packed(units)
+    q = data.draw(st.integers(0, 2))
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q),
+                                    min_size=len(units), max_size=len(units))))
+    X = X.reshape(len(units), q)
+    objective = _proportional_objective(packed, family, X)
+    reference = reference_proportional_objective(packed, family, X)
+    for _ in range(3):
+        z = np.array(data.draw(st.lists(Z, min_size=k + q, max_size=k + q)))
+        assert objective(z) == reference(z)
+
+
+@pytest.mark.parametrize("family", FAMILIES[1:])
+def test_search_path_equals_model_building_path(family):
+    # equal values give the optimizer the same path, iteration for iteration
+    model = BaselineIntensityModel("power_law", (1.3, 30.0))
+    exposures = [u.exposure for u in mixed_units()[:4]]
+    packed = _Packed(simulate_fleet(model, exposures, exposures[0].tau, seed=4))
+    start = [np.log(FIXED_THETA[family])]
+    got = maximize(_mle_objective(packed, family), start, 1e-8, 300)
+    want = maximize(reference_mle_objective(packed, family), start, 1e-8, 300)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]

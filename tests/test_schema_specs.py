@@ -325,6 +325,24 @@ def test_nan_breaches_one_sided_range_rules():
         ("Alpha", "positive rate"), ("Memory", "memory range")]
 
 
+def test_infinity_breaches_one_sided_range_rules():
+    header = list(oracle.MILEAGE_COLUMNS)
+    row = {"Manufacture": "A", "VIN": "V", **{c: "1.0" for c in header[2:]},
+           "M1": "1e400", "M2": "inf"}
+    records, report = parse_row("mileage", header, row)
+    assert records == []
+    assert [(v.column, v.rule) for v in report.violations] == [
+        ("M1", "negative mileage"), ("M2", "negative mileage")]
+
+    header = list(oracle.ADVERSARIAL_COLUMNS)
+    row = {c: "0.5" for c in header} | {"Scenario": "1", "T": "1", "FC": "0", "FGSM": "50",
+                                         "PGD": "50", "Alpha": "inf", "Memory": "1e400"}
+    records, report = parse_row("adversarial", header, row)
+    assert len(records) == 1
+    assert [(v.column, v.rule) for v in report.violations] == [
+        ("Alpha", "positive rate"), ("Memory", "memory range")]
+
+
 def test_mixture_proportion_range_names_each_bad_column():
     header = list(oracle.MIXTURE_COLUMNS)
     row = {"x1": "0.0", "x2": "-0.1", "x3": "1.2", "z1": "1", "z2": "0",
@@ -350,3 +368,18 @@ def test_clean_mileage_validation_gives_no_nan_schedule(rows):
         for schedule in derive_exposure(records, MonthTable(build_months())):
             assert not np.isnan(schedule.daily_rate).any()
             assert not math.isnan(schedule.total())
+
+
+@PROPERTY
+@given(rows=st.lists(st.lists(MILEAGE_CELLS | st.sampled_from(["inf", "1e400", "-inf"]),
+                              min_size=24, max_size=24), min_size=1, max_size=4))
+def test_clean_mileage_validation_gives_finite_schedule(rows):
+    header = list(oracle.MILEAGE_COLUMNS)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [["A", f"V{i}", *cells] for i, cells in enumerate(rows)])
+    records, report = parse_records(io.StringIO(buf.getvalue()), "mileage")
+    assert all(math.isfinite(v) for rec in records for v in rec.monthly_miles)
+    if not report.violations:
+        for schedule in derive_exposure(records, MonthTable(build_months())):
+            assert np.isfinite(schedule.daily_rate).all()
+            assert math.isfinite(schedule.total())
