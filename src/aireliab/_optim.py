@@ -11,10 +11,25 @@ import numpy as np
 from scipy.optimize import minimize
 
 
-def numeric_stderr(negloglik, theta) -> tuple[float, ...] | None:
-    """Standard errors from a central-difference Hessian, when it is PD."""
+def starts(seed, n: int, spread, key: int) -> list[np.ndarray]:
+    """``seed`` plus ``n - 1`` normal jitters of it with SD ``spread``.
+
+    ``spread`` is a scalar or one SD per coordinate.  Each fitter passes
+    its own fixed ``key``, so a fit is a pure function of its inputs.
+    """
+    seed = np.asarray(seed, dtype=float)
+    jitter = np.random.default_rng(key)
+    return [seed] + [seed + jitter.normal(0.0, spread, size=len(seed))
+                     for _ in range(max(0, n - 1))]
+
+
+def numeric_stderr(negloglik, theta, step) -> tuple[float, ...] | None:
+    """Standard errors from a central-difference Hessian, when it is PD.
+
+    ``step`` is the finite-difference step: a scalar or one per coordinate.
+    """
     k = len(theta)
-    h = 1e-5 * (np.abs(theta) + 1e-8)
+    h = np.broadcast_to(step, (k,))
     hess = np.empty((k, k))
     f0 = negloglik(theta)
     if not np.isfinite(f0):

@@ -13,9 +13,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +85,6 @@ class Run:
             "finished": dt.datetime.now(dt.timezone.utc).isoformat(),
         }
         self.write_json("manifest.json", manifest)
-
-
-def _pmap(fn, items, threads):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _detect_schema(path) -> str:
@@ -192,7 +182,7 @@ def cmd_fit_recurrent(args, run: Run) -> int:
             raise ValueError(f"no events for manufacturer {args.manufacturer!r}")
         manufacturers = [args.manufacturer]
 
-    def fit_one(name):
+    for name in manufacturers:
         if args.level == "vehicle":
             units = simulate.event_series_from_disengagements(events, mileage, months, name)
             fit = recurrent.fit_mle(units, args.family)
@@ -202,10 +192,6 @@ def cmd_fit_recurrent(args, run: Run) -> int:
                 [r for r in mileage if r.manufacture == name], months
             )
             fit = recurrent.fit_manufacturer_level(times, fleet, args.family)
-        return name, fit
-
-    results = _pmap(fit_one, manufacturers, args.threads)
-    for name, fit in results:
         payload = _fit_payload(fit, months.tau, args.grid_points)
         payload["manufacturer"] = name
         run.write_json(f"fit-{name.lower().replace(' ', '-')}.json", payload)
@@ -459,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--data-root", dest="data_root", default=None,
                        help=f"dataset root (default: ${DATA_ROOT_ENV})")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; fits run serially")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

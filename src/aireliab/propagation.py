@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas
 
-from ._optim import maximize
+from ._optim import maximize, starts
 from .recurrent import BaselineIntensityModel, baseline_intensity, cumulative_baseline
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
@@ -333,12 +333,8 @@ def _fit_module(module, logs, source_names, *, multistarts, tolerance, max_iter,
     jump0 = max(0.3 * decay0 * n_own / max(n_src, 1), 1e-3)
     for _ in source_names:
         seed.extend([np.log(jump0), np.log(decay0)])
-    seed = np.asarray(seed)
-    starts = [seed]
-    jitter = np.random.default_rng(2024)
-    for _ in range(max(0, multistarts - 1)):
-        starts.append(seed + jitter.normal(0.0, 0.5, size=len(seed)))
-    fun, z_hat, ok, iters = maximize(negloglik, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.5, key=2024),
+                                     tolerance, max_iter)
     shape, scale, edges = unpack(z_hat)
     return (shape, scale), edges, -fun, ok, iters
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import maximize, numeric_stderr
+from ._optim import maximize, numeric_stderr, starts
 from .datasets.exposure import ExposureSchedule, sum_schedules
 
 FAMILY_PARAMS = {
@@ -290,16 +290,6 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-def _starts(seed_params: np.ndarray, multistarts: int) -> list[np.ndarray]:
-    # fixed-seed jitter keeps fits pure functions of their inputs
-    z0 = np.log(seed_params)
-    starts = [z0]
-    jitter = np.random.default_rng(12345)
-    for _ in range(max(0, multistarts - 1)):
-        starts.append(z0 + jitter.normal(0.0, 0.5, size=len(z0)))
-    return starts
-
-
 # The search objectives below take log parameters z.  For |z| <= 300 every
 # exp(z) is positive and finite, so the family's parameters need no check
 # inside the search; the family itself is checked once by the fitter.
@@ -375,11 +365,12 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
         raise ValueError(f"no events across units; cannot fit the {family} family")
 
     fun, z_hat, ok, iters = maximize(
-        _mle_objective(packed, family), _starts(_moment_seed(family, packed), multistarts),
+        _mle_objective(packed, family),
+        starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345),
         tolerance, max_iter
     )
-    theta = tuple(np.exp(z_hat))
-    model = BaselineIntensityModel(family, theta)
+    theta = np.exp(z_hat)
+    model = BaselineIntensityModel(family, tuple(theta))
     ll = -fun
 
     def negloglik_theta(th):
@@ -387,7 +378,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
             return np.inf
         return -packed.log_lik(BaselineIntensityModel(family, tuple(th)))
 
-    stderr = numeric_stderr(negloglik_theta, np.array(theta))
+    stderr = numeric_stderr(negloglik_theta, theta, 1e-5 * (np.abs(theta) + 1e-8))
     return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, stderr)
 
 
@@ -451,14 +442,9 @@ def fit_proportional(units, covariates, family: str, *, names=None,
     q_act = len(active)
 
     seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q_act)])
-    starts = [seed]
-    jitter = np.random.default_rng(12345)
-    for _ in range(max(0, multistarts - 1)):
-        s = seed.copy()
-        s[:k_theta] += jitter.normal(0.0, 0.5, size=k_theta)
-        s[k_theta:] += jitter.normal(0.0, 0.25, size=q_act)
-        starts.append(s)
-    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X_act), starts,
+    spread = np.repeat([0.5, 0.25], [k_theta, q_act])
+    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X_act),
+                                     starts(seed, multistarts, spread, key=12345),
                                      tolerance, max_iter)
     theta = tuple(np.exp(z_hat[:k_theta]))
     beta = np.zeros(q)

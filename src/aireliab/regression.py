@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize
 from scipy.special import gammaln, log_ndtr, ndtr
 from scipy.stats import norm, t as student_t
+
+from ._optim import maximize, numeric_stderr
 
 
 class RankDeficiencyError(ValueError):
@@ -57,6 +58,17 @@ def _with_intercept(X, names, add_intercept):
     return X, names
 
 
+def _ols(D, y):
+    """Least-squares coefficients, their standard errors, sigma^2 and the
+    residual degrees of freedom of a full-rank design ``D``."""
+    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
+    resid = y - D @ coef
+    df = D.shape[0] - D.shape[1]
+    sigma2 = float(resid @ resid) / df
+    cov = sigma2 * np.linalg.inv(D.T @ D)
+    return coef, np.sqrt(np.diag(cov)), sigma2, df
+
+
 @dataclass(frozen=True)
 class LinearFit:
     names: tuple[str, ...]
@@ -68,12 +80,7 @@ class LinearFit:
     add_intercept: bool
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if self.add_intercept:
-            X = np.column_stack([np.ones(X.shape[0]), X])
-        return X @ self.coef
+        return _with_intercept(X, None, self.add_intercept)[0] @ self.coef
 
 
 def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
@@ -87,15 +94,11 @@ def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
     if D.shape[0] <= D.shape[1]:
         raise ValueError("need more rows than coefficients")
     _check_rank(D, cols)
-    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-    resid = y - D @ coef
-    df = D.shape[0] - D.shape[1]
-    sigma2 = float(resid @ resid) / df
-    cov = sigma2 * np.linalg.inv(D.T @ D)
+    coef, stderr, sigma2, df = _ols(D, y)
     return LinearFit(
         names=tuple(cols),
         coef=coef,
-        stderr=np.sqrt(np.diag(cov)),
+        stderr=stderr,
         resid_sd=float(np.sqrt(sigma2)),
         n=D.shape[0],
         df_resid=df,
@@ -118,12 +121,7 @@ class GLMFit:
     add_intercept: bool
 
     def linear_predictor(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if self.add_intercept:
-            X = np.column_stack([np.ones(X.shape[0]), X])
-        return X @ self.coef
+        return _with_intercept(X, None, self.add_intercept)[0] @ self.coef
 
 
 def _glm_loglik(family, y, eta):
@@ -133,6 +131,24 @@ def _glm_loglik(family, y, eta):
         return float(np.sum(y * log_ndtr(eta) + (1 - y) * log_ndtr(-eta)))
     mu = np.exp(eta)
     return float(np.sum(y * eta - mu - gammaln(y + 1.0)))
+
+
+def _irls_step(family, eta, eps):
+    """Mean, IRLS weight and d(mu)/d(eta) at linear predictor ``eta``.
+
+    The working response is ``eta + (y - mu) / dmu``; means and densities
+    are clipped at ``eps`` so no weight or divisor is zero.
+    """
+    if family == "bernoulli-logit":
+        mu = np.clip(1.0 / (1.0 + np.exp(-eta)), eps, 1 - eps)
+        w = mu * (1 - mu)
+        return mu, w, w
+    if family == "bernoulli-probit":
+        mu = np.clip(ndtr(eta), eps, 1 - eps)
+        phi = np.clip(norm.pdf(eta), eps, None)
+        return mu, phi**2 / (mu * (1 - mu)), phi
+    mu = np.clip(np.exp(eta), eps, None)
+    return mu, mu, mu
 
 
 def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
@@ -163,20 +179,8 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
     it = 0
     eps = 1e-10
     for it in range(1, max_iter + 1):
-        if family == "bernoulli-logit":
-            mu = 1.0 / (1.0 + np.exp(-eta))
-            mu = np.clip(mu, eps, 1 - eps)
-            w = mu * (1 - mu)
-            z = eta + (y - mu) / w
-        elif family == "bernoulli-probit":
-            mu = np.clip(ndtr(eta), eps, 1 - eps)
-            phi = np.clip(norm.pdf(eta), eps, None)
-            w = phi**2 / (mu * (1 - mu))
-            z = eta + (y - mu) / phi
-        else:
-            mu = np.clip(np.exp(eta), eps, None)
-            w = mu
-            z = eta + (y - mu) / mu
+        mu, w, dmu = _irls_step(family, eta, eps)
+        z = eta + (y - mu) / dmu
         WD = D * w[:, None]
         try:
             new_coef = np.linalg.solve(D.T @ WD, WD.T @ z)
@@ -195,15 +199,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
         if delta < tol:
             converged = True
             break
-    if family == "bernoulli-logit":
-        mu = np.clip(1.0 / (1.0 + np.exp(-eta)), eps, 1 - eps)
-        w = mu * (1 - mu)
-    elif family == "bernoulli-probit":
-        mu = np.clip(ndtr(eta), eps, 1 - eps)
-        phi = np.clip(norm.pdf(eta), eps, None)
-        w = phi**2 / (mu * (1 - mu))
-    else:
-        w = np.clip(np.exp(eta), eps, None)
+    _, w, _ = _irls_step(family, eta, eps)
     cov = np.linalg.inv(D.T @ (D * w[:, None]))
     return GLMFit(
         family=family,
@@ -241,6 +237,9 @@ def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
     value (weibull).  With no censoring and the lognormal error the
     coefficients equal the least-squares fit of log(t); sigma uses the
     maximum-likelihood 1/n variance convention rather than OLS's 1/(n-p).
+    ``stderr`` holds the coefficients' standard errors from a
+    central-difference Hessian at the optimum, or None when that Hessian
+    is not positive definite.
     """
     if dist not in AFT_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected one of {AFT_DISTRIBUTIONS}")
@@ -276,28 +275,25 @@ def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
     resid = logt[obs] - D[obs] @ beta0
     sigma0 = max(float(np.sqrt(np.mean(resid**2))), 1e-3)
     x0 = np.concatenate([beta0, [np.log(sigma0)]])
-    res = minimize(negloglik, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 20000, "maxfev": 40000})
-    polish = minimize(negloglik, res.x, method="BFGS",
-                      options={"maxiter": max_iter, "gtol": 1e-10})
-    best = polish if polish.fun <= res.fun else res
-    coef = best.x[:-1]
+    # the tolerance is relative to the objective, a sum over every
+    # observation, so near the optimum its relative changes are tiny
+    fun, z_hat, ok, _ = maximize(negloglik, [x0], 1e-14, max_iter)
+    coef = z_hat[:-1].copy()
     if add_intercept:
-        coef = coef.copy()
         coef[0] += shift
-    sigma = float(np.exp(best.x[-1]))
-    stderr = None
-    if hasattr(polish, "hess_inv") and polish.fun <= res.fun:
-        diag = np.diag(polish.hess_inv)[:-1]
-        if np.all(diag > 0):
-            stderr = np.sqrt(diag)
+    sigma = float(np.exp(z_hat[-1]))
+    # location and log-scale parameters: an absolute step, as the centred
+    # intercept sits near 0 where a relative step vanishes
+    stderr = numeric_stderr(negloglik, z_hat, 1e-5)
+    if stderr is not None:
+        stderr = np.array(stderr[:-1])
     return AFTFit(
         dist=dist,
         names=tuple(cols),
         coef=coef,
         sigma=sigma,
-        log_lik=-float(best.fun),
-        converged=bool(best.success or polish.success),
+        log_lik=-float(fun),
+        converged=ok,
         stderr=stderr,
         add_intercept=add_intercept,
     )
@@ -418,18 +414,14 @@ def fit_mixture(records, response: str = "y1", *, scenario: str | None = None,
     if D.shape[0] <= D.shape[1]:
         raise ValueError("need more observations than coefficients")
     _check_rank(D, terms)
-    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-    resid = y - D @ coef
-    df = D.shape[0] - D.shape[1]
-    sigma2 = float(resid @ resid) / df
-    cov = sigma2 * np.linalg.inv(D.T @ D)
+    coef, stderr, sigma2, df = _ols(D, y)
     return MixtureFit(
         response=response,
         scenario=scenario,
         z_names=z_names,
         terms=terms,
         coef=coef,
-        stderr=np.sqrt(np.diag(cov)),
+        stderr=stderr,
         resid_sd=float(np.sqrt(sigma2)),
         n=D.shape[0],
         df_resid=df,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._optim import maximize
+from ._optim import maximize, starts
 
 # parameter names and constraint type per family ("unit" = (0,1), "pos" = > 0)
 HAZARD_FAMILIES = {
@@ -339,11 +339,8 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     q = X.shape[1]
     negloglik = _Objective(hazard_family, X[:n_fit], counts_fit)
     seed = np.concatenate([pack(_HAZARD_SEEDS[hazard_family]), np.zeros(q)])
-    starts = [seed]
-    jitter = np.random.default_rng(777)
-    for _ in range(max(0, multistarts - 1)):
-        starts.append(seed + jitter.normal(0.0, 0.4, size=len(seed)))
-    fun, z_hat, ok, iters = maximize(negloglik, starts, tolerance, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.4, key=777),
+                                     tolerance, max_iter)
     hazard = DiscreteHazard(hazard_family, unpack(z_hat[:k_h]))
     beta_vec = z_hat[k_h:]
     s = mean_value_increments(1.0, hazard, beta_vec, X, n_fit)
@@ -488,7 +485,8 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
         return np.column_stack(parts)
 
     fit_rows = np.arange(n_fit)
-    coef, aic = _ols_aic(design([], fit_rows), dr[fit_rows])
+    base_coef, aic = _ols_aic(design([], fit_rows), dr[fit_rows])
+    coef = base_coef
     selected: list[int] = []
     trace = [("", aic)]
     remaining = list(range(features.shape[1]))
@@ -514,7 +512,6 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     dr_hat = design(selected, all_rows) @ coef
     reconstructed = np.concatenate([[r[0]], r[0] + np.cumsum(dr_hat)])
     # intercept-only reference reconstruction for the same split
-    base_coef, _ = _ols_aic(design([], fit_rows), dr[fit_rows])
     base_rec = np.concatenate([[r[0]], r[0] + np.cumsum(np.full(n_rows, base_coef[0]))])
     if n_fit < n_rows:
         hold = np.arange(n_fit + 1, T)

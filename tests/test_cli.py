@@ -139,6 +139,26 @@ def test_fit_recurrent_manufacturer_level(tmp_path, capsys, data_dir):
         assert all(b <= a + 1e-9 for b, a in zip(cbif, cbif[1:]))
 
 
+def test_threads_flag_accepted_without_effect(tmp_path, capsys, data_dir):
+    # scripts (the benchmark among them) still pass --threads; fits run
+    # serially whatever it says
+    base = data_dir / "collisions"
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        code, _, _ = run_cli([
+            "fit-recurrent", "--family", "power_law", "--level", "manufacturer",
+            "--events", str(base / "collisions.csv"),
+            "--mileage", str(base / "mileage.csv"),
+            "--months", str(base / "months.csv"),
+            "--out", str(out), "--threads", threads,
+        ], capsys)
+        assert code == EXIT_OK
+        outputs[threads] = {f.name: f.read_bytes() for f in sorted(out.glob("fit-*.json"))}
+    assert len(outputs["1"]) > 1
+    assert outputs["1"] == outputs["4"]
+
+
 def test_fit_srgm_stepwise(tmp_path, capsys, data_dir):
     code, out, _ = run_cli([
         "fit-srgm", "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv"),

@@ -185,6 +185,45 @@ def test_aft_time_rescaling_equivariance():
     assert fit2.sigma == pytest.approx(fit1.sigma, abs=1e-8)
 
 
+def _aft_test_designs():
+    """The data of the AFT tests above (two weibull replicates)."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(0.0, 1.0, (200, 2))
+    logt = 1.2 + X @ [0.5, -0.25] + 0.4 * rng.normal(0.0, 1.0, 200)
+    yield np.exp(logt), np.ones(200, dtype=int), X, "lognormal"
+    for rep in range(2):
+        rng = np.random.default_rng(derive_seed(81, rep))
+        X = rng.normal(0.0, 1.0, (1000, 2))
+        t = np.exp(1.5 + X @ [0.6, -0.4] + 0.5 * np.log(rng.exponential(1.0, 1000)))
+        cens = np.quantile(t, 0.8)
+        yield np.minimum(t, cens), (t <= cens).astype(int), X, "weibull"
+    rng = np.random.default_rng(8)
+    X = rng.normal(0.0, 1.0, (150, 2))
+    t = np.exp(0.8 + X @ [0.4, -0.2] + 0.3 * rng.normal(0.0, 1.0, 150))
+    event = np.ones(150, dtype=int)
+    event[::7] = 0
+    yield t, event, X, "lognormal"
+    yield 37.5 * t, event, X, "lognormal"
+
+
+def test_aft_fits_report_convergence():
+    for times, event, X, dist in _aft_test_designs():
+        assert fit_aft(times, event, X, dist).converged
+
+
+def test_aft_lognormal_stderr_matches_closed_form():
+    # uncensored lognormal: the information matrix is block-diagonal at the
+    # MLE, so the coefficient SEs are sigma_hat * sqrt(diag((D'D)^-1)) with
+    # the 1/n sigma_hat; true coefficients near 0 put the intercept there
+    rng = np.random.default_rng(11)
+    X = rng.normal(0.0, 1.0, (300, 2))
+    logt = 0.01 + X @ [0.05, -0.02] + 0.5 * rng.normal(0.0, 1.0, 300)
+    fit = fit_aft(np.exp(logt), np.ones(300, dtype=int), X, "lognormal")
+    D = np.column_stack([np.ones(300), X])
+    closed = fit.sigma * np.sqrt(np.diag(np.linalg.inv(D.T @ D)))
+    assert fit.stderr == pytest.approx(closed, rel=1e-3)
+
+
 def test_aft_all_censored_rejected():
     with pytest.raises(ValueError, match="censored"):
         fit_aft([1.0, 2.0], [0, 0], np.zeros((2, 1)), "weibull")
