@@ -369,6 +369,8 @@ DEFAULT_EP_SPEC = {
 
 def cmd_simulate(args, run: Run) -> int:
     if args.generator == "nhpp":
+        if args.mileage is None or args.months is None:
+            raise ValueError("simulate nhpp needs both --mileage and --months")
         months = datasets.MonthTable(datasets.load(run.track_input(args.months), "month"))
         mileage = [r for r in datasets.load(run.track_input(args.mileage), "mileage")
                    if r.manufacture == args.manufacture]

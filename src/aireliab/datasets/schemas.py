@@ -550,6 +550,9 @@ SCHEMAS = {
     )
 }
 
+#: each module of an error cascade and the module_error flag attribute its events set
+MODULE_FLAGS = {"2d": "err_2d", "3d": "err_3d", "localization": "err_loc"}
+
 #: the six dataset schemas; mileage and month are auxiliary tables
 DATASET_SCHEMAS = ("incident", "mixture", "adversarial", "module_error",
                    "disengagement", "collision")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 
+from .schemas import MODULE_FLAGS
+
 _TOKEN = re.compile(r"[a-z]+")
 _STOPWORDS = {
     "the", "and", "for", "with", "that", "from", "this", "was", "were",
@@ -71,9 +73,8 @@ def summarize(records, schema_name: str) -> dict:
         out["by_scenario"] = _tally(r.scenario_id for r in records)
         out["by_weather"] = _tally(r.weather for r in records)
         out["events_by_module"] = {
-            "2d": int(sum(r.err_2d for r in records)),
-            "3d": int(sum(r.err_3d for r in records)),
-            "localization": int(sum(r.err_loc for r in records)),
+            module: int(sum(getattr(r, attr) for r in records))
+            for module, attr in MODULE_FLAGS.items()
         }
     elif schema_name == "mixture":
         out["by_scenario"] = {

@@ -24,6 +24,11 @@ from .recurrent import BaselineIntensityModel, baseline_intensity, cumulative_ba
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
 
+#: relative objective tolerance of the maximum-likelihood search
+TOLERANCE = 1e-8
+#: the range the edge decay rates are searched in (see ``fit_ep``)
+DECAY_BOUNDS = (0.05, 10.0)
+
 
 @dataclass(frozen=True)
 class InjectionWindow:
@@ -117,9 +122,6 @@ class EPModel:
                 raise ValueError(f"edge {src}->{tgt}: jump must be >= 0 and decay > 0")
             if tgt not in self.baseline:
                 raise ValueError(f"edge targets unknown module {tgt!r}")
-
-    def sources_of(self, module: str) -> tuple[str, ...]:
-        return tuple(src for (tgt, src) in self.edges if tgt == module)
 
     def module_baseline(self, module: str) -> BaselineIntensityModel:
         return BaselineIntensityModel("power_law", self.baseline[module])
@@ -316,40 +318,38 @@ def _module_objective(module, logs, source_names, decay_bounds):
     return negloglik, unpack
 
 
-def _fit_module(module, logs, source_names, *, multistarts, tolerance, max_iter,
-                decay_bounds):
+def _fit_module(module, logs, source_names, *, multistarts, max_iter):
     """Fit one module's baseline plus in-edge parameters; returns params and loglik."""
     n_own = sum(len(log.events.get(module, ())) for log in logs)
     if n_own == 0:
         raise ValueError(f"module {module}: no events to fit")
     n_src = sum(len(log.events.get(src, ())) for log in logs for src in source_names)
     total_window = float(sum(log.window for log in logs))
-    negloglik, unpack = _module_objective(module, logs, source_names, decay_bounds)
+    negloglik, unpack = _module_objective(module, logs, source_names, DECAY_BOUNDS)
 
     # seeds: unit-shape power law matching the event rate; mild triggering
     # with the decay at the geometric midpoint of its bounds
     seed = [0.0, np.log(total_window / n_own)]
-    decay0 = float(np.sqrt(decay_bounds[0] * decay_bounds[1]))
+    decay0 = float(np.sqrt(DECAY_BOUNDS[0] * DECAY_BOUNDS[1]))
     jump0 = max(0.3 * decay0 * n_own / max(n_src, 1), 1e-3)
     for _ in source_names:
         seed.extend([np.log(jump0), np.log(decay0)])
     fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.5, key=2024),
-                                     tolerance, max_iter)
+                                     TOLERANCE, max_iter)
     shape, scale, edges = unpack(z_hat)
     return (shape, scale), edges, -fun, ok, iters
 
 
-def fit_ep(logs, *, multistarts: int = 3, tolerance: float = 1e-8,
-           max_iter: int = 4000, decay_bounds=(0.05, 10.0)) -> EPFit:
+def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
     """Maximum-likelihood fit of the propagation model to scenario logs.
 
     The likelihood separates by target module, so each module's baseline
     and incoming-edge parameters are fitted independently.  Jump sizes are
     free to approach zero, in which case the model collapses to
     independent power-law processes.  Decay rates are searched within
-    ``decay_bounds``: an unconstrained decay admits a degenerate ridge
-    where an arbitrarily tall, arbitrarily narrow kernel chases single
-    coincidences at no compensator cost.
+    ``DECAY_BOUNDS`` = (0.05, 10): an unconstrained decay admits a
+    degenerate ridge where an arbitrarily tall, arbitrarily narrow kernel
+    chases single coincidences at no compensator cost.
     """
     logs = _as_logs(logs)
     if not logs:
@@ -363,9 +363,7 @@ def fit_ep(logs, *, multistarts: int = 3, tolerance: float = 1e-8,
     for module in modules:
         srcs = tuple(s for s in sources.get(module, ()) if s in modules)
         params, edge_params, ll, ok, iters = _fit_module(
-            module, logs, srcs, multistarts=multistarts, tolerance=tolerance,
-            max_iter=max_iter, decay_bounds=decay_bounds,
-        )
+            module, logs, srcs, multistarts=multistarts, max_iter=max_iter)
         baseline[module] = params
         for src, ep in zip(srcs, edge_params):
             edges[(module, src)] = ep

@@ -42,6 +42,9 @@ FAMILY_PARAMS = {
 
 FAMILIES = tuple(FAMILY_PARAMS)
 
+#: relative objective tolerance of the maximum-likelihood searches
+TOLERANCE = 1e-8
+
 
 class DataInconsistencyError(ValueError):
     """An observed event is impossible under the data (zero exposure)."""
@@ -321,7 +324,7 @@ def _proportional_objective(packed: _Packed, family: str, X):
     return negloglik_z
 
 
-def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8,
+def fit_mle(units, family: str, *, multistarts: int = 5,
             max_iter: int = 2000) -> RecurrentFit:
     """Maximum-likelihood fit of a baseline family to exposure-adjusted units.
 
@@ -336,8 +339,8 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
         All units must share the same ``tau``.
     family : str
         One of ``FAMILIES``.
-    multistarts, tolerance, max_iter :
-        Search controls.
+    multistarts, max_iter :
+        Search controls; the objective tolerance is ``TOLERANCE``.
 
     Returns
     -------
@@ -367,7 +370,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5, tolerance: float = 1e-8
     fun, z_hat, ok, iters = maximize(
         _mle_objective(packed, family),
         starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345),
-        tolerance, max_iter
+        TOLERANCE, max_iter
     )
     theta = np.exp(z_hat)
     model = BaselineIntensityModel(family, tuple(theta))
@@ -406,8 +409,7 @@ def proportional_log_likelihood(units, covariates, model: BaselineIntensityModel
 
 
 def fit_proportional(units, covariates, family: str, *, names=None,
-                     multistarts: int = 5, tolerance: float = 1e-8,
-                     max_iter: int = 4000) -> RecurrentFit:
+                     multistarts: int = 5, max_iter: int = 4000) -> RecurrentFit:
     """Joint fit of baseline parameters and proportional-intensity effects.
 
     Covariates are fixed per-unit vectors entering as ``exp(x_i' beta)``.
@@ -445,7 +447,7 @@ def fit_proportional(units, covariates, family: str, *, names=None,
     spread = np.repeat([0.5, 0.25], [k_theta, q_act])
     fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X_act),
                                      starts(seed, multistarts, spread, key=12345),
-                                     tolerance, max_iter)
+                                     TOLERANCE, max_iter)
     theta = tuple(np.exp(z_hat[:k_theta]))
     beta = np.zeros(q)
     beta[active] = z_hat[k_theta:]

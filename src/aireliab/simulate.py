@@ -3,9 +3,13 @@ mixture responses.
 
 These double as brute-force oracles for the fitters and as fixture
 factories, so every generator can emit records in the dataset schemas.
-Streams come from the counter-based Philox generator (see ``_rng``);
-replicates derive child seeds through SeedSequence mixing, so results do
-not depend on evaluation order or thread count.
+One constant-envelope thinning draw (Lewis & Shedler 1979) serves both
+the NHPP streams and the cascade's source modules; downstream cascade
+modules add one exponential trigger sum (Ogata 1981).  The converters
+between records and model objects take their column names from the
+schema specs.  Streams come from the counter-based Philox generator (see
+``_rng``); replicates derive child seeds through SeedSequence mixing, so
+results do not depend on evaluation order or thread count.
 
 Baselines that are singular at the origin (power_law with shape < 1,
 weibull_growth with shape parameter theta3 < 1) are truncated below
@@ -15,13 +19,13 @@ mass below the cutoff is negligible for any usable parameterization.
 
 from __future__ import annotations
 
-import datetime as dt
-
 import numpy as np
 
 from ._rng import derive_seed, make_rng
-from .datasets.exposure import ExposureSchedule, MonthTable
+from .datasets.exposure import ExposureSchedule, MonthTable, derive_exposure
 from .datasets.schemas import (
+    MODULE_FLAGS,
+    SCHEMAS,
     AdversarialCountRecord,
     CollisionRecord,
     DisengagementRecord,
@@ -61,6 +65,18 @@ def intensity_supremum(model: BaselineIntensityModel, lo: float, hi: float) -> f
     return float(max(baseline_intensity(model, t) for t in candidates))
 
 
+def _thin(rng, lo: float, hi: float, bound: float, intensity) -> np.ndarray:
+    """Sorted thinning draw on [lo, hi) under the constant envelope ``bound``.
+
+    The Poisson candidate count, the candidate uniforms and the acceptance
+    uniforms are drawn in that order; a candidate u is kept with
+    probability intensity(u) / bound.
+    """
+    n_cand = rng.poisson(bound * (hi - lo))
+    u = lo + (hi - lo) * rng.random(n_cand)
+    return np.sort(u[rng.random(n_cand) * bound < intensity(u)])
+
+
 def simulate_nhpp(model: BaselineIntensityModel, exposure: ExposureSchedule,
                   tau: float, seed: int) -> EventSeries:
     """Thinning draw of an exposure-adjusted event stream over (0, tau].
@@ -82,11 +98,8 @@ def simulate_nhpp(model: BaselineIntensityModel, exposure: ExposureSchedule,
         return EventSeries(exposure.unit_id, np.array([]), tau, exposure)
     if not np.isfinite(envelope):
         raise ValueError("intensity is unbounded on the window; cannot build an envelope")
-    n_cand = rng.poisson(envelope * (tau - lo))
-    u = lo + (tau - lo) * rng.random(n_cand)
-    accept = rng.random(n_cand) * envelope < baseline_intensity(model, np.maximum(u, T_MIN)) \
-        * np.atleast_1d(exposure.rate_at(u))
-    times = np.sort(u[accept])
+    times = _thin(rng, lo, tau, envelope, lambda u: baseline_intensity(
+        model, np.maximum(u, T_MIN)) * np.atleast_1d(exposure.rate_at(u)))
     return EventSeries(exposure.unit_id, times, tau, exposure)
 
 
@@ -138,48 +151,36 @@ def simulate_ep_cascade(model: EPModel, sources: dict, window: float,
         ]
         if not in_edges:
             bound = _baseline_bound(base, inj, 0.0, window)
-            if bound <= 0:
-                events[module] = np.array([])
-                continue
-            lo, hi = max(inj.start, _left_cutoff(base)), inj.end
-            n_cand = rng.poisson(bound * (hi - lo))
-            u = lo + (hi - lo) * rng.random(n_cand)
-            lam = inj.prob * baseline_intensity(base, np.maximum(u, T_MIN))
-            events[module] = np.sort(u[rng.random(n_cand) * bound < lam])
+            events[module] = np.array([]) if bound <= 0 else _thin(
+                rng, max(inj.start, _left_cutoff(base)), inj.end, bound,
+                lambda u: inj.prob * baseline_intensity(base, np.maximum(u, T_MIN)))
             continue
         # downstream module: piecewise envelope between upstream event times
-        src_times = np.sort(np.concatenate([events[s] for s, _ in in_edges])) \
-            if in_edges else np.array([])
+        src_times = np.concatenate([events[s] for s, _ in in_edges])
         boundaries = np.unique(np.concatenate([[0.0], src_times, [window]]))
 
-        def trig(t: float) -> float:
+        def trig(t: float, side: str) -> float:
+            # upstream streams are sorted: side "left" sums the events before
+            # t, side "right" also those at t, whose kernel is at full height
             total = 0.0
             for src, (jump, decay) in in_edges:
                 ts = events[src]
-                past = ts[ts < t] if t > 0 else ts[:0]
+                past = ts[:ts.searchsorted(t, side)]
                 if past.size:
                     total += float(jump * np.sum(np.exp(-decay * (t - past))))
             return total
 
-        def trig_ceiling(a: float) -> float:
-            # includes events exactly at a, whose kernel is at full height
-            total = 0.0
-            for src, (jump, decay) in in_edges:
-                ts = events[src]
-                past = ts[ts <= a]
-                if past.size:
-                    total += float(jump * np.sum(np.exp(-decay * (a - past))))
-            return total
-
         drawn = []
         for a, b in zip(boundaries[:-1], boundaries[1:]):
-            bound = _baseline_bound(base, inj, a, b) + trig_ceiling(a)
+            # the trigger sum only decays between upstream events, so its
+            # value at a (events at a included) bounds it on [a, b)
+            bound = _baseline_bound(base, inj, a, b) + trig(a, "right")
             t = a
             while bound > 0:
                 t = t + rng.exponential(1.0 / bound)
                 if t >= b:
                     break
-                lam = trig(t)
+                lam = trig(t, "left")
                 if inj.start <= t < inj.end:
                     lam += inj.prob * baseline_intensity(base, max(t, T_MIN))
                 if rng.random() * bound < lam:
@@ -291,6 +292,12 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
 # fixture emitters: model-world objects -> dataset-schema records
 
 
+def _calendar(months: MonthTable, t: float):
+    """Date, "YYYY-MM" month and month id of calendar day ceil(t) of the period."""
+    date = months.date_of_day(int(np.ceil(t)))
+    return date, f"{date:%Y-%m}", months.month_of_date(date).month_id
+
+
 def disengagement_records(series_list, months: MonthTable,
                           manufacture: str) -> list[DisengagementRecord]:
     """Event streams rendered as dated disengagement rows.
@@ -302,16 +309,7 @@ def disengagement_records(series_list, months: MonthTable,
     for series in series_list:
         vin = series.unit_id.split(":")[-1]
         for t in series.event_times:
-            day = int(np.ceil(t))
-            date = months.date_of_day(day)
-            month_row = months.month_of_date(date)
-            records.append(DisengagementRecord(
-                manufacture=manufacture,
-                vin=vin,
-                date=date,
-                month=f"{date:%Y-%m}",
-                month_id=month_row.month_id,
-            ))
+            records.append(DisengagementRecord(manufacture, vin, *_calendar(months, t)))
     records.sort(key=lambda r: (r.date, r.vin))
     return records
 
@@ -319,24 +317,12 @@ def disengagement_records(series_list, months: MonthTable,
 def collision_records(event_times, months: MonthTable,
                       manufacture: str) -> list[CollisionRecord]:
     """Manufacturer-level collision rows; event ids number distinct dates."""
-    dates = sorted(months.date_of_day(int(np.ceil(t))) for t in np.asarray(event_times))
     date_ids: dict = {}
     records = []
-    for date in dates:
-        date_ids.setdefault(date, len(date_ids) + 1)
-        month_row = months.month_of_date(date)
-        records.append(CollisionRecord(
-            manufacture=manufacture,
-            vin=None,
-            date=date,
-            month=f"{date:%Y-%m}",
-            month_id=month_row.month_id,
-            event_id=date_ids[date],
-        ))
+    for date, month, month_id in sorted(_calendar(months, t) for t in np.asarray(event_times)):
+        event_id = date_ids.setdefault(date, len(date_ids) + 1)
+        records.append(CollisionRecord(manufacture, None, date, month, month_id, event_id))
     return records
-
-
-_MODULE_FLAGS = {"2d": (1, 0, 0), "3d": (0, 1, 0), "localization": (0, 0, 1)}
 
 
 def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
@@ -347,27 +333,14 @@ def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
             return (w.start, w.end), w.prob
         return (0.0, log.window), 1.0
 
-    ei_2d, prob_2d = inj("2d")
-    ei_3d, prob_3d = inj("3d")
+    # the fields before the time stamp, shared by every row of the scenario
+    head = (log.scenario_id or 0, log.weather or "", (0.0, log.window), *inj("2d"), *inj("3d"))
     rows = []
     for module, times in log.events.items():
-        flags = _MODULE_FLAGS.get(module)
-        if flags is None:
+        if module not in MODULE_FLAGS:
             raise ValueError(f"no schema columns for module {module!r}")
-        for t in times:
-            rows.append(ModuleErrorRecord(
-                scenario_id=log.scenario_id or 0,
-                weather=log.weather or "",
-                window=(0.0, log.window),
-                ei_time_2d=ei_2d,
-                ei_prob_2d=prob_2d,
-                ei_time_3d=ei_3d,
-                ei_prob_3d=prob_3d,
-                timestamp=float(t),
-                err_2d=flags[0],
-                err_3d=flags[1],
-                err_loc=flags[2],
-            ))
+        flags = {attr: int(module == m) for m, attr in MODULE_FLAGS.items()}
+        rows.extend(ModuleErrorRecord(*head, float(t), **flags) for t in times)
     rows.sort(key=lambda r: r.timestamp)
     return rows
 
@@ -382,15 +355,6 @@ def module_event_log(records, sources=None) -> dict[int, ModuleEventLog]:
     for scenario, rows in sorted(by_scenario.items()):
         window = rows[0].window[1] - rows[0].window[0]
         start = rows[0].window[0]
-        events = {m: [] for m in ("2d", "3d", "localization")}
-        for rec in rows:
-            t = rec.timestamp - start
-            if rec.err_2d:
-                events["2d"].append(t)
-            if rec.err_3d:
-                events["3d"].append(t)
-            if rec.err_loc:
-                events["localization"].append(t)
         injection = {
             "2d": InjectionWindow(rows[0].ei_time_2d[0] - start,
                                   rows[0].ei_time_2d[1] - start, rows[0].ei_prob_2d),
@@ -398,7 +362,8 @@ def module_event_log(records, sources=None) -> dict[int, ModuleEventLog]:
                                   rows[0].ei_time_3d[1] - start, rows[0].ei_prob_3d),
         }
         logs[scenario] = ModuleEventLog(
-            events={m: np.sort(ts) for m, ts in events.items()},
+            events={m: np.sort([rec.timestamp - start for rec in rows if getattr(rec, attr)])
+                    for m, attr in MODULE_FLAGS.items()},
             window=window,
             sources=sources,
             weather=rows[0].weather,
@@ -406,6 +371,23 @@ def module_event_log(records, sources=None) -> dict[int, ModuleEventLog]:
             scenario_id=scenario,
         )
     return logs
+
+
+#: the per-step columns of the adversarial schema and the record attribute
+#: each fills; the scenario, its epsilon range, the step and the count are
+#: not per-step covariates
+_ADVERSARIAL_COLUMNS = {
+    col.name: col.attr for col in SCHEMAS["adversarial"].spec
+    if col.attr not in ("scenario", "epsilon_range", "t", "fc")
+}
+#: the value of a per-step column that a count series does not carry;
+#: Epsilon falls back to the middle of the epsilon range, and PGD is
+#: always 100 - FGSM
+_ADVERSARIAL_DEFAULTS = {
+    "Alpha": 1e-3, "F1": 0.5, "FGSM": 50.0, "TrainingAccuracy": 0.8,
+    "TrainingLoss": 0.5, "ValidationAccuracy": 0.75, "ValidationLoss": 0.6,
+    "TestAccuracy": 0.7, "TestLoss": 0.7, "Memory": 512.0,
+}
 
 
 def adversarial_records(series: IntervalCountSeries, *, scenario: int = 1,
@@ -418,64 +400,42 @@ def adversarial_records(series: IntervalCountSeries, *, scenario: int = 1,
     series, and anything else gets a bland constant.
     """
     names = series.covariate_names
-
-    def col(name, default):
-        if name in names:
-            return series.covariates[:, names.index(name)]
-        return np.full(series.n_steps, default)
-
-    fgsm = col("FGSM", 50.0)
-    alpha = col("Alpha", 1e-3)
-    f1 = col("F1", 0.5)
-    eps_mid = 0.5 * (epsilon_range[0] + epsilon_range[1])
-    epsilon = col("Epsilon", eps_mid)
-    train_acc = col("TrainingAccuracy", 0.8)
-    train_loss = col("TrainingLoss", 0.5)
-    val_acc = col("ValidationAccuracy", 0.75)
-    val_loss = col("ValidationLoss", 0.6)
+    defaults = {**_ADVERSARIAL_DEFAULTS, "Epsilon": 0.5 * (epsilon_range[0] + epsilon_range[1])}
+    columns = {
+        _ADVERSARIAL_COLUMNS[name]: series.covariates[:, names.index(name)] if name in names
+        else np.full(series.n_steps, default)
+        for name, default in defaults.items()
+    }
+    columns["pgd_pct"] = 100.0 - columns["fgsm_pct"]
     if series.performance is not None:
-        test_acc = series.performance
-    else:
-        test_acc = col("TestAccuracy", 0.7)
-    test_loss = col("TestLoss", 0.7)
-    memory = col("Memory", 512.0)
-    records = []
-    for t in range(series.n_steps):
-        records.append(AdversarialCountRecord(
-            scenario=scenario,
-            epsilon_range=(float(epsilon_range[0]), float(epsilon_range[1])),
-            t=t + 1,
-            fc=int(series.counts[t]),
-            alpha=float(alpha[t]),
-            f1=float(f1[t]),
-            epsilon=float(epsilon[t]),
-            fgsm_pct=float(fgsm[t]),
-            pgd_pct=float(100.0 - fgsm[t]),
-            train_acc=float(train_acc[t]),
-            train_loss=float(train_loss[t]),
-            val_acc=float(val_acc[t]),
-            val_loss=float(val_loss[t]),
-            test_acc=float(test_acc[t]),
-            test_loss=float(test_loss[t]),
-            memory=float(memory[t]),
-        ))
-    return records
+        columns["test_acc"] = series.performance
+    epsilon_range = (float(epsilon_range[0]), float(epsilon_range[1]))
+    return [
+        AdversarialCountRecord(scenario=scenario, epsilon_range=epsilon_range, t=t + 1,
+                               fc=int(series.counts[t]),
+                               **{attr: float(values[t]) for attr, values in columns.items()})
+        for t in range(series.n_steps)
+    ]
 
 
 def interval_series_from_adversarial(records, scenario: int,
                                      covariates=("Alpha", "F1", "Epsilon", "FGSM"),
                                      performance_column: str = "TestAccuracy"
                                      ) -> IntervalCountSeries:
-    """Count series for one scenario of an adversarial dataset."""
+    """Count series for one scenario of an adversarial dataset.
+
+    ``covariates`` and ``performance_column`` name per-step columns of the
+    adversarial schema; any other name raises ValueError.
+    """
+    named = (*covariates, performance_column) if performance_column else tuple(covariates)
+    unknown = [c for c in named if c not in _ADVERSARIAL_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown adversarial column(s) {', '.join(unknown)}; "
+                         f"accepted: {', '.join(_ADVERSARIAL_COLUMNS)}")
     rows = sorted((r for r in records if r.scenario == scenario), key=lambda r: r.t)
     if not rows:
         raise ValueError(f"no rows for scenario {scenario}")
-    attr = {
-        "Alpha": "alpha", "F1": "f1", "Epsilon": "epsilon", "FGSM": "fgsm_pct",
-        "PGD": "pgd_pct", "TrainingAccuracy": "train_acc", "TrainingLoss": "train_loss",
-        "ValidationAccuracy": "val_acc", "ValidationLoss": "val_loss",
-        "TestAccuracy": "test_acc", "TestLoss": "test_loss", "Memory": "memory",
-    }
+    attr = _ADVERSARIAL_COLUMNS
     counts = np.array([r.fc for r in rows], dtype=float)
     X = np.column_stack([[getattr(r, attr[c]) for r in rows] for c in covariates]) \
         if covariates else np.zeros((len(rows), 0))
@@ -492,8 +452,6 @@ def event_series_from_disengagements(records, mileage_rows, months: MonthTable,
     zero events); dated events convert to whole-day offsets, preserving
     same-day ties.
     """
-    from .datasets.exposure import derive_exposure
-
     fleet_rows = [r for r in mileage_rows if r.manufacture == manufacture]
     if not fleet_rows:
         raise ValueError(f"no mileage rows for manufacturer {manufacture!r}")

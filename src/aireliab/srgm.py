@@ -29,7 +29,7 @@ tl       c > 0, d > 0        (1 - e^(-1/c)) / (1 + e^(-(l-d)/c))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -45,6 +45,9 @@ HAZARD_FAMILIES = {
     "s": (("p", "unit"), ("b", "unit")),
     "tl": (("c", "pos"), ("d", "pos")),
 }
+
+#: relative objective tolerance of the maximum-likelihood search
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,7 @@ class _Objective:
 
 
 def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None,
-             split: float = 0.9, multistarts: int = 3, tolerance: float = 1e-9,
-             max_iter: int = 4000) -> SRGMFit:
+             split: float = 0.9, multistarts: int = 3, max_iter: int = 4000) -> SRGMFit:
     """Fit by grouped-count Poisson likelihood on the first ``split`` of steps.
 
     The scale ``omega`` is profiled out (its conditional MLE is total
@@ -340,7 +342,7 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     negloglik = _Objective(hazard_family, X[:n_fit], counts_fit)
     seed = np.concatenate([pack(_HAZARD_SEEDS[hazard_family]), np.zeros(q)])
     fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.4, key=777),
-                                     tolerance, max_iter)
+                                     TOLERANCE, max_iter)
     hazard = DiscreteHazard(hazard_family, unpack(z_hat[:k_h]))
     beta_vec = z_hat[k_h:]
     s = mean_value_increments(1.0, hazard, beta_vec, X, n_fit)
@@ -399,12 +401,7 @@ def forward_stepwise(series: IntervalCountSeries, hazard_family: str,
         remaining.remove(round_best[0])
         best = round_best[1]
         trace.append((round_best[0], best.aic))
-    return SRGMFit(
-        omega=best.omega, hazard=best.hazard, beta=best.beta, log_lik=best.log_lik,
-        aic=best.aic, converged=best.converged, iterations=best.iterations,
-        n_fit=best.n_fit, holdout_mae=best.holdout_mae, fitted=best.fitted,
-        trace=tuple(trace),
-    )
+    return replace(best, trace=tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -475,8 +472,6 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     dr = np.diff(r)
     n_rows = len(dr)
     n_fit = max(1, min(n_rows, int(np.floor(split * T)) - 1))
-    if n_fit < 1:
-        raise ValueError("fitting window is empty")
 
     def design(selected_idx, rows):
         parts = [np.ones(len(rows))]

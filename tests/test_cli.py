@@ -262,3 +262,36 @@ def test_simulate_nhpp_roundtrips(tmp_path, capsys, data_dir):
 
     report = validate(tmp_path / "disengagements.csv", "disengagement")
     assert report.ok
+
+
+@pytest.mark.parametrize("given", [[], ["--mileage"], ["--months"]])
+def test_simulate_nhpp_without_exposure_files_is_an_error(tmp_path, capsys, data_dir, given):
+    base = data_dir / "disengagements"
+    paths = {"--mileage": base / "mileage.csv", "--months": base / "months.csv"}
+    argv = ["simulate", "nhpp", "--out", str(tmp_path)]
+    for flag in given:
+        argv += [flag, str(paths[flag])]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "--mileage" in err and "--months" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-srgm", "--hazard", "gm", "--covariates", "Alpha,Foo"],
+    ["fit-srgm", "--hazard", "gm", "--covariates", "Alpha,FC"],
+    ["fit-resilience", "--response", "Foo"],
+    ["fit-resilience", "--covariates", "Scenario"],
+    ["fit-resilience", "--response", "EpsilonRangeLow"],
+])
+def test_unknown_adversarial_column_is_named(tmp_path, capsys, data_dir, argv):
+    path = data_dir / "adversarial-attacks" / "adversarial.csv"
+    code, _, err = run_cli([*argv, "--input", str(path), "--out", str(tmp_path)], capsys)
+    bad = argv[-1].split(",")[-1]
+    assert code == 1
+    assert err.startswith("error: unknown adversarial column")
+    assert bad in err
+    # the accepted names are listed: the twelve per-step columns, in schema order
+    accepted = err.split("accepted: ")[1].strip()
+    assert accepted == ("Alpha, F1, Epsilon, FGSM, PGD, TrainingAccuracy, TrainingLoss, "
+                        "ValidationAccuracy, ValidationLoss, TestAccuracy, TestLoss, Memory")
