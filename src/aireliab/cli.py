@@ -10,6 +10,7 @@ written), 1 on other errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 import hashlib
 import json
@@ -58,16 +59,17 @@ class Run:
         return path
 
     def write_json(self, name: str, payload) -> Path:
-        target = self.dir / name
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        return target
+        return self.write_text(name, json.dumps(payload, indent=2) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         target = self.dir / name
         target.write_text(text, encoding="utf-8")
         return target
+
+    def write_table(self, name: str, rows) -> Path:
+        """CSV lines: string cells verbatim, numbers at 17 significant digits."""
+        lines = [",".join(c if isinstance(c, str) else _fmt17(c) for c in row) for row in rows]
+        return self.write_text(name, "\n".join(lines) + "\n")
 
     def finish(self) -> None:
         flags = {
@@ -89,12 +91,8 @@ class Run:
 
 def _detect_schema(path) -> str:
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = handle.readline().strip().split(",")
-    header_set = set(h.strip() for h in header)
-    matches = [
-        name for name, schema in datasets.SCHEMAS.items()
-        if set(schema.columns) <= header_set
-    ]
+        header_set = {h.strip() for h in next(csv.reader(handle), [])}
+    matches = [n for n, schema in datasets.SCHEMAS.items() if set(schema.columns) <= header_set]
     # prefer the most specific match (largest required column set)
     if matches:
         return max(matches, key=lambda n: len(datasets.SCHEMAS[n].columns))
@@ -227,16 +225,13 @@ def cmd_fit_ep(args, run: Run) -> int:
             "nhpp": propagation.fit_independent_nhpp(logs).model,
             "ep": fit.model,
         }
-        lines = ["model," + ",".join(_fmt17(g) for g in grid) + ",overall"]
+        rows = [["model", *grid, "overall"]]
         for name, model in competitors.items():
-            per_point = [
-                propagation.evaluate_mae(model, held, [g]) for g in grid
-            ]
+            per_point = [propagation.evaluate_mae(model, held, [g]) for g in grid]
             overall = propagation.evaluate_mae(model, held, grid)
-            lines.append(name + "," + ",".join(_fmt17(v) for v in per_point)
-                         + "," + _fmt17(overall))
+            rows.append([name, *per_point, overall])
             print(f"MAE[{name}] = {overall:.6g}")
-        run.write_text("mae.csv", "\n".join(lines) + "\n")
+        run.write_table("mae.csv", rows)
     return EXIT_OK
 
 
@@ -262,12 +257,9 @@ def cmd_fit_srgm(args, run: Run) -> int:
     }
     run.write_json("srgm.json", payload)
     observed = np.cumsum(series.counts)
-    lines = ["t,observed_cumulative,fitted_cumulative"]
-    for t in range(series.n_steps):
-        lines.append(f"{t + 1},{_fmt17(observed[t])},{_fmt17(fit.fitted[t])}")
-    run.write_text("cumulative.csv", "\n".join(lines) + "\n")
-    print(json.dumps({k: payload[k] for k in ("omega", "hazard", "beta", "holdout_mae")},
-                     indent=2))
+    run.write_table("cumulative.csv", [("t", "observed_cumulative", "fitted_cumulative"),
+                                       *zip(range(1, series.n_steps + 1), observed, fit.fitted)])
+    print(json.dumps({k: payload[k] for k in ("omega", "hazard", "beta", "holdout_mae")}, indent=2))
     return EXIT_OK
 
 
@@ -292,10 +284,9 @@ def cmd_fit_resilience(args, run: Run) -> int:
         "n_fit": fit.n_fit,
     }
     run.write_json("resilience.json", payload)
-    lines = ["t,observed,fitted"]
-    for t in range(series.n_steps):
-        lines.append(f"{t + 1},{_fmt17(series.performance[t])},{_fmt17(fit.reconstructed[t])}")
-    run.write_text("reconstruction.csv", "\n".join(lines) + "\n")
+    steps = range(1, series.n_steps + 1)
+    run.write_table("reconstruction.csv", [("t", "observed", "fitted"),
+                                           *zip(steps, series.performance, fit.reconstructed)])
     print(json.dumps({k: payload[k] for k in ("form", "intercept", "coef", "holdout_mae")},
                      indent=2))
     return EXIT_OK
@@ -318,10 +309,7 @@ def cmd_fit_mixture(args, run: Run) -> int:
     run.write_json("mixture.json", payload)
     z = [args.z1, args.z2] + ([0, 0] if args.pooled else [])
     table = regression.predict_simplex_grid(fit, z, args.grid)
-    lines = ["x1,x2,x3,yhat"]
-    for row in table:
-        lines.append(",".join(_fmt17(v) for v in row))
-    run.write_text("contour_grid.csv", "\n".join(lines) + "\n")
+    run.write_table("contour_grid.csv", [("x1", "x2", "x3", "yhat"), *table])
     print(json.dumps({"coef": payload["coef"], "resid_sd": fit.resid_sd}, indent=2))
     return EXIT_OK
 
@@ -329,8 +317,7 @@ def cmd_fit_mixture(args, run: Run) -> int:
 def cmd_design_lhd(args, run: Run) -> int:
     result = design.search_mmlhd(args.n, args.p, k=args.k, m=args.m,
                                  seed=args.seed, budget=args.budget)
-    lines = [",".join(_fmt17(v) for v in row) for row in result.design.matrix]
-    run.write_text("design.csv", "\n".join(lines) + "\n")
+    run.write_table("design.csv", result.design.matrix)
     run.write_json("design.json", {
         "n": args.n, "p": args.p, "k": args.k, "m": args.m,
         "criterion": result.criterion, "seed": args.seed,
@@ -341,15 +328,10 @@ def cmd_design_lhd(args, run: Run) -> int:
 
 
 def cmd_alt_af(args, run: Run) -> int:
-    if args.ln is not None or args.la is not None:
-        factor = design.acceleration_factor(life_normal=args.ln, life_accelerated=args.la)
-        inputs = {"life_normal": args.ln, "life_accelerated": args.la}
-    else:
-        factor = design.acceleration_factor(
-            activation_energy=args.ea, temp_use=args.tuse, temp_stress=args.tstress
-        )
-        inputs = {"activation_energy": args.ea, "temp_use": args.tuse,
-                  "temp_stress": args.tstress}
+    flags = {"life_normal": args.ln, "life_accelerated": args.la,
+             "activation_energy": args.ea, "temp_use": args.tuse, "temp_stress": args.tstress}
+    inputs = {name: value for name, value in flags.items() if value is not None}
+    factor = design.acceleration_factor(**inputs)
     run.write_json("alt.json", {"acceleration_factor": factor, **inputs})
     print(f"{factor:g}")
     return EXIT_OK
@@ -387,13 +369,14 @@ def cmd_simulate(args, run: Run) -> int:
         spec = DEFAULT_EP_SPEC
         if args.spec:
             spec = json.loads(Path(run.track_input(args.spec)).read_text(encoding="utf-8"))
-        model = propagation.EPModel(
-            {m: tuple(v) for m, v in spec["baseline"].items()},
-            {
-                (key.split("<-")[0], key.split("<-")[1]): tuple(v)
-                for key, v in spec.get("edges", {}).items()
-            },
-        )
+        missing = [key for key in ("baseline", "window", "scenarios") if key not in spec]
+        if missing:
+            raise ValueError(f"cascade spec lacks the key(s) {missing}")
+        edges = {tuple(key.split("<-")): tuple(v) for key, v in spec.get("edges", {}).items()}
+        bad = ["<-".join(pair) for pair in edges if len(pair) != 2]
+        if bad:
+            raise ValueError(f"edge key {bad[0]!r} is not of the form '<target><-<source>'")
+        model = propagation.EPModel({m: tuple(v) for m, v in spec["baseline"].items()}, edges)
         sources = {m: tuple(v) for m, v in spec.get("sources", {}).items()}
         rows = []
         for idx, scenario in enumerate(spec["scenarios"], start=1):

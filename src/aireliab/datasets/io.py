@@ -44,8 +44,8 @@ class ValidationReport:
             "violations": [v.to_dict() for v in self.violations],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _schema(name: str):

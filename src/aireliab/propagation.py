@@ -61,6 +61,10 @@ class ModuleEventLog:
     scenario_id: int | None = None
 
     def __post_init__(self):
+        # checked first: a too-long injection is why simulated events overrun the window
+        for name, win in (self.injection or {}).items():
+            if win.end > self.window + 1e-9:
+                raise ValueError(f"module {name}: injection interval exceeds the window")
         events = {}
         for name, times in self.events.items():
             times = np.asarray(times, dtype=float)
@@ -73,10 +77,6 @@ class ModuleEventLog:
         sources = {m: tuple(srcs) for m, srcs in self.sources.items()}
         object.__setattr__(self, "sources", sources)
         toposort(set(events) | set(sources), sources)  # raises on cycles
-        if self.injection:
-            for name, win in self.injection.items():
-                if win.end > self.window + 1e-9:
-                    raise ValueError(f"module {name}: injection interval exceeds the window")
 
     @property
     def modules(self) -> tuple[str, ...]:

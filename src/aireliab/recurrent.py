@@ -44,6 +44,8 @@ FAMILIES = tuple(FAMILY_PARAMS)
 
 #: relative objective tolerance of the maximum-likelihood searches
 TOLERANCE = 1e-8
+#: iteration cap per optimizer stage of ``fit_proportional``
+_MAX_ITER = 4000
 
 
 class DataInconsistencyError(ValueError):
@@ -300,28 +302,33 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
 
 def _mle_objective(packed: _Packed, family: str):
     """Negative log-likelihood of ``family`` at log parameters z."""
-
-    def negloglik_z(z):
-        if np.maximum.reduce(abs(z)) > 300:
-            return np.inf
-        return -packed.log_lik_theta(family, np.exp(z).tolist())
-
-    return negloglik_z
+    return _proportional_objective(packed, family, np.zeros((packed.n_units, 0)))
 
 
 def _proportional_objective(packed: _Packed, family: str, X):
     """Negative log-likelihood of ``family`` with unit scales exp(X beta) at
-    z = (log theta, beta)."""
+    z = (log theta, beta); with no columns in ``X`` no scale is applied."""
     k = len(FAMILY_PARAMS[family])
-    ones = np.ones(packed.n_units)
 
     def negloglik_z(z):
         if np.maximum.reduce(abs(z)) > 300:
             return np.inf
-        scale = np.exp(X @ z[k:]) if X.shape[1] else ones
+        scale = np.exp(X @ z[k:]) if X.shape[1] else None
         return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
 
     return negloglik_z
+
+
+def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
+    """Multistart search from the moment seed with zero effects; returns
+    the model, log-likelihood, beta, convergence flag and iterations."""
+    k, q = len(FAMILY_PARAMS[family]), X.shape[1]
+    seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q)])
+    spread = np.repeat([0.5, 0.25], [k, q])
+    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X),
+                                     starts(seed, multistarts, spread, key=12345),
+                                     TOLERANCE, max_iter)
+    return BaselineIntensityModel(family, tuple(np.exp(z_hat[:k]))), -fun, z_hat[k:], ok, iters
 
 
 def fit_mle(units, family: str, *, multistarts: int = 5,
@@ -367,14 +374,9 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     if packed.n_events == 0:
         raise ValueError(f"no events across units; cannot fit the {family} family")
 
-    fun, z_hat, ok, iters = maximize(
-        _mle_objective(packed, family),
-        starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345),
-        TOLERANCE, max_iter
-    )
-    theta = np.exp(z_hat)
-    model = BaselineIntensityModel(family, tuple(theta))
-    ll = -fun
+    model, ll, _, ok, iters = _search(packed, family, np.zeros((packed.n_units, 0)),
+                                      multistarts, max_iter)
+    theta = np.array(model.theta)
 
     def negloglik_theta(th):
         if (th <= 0).any():
@@ -409,13 +411,14 @@ def proportional_log_likelihood(units, covariates, model: BaselineIntensityModel
 
 
 def fit_proportional(units, covariates, family: str, *, names=None,
-                     multistarts: int = 5, max_iter: int = 4000) -> RecurrentFit:
+                     multistarts: int = 5) -> RecurrentFit:
     """Joint fit of baseline parameters and proportional-intensity effects.
 
     Covariates are fixed per-unit vectors entering as ``exp(x_i' beta)``.
     A covariate that is constant across units (or any collinear set, once
     an implicit intercept column is included) is confounded with the
-    baseline scale and is rejected as singular.
+    baseline scale and is rejected as singular.  The search is the one of
+    ``fit_mle``, with zero effects in the seed and ``_MAX_ITER`` per stage.
     """
     packed = _Packed(units)
     X = np.atleast_2d(np.asarray(covariates, dtype=float))
@@ -439,21 +442,10 @@ def fit_proportional(units, covariates, family: str, *, names=None,
         raise ValueError(f"unknown family {family!r}")
     if packed.n_events == 0:
         raise ValueError("no events across units; nothing to fit")
-    k_theta = len(FAMILY_PARAMS[family])
-
-    q_act = len(active)
-
-    seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q_act)])
-    spread = np.repeat([0.5, 0.25], [k_theta, q_act])
-    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X_act),
-                                     starts(seed, multistarts, spread, key=12345),
-                                     TOLERANCE, max_iter)
-    theta = tuple(np.exp(z_hat[:k_theta]))
+    model, ll, beta_act, ok, iters = _search(packed, family, X_act, multistarts, _MAX_ITER)
     beta = np.zeros(q)
-    beta[active] = z_hat[k_theta:]
-    model = BaselineIntensityModel(family, theta)
-    ll = -fun
-    k = k_theta + q_act
+    beta[active] = beta_act
+    k = len(model.theta) + len(active)
     return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, None, tuple(beta), tuple(names))
 
 

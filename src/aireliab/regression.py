@@ -107,6 +107,8 @@ def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
 
 
 GLM_FAMILIES = ("bernoulli-logit", "bernoulli-probit", "poisson-log")
+# IRLS stops at a relative coefficient step below _GLM_TOL or after _GLM_MAX_ITER steps
+_GLM_TOL, _GLM_MAX_ITER = 1e-10, 100
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,8 @@ def _irls_step(family, eta, eps):
     return mu, mu, mu
 
 
-def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
-            tol: float = 1e-10, max_iter: int = 100) -> GLMFit:
-    """GLM fit via iteratively reweighted least squares.
+def fit_glm(X, y, family: str, *, names=None, add_intercept=True) -> GLMFit:
+    """GLM fit via iteratively reweighted least squares (``_GLM_TOL``, ``_GLM_MAX_ITER``).
 
     Bernoulli families detect complete separation (fitted probabilities
     driven to 0/1 on the correct side for every row) and raise
@@ -178,7 +179,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
     converged = False
     it = 0
     eps = 1e-10
-    for it in range(1, max_iter + 1):
+    for it in range(1, _GLM_MAX_ITER + 1):
         mu, w, dmu = _irls_step(family, eta, eps)
         z = eta + (y - mu) / dmu
         WD = D * w[:, None]
@@ -196,7 +197,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
                     "complete separation: responses are perfectly classified, "
                     "coefficients diverge"
                 )
-        if delta < tol:
+        if delta < _GLM_TOL:
             converged = True
             break
     _, w, _ = _irls_step(family, eta, eps)
@@ -214,6 +215,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True,
 
 
 AFT_DISTRIBUTIONS = ("lognormal", "weibull")
+_AFT_MAX_ITER = 500  # per optimizer stage of ``fit_aft``
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ class AFTFit:
 
 
 def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
-            add_intercept=True, max_iter: int = 500) -> AFTFit:
+            add_intercept=True) -> AFTFit:
     """Censored accelerated-failure-time fit: log(t) = x' beta + sigma * eps.
 
     ``event`` is 1 for an observed failure and 0 for right censoring; the
@@ -277,7 +279,7 @@ def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
     x0 = np.concatenate([beta0, [np.log(sigma0)]])
     # the tolerance is relative to the objective, a sum over every
     # observation, so near the optimum its relative changes are tiny
-    fun, z_hat, ok, _ = maximize(negloglik, [x0], 1e-14, max_iter)
+    fun, z_hat, ok, _ = maximize(negloglik, [x0], 1e-14, _AFT_MAX_ITER)
     coef = z_hat[:-1].copy()
     if add_intercept:
         coef[0] += shift

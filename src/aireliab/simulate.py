@@ -217,6 +217,9 @@ def simulate_srgm_counts(omega: float, hazard: DiscreteHazard, beta, covariates,
 # ---------------------------------------------------------------------------
 # mixture experiment layout and responses
 
+#: runs per (simplex point, flags, scenario) cell of the mixture layout
+MIXTURE_REPLICATES = 3
+
 
 def simplex_centroid() -> np.ndarray:
     """Three vertices, three edge midpoints, and the centroid."""
@@ -231,9 +234,9 @@ def simplex_centroid() -> np.ndarray:
     ])
 
 
-def mixture_layout(replicates: int = 3):
+def mixture_layout():
     """Full crossed layout: 7 simplex points x 2 x 2 algorithm/source flags
-    x 3 scenarios x ``replicates``; 252 rows at the default replication."""
+    x 3 scenarios x ``MIXTURE_REPLICATES``, 252 rows."""
     points = simplex_centroid()
     x_rows, z_rows, c_rows = [], [], []
     for scenario in range(3):
@@ -242,7 +245,7 @@ def mixture_layout(replicates: int = 3):
         for z1 in (0, 1):
             for z2 in (0, 1):
                 for point in points:
-                    for _ in range(replicates):
+                    for _ in range(MIXTURE_REPLICATES):
                         x_rows.append(point)
                         z_rows.append((z1, z2))
                         c_rows.append(c)
@@ -256,8 +259,7 @@ def _coef_for(coef, scenario_idx: int) -> np.ndarray:
 
 
 def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
-                             noise_sd_y2: float = 0.0, seed: int = 0,
-                             replicates: int = 3) -> list[MixtureRecord]:
+                             noise_sd_y2: float = 0.0, seed: int = 0) -> list[MixtureRecord]:
     """Mixture records over the crossed layout from known coefficients.
 
     Coefficients are 13-vectors in ``regression.mixture_terms`` order, or
@@ -265,7 +267,7 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
     surfaces.  Mean responses follow the mixture design exactly; optional
     Gaussian noise is added per response.
     """
-    x, z, c = mixture_layout(replicates)
+    x, z, c = mixture_layout()
     rng = make_rng(seed)
     records = []
     design, _ = mixture_design(x, z)

@@ -36,7 +36,8 @@ from scipy.special import gammaln
 
 from ._optim import maximize, starts
 
-# parameter names and constraint type per family ("unit" = (0,1), "pos" = > 0)
+# parameter names and constraint type per family; a type is the open
+# interval (0, _UPPER[type]), which holds neither NaN nor an infinity
 HAZARD_FAMILIES = {
     "gm": (("b", "unit"),),
     "nb2": (("b", "unit"),),
@@ -45,9 +46,12 @@ HAZARD_FAMILIES = {
     "s": (("p", "unit"), ("b", "unit")),
     "tl": (("c", "pos"), ("d", "pos")),
 }
+_UPPER = {"unit": 1.0, "pos": math.inf}
 
 #: relative objective tolerance of the maximum-likelihood search
 TOLERANCE = 1e-9
+# starts and iteration cap per optimizer stage of ``fit_srgm``
+_MULTISTARTS, _MAX_ITER = 3, 4000
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,8 @@ class DiscreteHazard:
         if len(params) != len(spec):
             raise ValueError(f"{self.family} takes {len(spec)} parameters, got {len(params)}")
         for value, (name, kind) in zip(params, spec):
-            if kind == "unit" and not 0 < value < 1:
-                raise ValueError(f"{self.family}: {name} must lie in (0, 1)")
-            if kind == "pos" and value <= 0:
-                raise ValueError(f"{self.family}: {name} must be positive")
+            if not 0 < value < _UPPER[kind]:
+                raise ValueError(f"{self.family}: {name} must lie in (0, {_UPPER[kind]:g})")
         object.__setattr__(self, "params", params)
 
     def __call__(self, steps):
@@ -242,7 +244,7 @@ class _Objective:
     def __init__(self, family: str, X, counts):
         _, self.unpack, self.k_h = _transforms(family)
         self.family = family
-        self.kinds = tuple(kind for _, kind in HAZARD_FAMILIES[family])
+        self.upper = tuple(_UPPER[kind] for _, kind in HAZARD_FAMILIES[family])
         n = len(counts)
         self.steps = np.arange(1, n + 1, dtype=float)
         self.X = X
@@ -261,8 +263,8 @@ class _Objective:
         if np.maximum.reduce(abs(z)) > 30:
             return np.inf
         params = self.unpack(z[:self.k_h])
-        for value, kind in zip(params, self.kinds):
-            if (not 0 < value < 1) if kind == "unit" else value <= 0:
+        for value, upper in zip(params, self.upper):
+            if not 0 < value < upper:
                 return np.inf
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             h = _hazard(self.family, params, self.steps)
@@ -296,12 +298,13 @@ class _Objective:
 
 
 def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None,
-             split: float = 0.9, multistarts: int = 3, max_iter: int = 4000) -> SRGMFit:
+             split: float = 0.9) -> SRGMFit:
     """Fit by grouped-count Poisson likelihood on the first ``split`` of steps.
 
     The scale ``omega`` is profiled out (its conditional MLE is total
     observed failures over the unit-scale mean mass), and the remaining
-    hazard and covariate parameters are optimized on transformed scales.
+    hazard and covariate parameters are optimized on transformed scales
+    (``_MULTISTARTS`` starts, ``_MAX_ITER`` iterations per stage).
     Cumulative counts are predicted on the remaining steps and summarized
     as ``holdout_mae``.
 
@@ -341,8 +344,8 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     q = X.shape[1]
     negloglik = _Objective(hazard_family, X[:n_fit], counts_fit)
     seed = np.concatenate([pack(_HAZARD_SEEDS[hazard_family]), np.zeros(q)])
-    fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.4, key=777),
-                                     TOLERANCE, max_iter)
+    fun, z_hat, ok, iters = maximize(negloglik, starts(seed, _MULTISTARTS, 0.4, key=777),
+                                     TOLERANCE, _MAX_ITER)
     hazard = DiscreteHazard(hazard_family, unpack(z_hat[:k_h]))
     beta_vec = z_hat[k_h:]
     s = mean_value_increments(1.0, hazard, beta_vec, X, n_fit)
@@ -369,39 +372,52 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     )
 
 
+def _forward_aic(fit, base, names):
+    """Greedy forward selection by AIC over the candidates ``names``.
+
+    ``fit(indices)`` gives ``(aic, result)``, or None for a set that cannot
+    be fitted; ``base`` is that pair for the empty set.  A round keeps the
+    lowest AIC, and selection stops when none improves on the current AIC
+    by more than 1e-9.  Returns the selected indices, the final result and
+    the trace: ("", base AIC), then (name, AIC) per accepted candidate."""
+    (aic, result), selected, trace = base, [], [("", base[0])]
+    remaining = list(range(len(names)))
+    while remaining:
+        tried = [(out, j) for j in remaining if (out := fit(selected + [j])) is not None]
+        if not tried:
+            break
+        (new_aic, new_result), j = min(tried, key=lambda t: t[0][0])  # first on a tie
+        if new_aic >= aic - 1e-9:
+            break
+        aic, result = new_aic, new_result
+        selected.append(j)
+        remaining.remove(j)
+        trace.append((names[j], aic))
+    return selected, result, tuple(trace)
+
+
 def forward_stepwise(series: IntervalCountSeries, hazard_family: str,
-                     candidates=None, **options) -> SRGMFit:
+                     candidates=None, *, split: float = 0.9) -> SRGMFit:
     """Greedy covariate selection by AIC on the fitting window.
 
-    Starting from the covariate-free fit, the candidate whose addition
-    most improves AIC is accepted, until no addition improves.  The trace
-    records ("", base AIC) followed by one (name, AIC) entry per accepted
-    covariate; holdout MAE is reported for the final model but never used
-    for selection.
+    Starting from the covariate-free fit, ``_forward_aic`` accepts the
+    candidate whose addition most improves AIC, skipping sets whose fit
+    raises ValueError or RuntimeError, until no addition improves.  Holdout
+    MAE is reported for the final model but never used for selection.
     """
-    if candidates is None:
-        candidates = series.covariate_names
-    candidates = list(candidates)
-    best = fit_srgm(series, hazard_family, covariates=(), **options)
-    trace = [("", best.aic)]
-    selected: list[str] = []
-    remaining = list(candidates)
-    while remaining:
-        round_best = None
-        for cand in remaining:
-            try:
-                fit = fit_srgm(series, hazard_family, covariates=(*selected, cand), **options)
-            except (ValueError, RuntimeError):
-                continue
-            if round_best is None or fit.aic < round_best[1].aic:
-                round_best = (cand, fit)
-        if round_best is None or round_best[1].aic >= best.aic - 1e-9:
-            break
-        selected.append(round_best[0])
-        remaining.remove(round_best[0])
-        best = round_best[1]
-        trace.append((round_best[0], best.aic))
-    return replace(best, trace=tuple(trace))
+    candidates = list(series.covariate_names if candidates is None else candidates)
+
+    def fit(selected):
+        try:
+            out = fit_srgm(series, hazard_family,
+                           covariates=[candidates[j] for j in selected], split=split)
+        except (ValueError, RuntimeError):
+            return None
+        return out.aic, out
+
+    base = fit_srgm(series, hazard_family, covariates=(), split=split)
+    _, best, trace = _forward_aic(fit, (base.aic, base), candidates)
+    return replace(best, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -447,7 +463,7 @@ def _ols_aic(X, y):
     resid = y - X @ coef
     rss = float(resid @ resid)
     sigma2 = max(rss / n, 1e-300)
-    return coef, n * np.log(sigma2) + 2 * X.shape[1]
+    return n * np.log(sigma2) + 2 * X.shape[1], coef
 
 
 def fit_resilience(series: IntervalCountSeries, form: str = "linear",
@@ -474,40 +490,24 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     n_fit = max(1, min(n_rows, int(np.floor(split * T)) - 1))
 
     def design(selected_idx, rows):
-        parts = [np.ones(len(rows))]
-        for j in selected_idx:
-            parts.append(features[rows, j])
-        return np.column_stack(parts)
+        return np.column_stack([np.ones(len(rows)), *(features[rows, j] for j in selected_idx)])
 
     fit_rows = np.arange(n_fit)
-    base_coef, aic = _ols_aic(design([], fit_rows), dr[fit_rows])
-    coef = base_coef
-    selected: list[int] = []
-    trace = [("", aic)]
-    remaining = list(range(features.shape[1]))
-    while remaining:
-        round_best = None
-        for j in remaining:
-            cand_design = design(selected + [j], fit_rows)
-            if cand_design.shape[0] <= cand_design.shape[1]:
-                continue
-            if np.linalg.matrix_rank(cand_design) < cand_design.shape[1]:
-                continue
-            c, a = _ols_aic(cand_design, dr[fit_rows])
-            if round_best is None or a < round_best[2]:
-                round_best = (j, c, a)
-        if round_best is None or round_best[2] >= aic - 1e-9:
-            break
-        selected.append(round_best[0])
-        remaining.remove(round_best[0])
-        coef, aic = round_best[1], round_best[2]
-        trace.append((feature_names[round_best[0]], aic))
+
+    def fit(selected):
+        d = design(selected, fit_rows)
+        if d.shape[0] > d.shape[1] and np.linalg.matrix_rank(d) == d.shape[1]:
+            return _ols_aic(d, dr[fit_rows])
+        return None
+
+    base = _ols_aic(design([], fit_rows), dr[fit_rows])
+    selected, coef, trace = _forward_aic(fit, base, feature_names)
 
     all_rows = np.arange(n_rows)
     dr_hat = design(selected, all_rows) @ coef
     reconstructed = np.concatenate([[r[0]], r[0] + np.cumsum(dr_hat)])
     # intercept-only reference reconstruction for the same split
-    base_rec = np.concatenate([[r[0]], r[0] + np.cumsum(np.full(n_rows, base_coef[0]))])
+    base_rec = np.concatenate([[r[0]], r[0] + np.cumsum(np.full(n_rows, base[1][0]))])
     if n_fit < n_rows:
         hold = np.arange(n_fit + 1, T)
         holdout_mae = float(np.mean(np.abs(reconstructed[hold] - r[hold])))
@@ -518,7 +518,7 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
         form=form,
         intercept=float(coef[0]),
         coef={feature_names[j]: float(v) for j, v in zip(selected, coef[1:])},
-        trace=tuple(trace),
+        trace=trace,
         reconstructed=reconstructed,
         holdout_mae=holdout_mae,
         baseline_mae=baseline_mae,

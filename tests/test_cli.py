@@ -295,3 +295,40 @@ def test_unknown_adversarial_column_is_named(tmp_path, capsys, data_dir, argv):
     accepted = err.split("accepted: ")[1].strip()
     assert accepted == ("Alpha, F1, Epsilon, FGSM, PGD, TrainingAccuracy, TrainingLoss, "
                         "ValidationAccuracy, ValidationLoss, TestAccuracy, TestLoss, Memory")
+
+
+def test_alt_af_rejects_mixed_inputs(tmp_path, capsys):
+    # lifetimes and Arrhenius inputs together are ambiguous; none is ignored
+    code, _, err = run_cli(["alt-af", "--ln", "1000", "--la", "20", "--ea", "0.7",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "give either" in err
+    assert not (tmp_path / "alt.json").exists()
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"baseline": {"2d": [1.0, 0.8], "localization-2d": [1.0, 2.0]},
+      "edges": {"localization-2d": [2.0, 1.0]}, "window": 20.0,
+      "scenarios": [{"weather": "clear"}]}, "'localization-2d'"),
+    ({"baseline": {"2d": [1.0, 0.8]}, "edges": {"a<-b<-c": [2.0, 1.0]}, "window": 20.0,
+      "scenarios": [{"weather": "clear"}]}, "'a<-b<-c'"),
+    ({"baseline": {"2d": [1.0, 0.8]}, "window": 20.0}, "'scenarios'"),
+])
+def test_simulate_ep_cascade_bad_spec_is_named(tmp_path, capsys, spec, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(["simulate", "ep-cascade", "--spec", str(path),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert named in err
+    assert "cascade spec lacks" in err or "is not of the form" in err
+
+
+def test_summarize_reads_a_quoted_header(tmp_path, capsys, data_dir):
+    lines = (data_dir / "disengagements" / "disengagements.csv").read_text().splitlines()
+    header = ",".join(f'"{name}"' for name in lines[0].split(","))
+    path = tmp_path / "quoted.csv"
+    path.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(["summarize", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["schema"] == "disengagement"

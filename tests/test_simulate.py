@@ -223,3 +223,11 @@ def test_mixture_records_deterministic():
     a = simulate_mixture_records(coef, coef, noise_sd_y1=0.01, seed=21)
     b = simulate_mixture_records(coef, coef, noise_sd_y1=0.01, seed=21)
     assert a == b
+
+
+def test_cascade_injection_past_the_window_is_named():
+    ep = EPModel({"2d": (1.3, 1.5), "3d": (1.3, 1.5), "localization": (1.0, 4.0)},
+                 {("localization", "2d"): (0.5, 1.0), ("localization", "3d"): (0.5, 1.0)})
+    injection = {"2d": InjectionWindow(10.0, 30.0, 0.8)}
+    with pytest.raises(ValueError, match="injection interval exceeds the window"):
+        simulate_ep_cascade(ep, DEFAULT_SOURCES, 20.0, injection, seed=3)

@@ -244,3 +244,17 @@ def test_resilience_requires_performance():
     series = IntervalCountSeries(np.ones(10), np.zeros((10, 1)), ("a",))
     with pytest.raises(ValueError, match="performance"):
         fit_resilience(series, "linear")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("dw3", (float("nan"), 0.05)),
+    ("dw3", (1.0, float("inf"))),
+    ("tl", (float("inf"), 3.0)),
+    ("tl", (0.7, float("nan"))),
+    ("gm", (float("nan"),)),
+    ("s", (0.5, float("-inf"))),
+])
+def test_non_finite_hazard_parameters_rejected(family, params):
+    # every constraint is an open interval: NaN and +-inf lie outside both
+    with pytest.raises(ValueError, match="must lie in"):
+        DiscreteHazard(family, params)
