@@ -90,8 +90,9 @@ class Run:
 
 
 def _detect_schema(path) -> str:
+    # header cells as the parser matches them: verbatim, spaces included
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        header_set = {h.strip() for h in next(csv.reader(handle), [])}
+        header_set = set(next(csv.reader(handle), []))
     matches = [n for n, schema in datasets.SCHEMAS.items() if set(schema.columns) <= header_set]
     # prefer the most specific match (largest required column set)
     if matches:

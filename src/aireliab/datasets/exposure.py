@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,46 @@ class MonthTable:
                 return row
         raise ValueError(f"{date} not covered by the month table")
 
+    # Per-day tables, built once per table: entry d - 1 describes day d of
+    # the period, as date_of_day and month_of_date would for that day.
+
+    @cached_property
+    def day_dates(self) -> tuple[dt.date, ...]:
+        """The date of each day of the period."""
+        start = self.start_date
+        return tuple(start + dt.timedelta(days=d) for d in range(int(self.tau)))
+
+    @cached_property
+    def day_months(self) -> tuple[str, ...]:
+        """The "YYYY-MM" month string of each day of the period."""
+        return tuple(f"{date:%Y-%m}" for date in self.day_dates)
+
+    @cached_property
+    def day_month_ids(self) -> tuple[int, ...]:
+        """The month id of each day of the period."""
+        n = int(self.tau)
+        ids = np.zeros(n, dtype=np.int64)
+        # later rows first, so that the first row covering a day wins it, as
+        # in month_of_date; every day of the period is covered by some row
+        for row in reversed(self.rows):
+            first = (row.start_date - self.start_date).days
+            ids[max(first, 0):max(first + row.n_days, 0)] = row.month_id
+        return tuple(ids.tolist())
+
+
+_NOT_ASCENDING = "breakpoints must be strictly ascending"
+
+
+def _check_rates(rate: np.ndarray) -> None:
+    """Reject a row of daily rates, or the first bad row of a matrix of them."""
+    rate = np.atleast_2d(rate)
+    finite = np.isfinite(rate).all(axis=1)
+    bad = ~finite | (rate < 0).any(axis=1)
+    if bad.any():
+        if not finite[np.argmax(bad)]:
+            raise ValueError("daily rates must be finite")
+        raise ValueError("daily rates must be non-negative")
+
 
 @dataclass(frozen=True)
 class ExposureSchedule:
@@ -111,17 +152,30 @@ class ExposureSchedule:
         rate = np.asarray(self.daily_rate, dtype=float)
         if bp.ndim != 1 or rate.ndim != 1 or len(bp) != len(rate) + 1:
             raise ValueError("breakpoints must have exactly one more entry than daily_rate")
+        if not np.isfinite(bp).all():
+            raise ValueError("breakpoints must be finite")
         if bp[0] != 0.0 or abs(bp[-1] - self.tau) > 1e-9:
             raise ValueError("breakpoints must run from 0 to tau")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly ascending")
-        if not np.isfinite(rate).all():
-            raise ValueError("daily rates must be finite")
-        if np.any(rate < 0):
-            raise ValueError("daily rates must be non-negative")
+        if not (np.diff(bp) > 0).all():
+            raise ValueError(_NOT_ASCENDING)
+        _check_rates(rate)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "daily_rate", rate)
         object.__setattr__(self, "tau", float(self.tau))
+
+    @classmethod
+    def _prechecked(cls, unit_id: str, breakpoints: np.ndarray, daily_rate: np.ndarray,
+                    tau: float) -> "ExposureSchedule":
+        """A schedule from fields that already passed ``__post_init__``'s
+        checks, built without running them again."""
+        self = object.__new__(cls)
+        # as the frozen __init__ sets them; touching vars(self) instead
+        # would give every schedule a dict of its own, about 0.1 kB each
+        object.__setattr__(self, "unit_id", unit_id)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "daily_rate", daily_rate)
+        object.__setattr__(self, "tau", tau)
+        return self
 
     def rate_at(self, t):
         """Rate at time(s) ``t`` in (0, tau]; t=0 maps to the first segment."""
@@ -159,32 +213,46 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
 
     Each month's rate is that month's mileage divided by its number of
     days, so the schedule integrates back to the monthly totals exactly.
+    The schedules share one grid of month breakpoints; the grid and the
+    whole matrix of rates are checked once, with the errors and messages
+    that building each schedule on its own would raise, row by row.
     """
     if not isinstance(months, MonthTable):
         months = MonthTable(months)
+    rows = list(mileage_rows)
     n_days = np.array([r.n_days for r in months.rows], dtype=float)
     breakpoints = np.concatenate([[0.0], np.cumsum(n_days)])
     tau = float(breakpoints[-1])
-    schedules = []
-    for row in mileage_rows:
-        miles = np.asarray(row.monthly_miles, dtype=float)
-        if len(miles) != len(months):
-            raise ValueError(
-                f"{row.vin}: {len(miles)} mileage columns but {len(months)} month rows"
-            )
-        schedules.append(
-            ExposureSchedule(
-                unit_id=f"{row.manufacture}:{row.vin}",
-                breakpoints=breakpoints.copy(),
-                daily_rate=miles / n_days,
-                tau=tau,
-            )
+    n_months = len(months)
+    # the rows before the first one with the wrong number of months
+    n_good = next((i for i, row in enumerate(rows) if len(row.monthly_miles) != n_months),
+                  len(rows))
+    rates = np.array([row.monthly_miles for row in rows[:n_good]],
+                     dtype=float).reshape(n_good, n_months)
+    rates /= n_days
+    if n_good:
+        if not (np.diff(breakpoints) > 0).all():
+            raise ValueError(_NOT_ASCENDING)
+        _check_rates(rates)
+    if n_good < len(rows):
+        row = rows[n_good]
+        raise ValueError(
+            f"{row.vin}: {len(row.monthly_miles)} mileage columns but {n_months} month rows"
         )
-    return schedules
+    return [
+        ExposureSchedule._prechecked(f"{row.manufacture}:{row.vin}", breakpoints.copy(),
+                                     rate, tau)
+        for row, rate in zip(rows, rates)
+    ]
 
 
 def sum_schedules(schedules, unit_id: str = "fleet") -> ExposureSchedule:
-    """Pointwise sum of exposure schedules sharing one observation window."""
+    """Pointwise sum of exposure schedules sharing one observation window.
+
+    The sum lives on the union of the schedules' breakpoints; each
+    schedule's rate is looked up on every cell of that grid and the rates
+    are added in schedule order.
+    """
     schedules = list(schedules)
     if not schedules:
         raise ValueError("no schedules to sum")
@@ -194,6 +262,13 @@ def sum_schedules(schedules, unit_id: str = "fleet") -> ExposureSchedule:
     grid = np.unique(np.concatenate([s.breakpoints for s in schedules]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     rate = np.zeros(len(mids))
+    key = None
     for s in schedules:
-        rate += s.rate_at(mids)
+        # the schedules of one fleet share their breakpoints, so the cells'
+        # segments (rate_at's lookup) are found once per run of equal grids
+        if s.breakpoints.tobytes() != key:
+            key = s.breakpoints.tobytes()
+            segment = np.clip(np.searchsorted(s.breakpoints, mids) - 1, 0,
+                              len(s.daily_rate) - 1)
+        rate += s.daily_rate[segment]
     return ExposureSchedule(unit_id=unit_id, breakpoints=grid, daily_rate=rate, tau=tau)

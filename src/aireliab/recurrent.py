@@ -149,6 +149,8 @@ class EventSeries:
         times = np.asarray(self.event_times, dtype=float)
         if times.ndim != 1:
             raise ValueError("event_times must be one-dimensional")
+        if not np.isfinite(times).all():
+            raise ValueError("event_times must be finite")
         if (np.diff(times) < 0).any():
             raise ValueError("event_times must be ascending (ties allowed)")
         if times.size and (times[0] <= 0 or times[-1] > self.tau + 1e-9):

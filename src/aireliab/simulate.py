@@ -7,7 +7,8 @@ One constant-envelope thinning draw (Lewis & Shedler 1979) serves both
 the NHPP streams and the cascade's source modules; downstream cascade
 modules add one exponential trigger sum (Ogata 1981).  The converters
 between records and model objects take their column names from the
-schema specs.  Streams come from the counter-based Philox generator (see
+schema specs, and map days to dates through the month table's per-day
+tables and date ordinals, over arrays.  Streams come from the counter-based Philox generator (see
 ``_rng``); replicates derive child seeds through SeedSequence mixing, so
 results do not depend on evaluation order or thread count.
 
@@ -48,21 +49,67 @@ def _left_cutoff(model: BaselineIntensityModel) -> float:
     return 0.0
 
 
+def _mode(model: BaselineIntensityModel) -> float | None:
+    """Where the baseline intensity peaks away from 0 and infinity, if it does."""
+    th = model.theta
+    if model.family == "weibull_growth" and th[2] > 1.0:
+        return ((th[2] - 1.0) / (th[1] * th[2])) ** (1.0 / th[2])
+    if model.family == "gompertz" and th[1] > 1.0:
+        return np.log(th[1]) / th[2]
+    return None
+
+
 def intensity_supremum(model: BaselineIntensityModel, lo: float, hi: float) -> float:
     """Exact supremum of the baseline intensity over [lo, hi], lo > 0."""
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
     candidates = [lo, hi]
-    th = model.theta
-    if model.family == "weibull_growth" and th[2] > 1.0:
-        mode = ((th[2] - 1.0) / (th[1] * th[2])) ** (1.0 / th[2])
-        if lo < mode < hi:
-            candidates.append(mode)
-    elif model.family == "gompertz" and th[1] > 1.0:
-        mode = np.log(th[1]) / th[2]
-        if lo < mode < hi:
-            candidates.append(mode)
+    mode = _mode(model)
+    if mode is not None and lo < mode < hi:
+        candidates.append(mode)
     return float(max(baseline_intensity(model, t) for t in candidates))
+
+
+def _pointwise_intensity(model: BaselineIntensityModel, t: np.ndarray) -> np.ndarray:
+    """lambda0 at each point of the array ``t`` > 0, bit for bit as
+    ``baseline_intensity`` returns it for the points one at a time.
+
+    The power law raises a numpy scalar to a power when given one point,
+    which numpy does with the C library's pow; over an array numpy may use
+    its own SIMD pow, which can differ in the last bit.  ``float_power``
+    calls the C library's pow for every element.  The other families give
+    the same bits either way.
+    """
+    if model.family == "power_law":
+        shape, scale = model.theta
+        return (shape / scale) * np.float_power(t / scale, shape - 1.0)
+    return baseline_intensity(model, t)
+
+
+def _envelope(model: BaselineIntensityModel, exposure: ExposureSchedule) -> float:
+    """Constant thinning envelope of ``simulate_nhpp``: the largest rate x
+    sup lambda0 over the positive-rate segments above the left cutoff.
+
+    Each segment's supremum is taken over its start (clipped at the cutoff
+    and at T_MIN), its end and the family's mode where it lies inside, as
+    ``intensity_supremum`` takes it, and the segments are compared as a
+    running maximum would compare them, so the bound is the same float.
+    """
+    lo = _left_cutoff(model)
+    a, b = exposure.breakpoints[:-1], exposure.breakpoints[1:]
+    keep = (exposure.daily_rate > 0) & (b > lo)
+    rate, a, b = exposure.daily_rate[keep], np.maximum(a[keep], max(lo, T_MIN)), b[keep]
+    if (b < a).any():
+        raise ValueError("need 0 < lo <= hi")
+    sup = _pointwise_intensity(model, a)
+    at_end = _pointwise_intensity(model, b)
+    sup = np.where(at_end > sup, at_end, sup)
+    mode = _mode(model)
+    if mode is not None:
+        at_mode = _pointwise_intensity(model, np.array([mode]))
+        sup = np.where((a < mode) & (mode < b) & (at_mode > sup), at_mode, sup)
+    # a NaN never wins a running maximum that starts at 0
+    return np.fmax.reduce(rate * sup, initial=0.0)
 
 
 def _thin(rng, lo: float, hi: float, bound: float, intensity) -> np.ndarray:
@@ -87,12 +134,7 @@ def simulate_nhpp(model: BaselineIntensityModel, exposure: ExposureSchedule,
     if abs(exposure.tau - tau) > 1e-9:
         raise ValueError("exposure horizon does not match tau")
     lo = _left_cutoff(model)
-    envelope = 0.0
-    for a, b, rate in zip(exposure.breakpoints[:-1], exposure.breakpoints[1:],
-                          exposure.daily_rate):
-        if rate <= 0 or b <= lo:
-            continue
-        envelope = max(envelope, rate * intensity_supremum(model, max(a, lo, T_MIN), b))
+    envelope = _envelope(model, exposure)
     rng = make_rng(seed)
     if envelope <= 0:
         return EventSeries(exposure.unit_id, np.array([]), tau, exposure)
@@ -294,37 +336,45 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
 # fixture emitters: model-world objects -> dataset-schema records
 
 
-def _calendar(months: MonthTable, t: float):
-    """Date, "YYYY-MM" month and month id of calendar day ceil(t) of the period."""
-    date = months.date_of_day(int(np.ceil(t)))
-    return date, f"{date:%Y-%m}", months.month_of_date(date).month_id
+def _calendar(months: MonthTable, times) -> np.ndarray:
+    """Index into the month table's per-day tables of calendar day ceil(t)
+    of the period, for each time t."""
+    days = np.ceil(np.asarray(times, dtype=float))
+    outside = ~((days >= 1) & (days <= months.tau))
+    if outside.any():
+        # the first such time raises what date_of_day raises for it
+        months.date_of_day(int(days[np.argmax(outside)]))
+    return days.astype(np.intp) - 1
 
 
 def disengagement_records(series_list, months: MonthTable,
                           manufacture: str) -> list[DisengagementRecord]:
-    """Event streams rendered as dated disengagement rows.
+    """Event streams rendered as dated disengagement rows, by date and VIN.
 
     Event times are day offsets; an event at time t falls on calendar day
     ceil(t) of the period.
     """
-    records = []
-    for series in series_list:
-        vin = series.unit_id.split(":")[-1]
-        for t in series.event_times:
-            records.append(DisengagementRecord(manufacture, vin, *_calendar(months, t)))
-    records.sort(key=lambda r: (r.date, r.vin))
-    return records
+    series_list = list(series_list)
+    vins = [series.unit_id.split(":")[-1] for series in series_list]
+    unit = np.repeat(np.arange(len(series_list)), [s.n_events for s in series_list])
+    day = _calendar(months, np.concatenate([np.empty(0), *(s.event_times for s in series_list)]))
+    vin_rank = {vin: i for i, vin in enumerate(sorted(set(vins)))}
+    rank = np.array([vin_rank[vin] for vin in vins], dtype=np.intp)
+    # by date, then VIN; events equal in both render as equal rows
+    order = np.lexsort((rank[unit], day))
+    dates, month, month_id = months.day_dates, months.day_months, months.day_month_ids
+    return [DisengagementRecord(manufacture, vins[u], dates[d], month[d], month_id[d])
+            for u, d in zip(unit[order].tolist(), day[order].tolist())]
 
 
 def collision_records(event_times, months: MonthTable,
                       manufacture: str) -> list[CollisionRecord]:
     """Manufacturer-level collision rows; event ids number distinct dates."""
-    date_ids: dict = {}
-    records = []
-    for date, month, month_id in sorted(_calendar(months, t) for t in np.asarray(event_times)):
-        event_id = date_ids.setdefault(date, len(date_ids) + 1)
-        records.append(CollisionRecord(manufacture, None, date, month, month_id, event_id))
-    return records
+    day = np.sort(_calendar(months, event_times))
+    event_id = np.unique(day, return_inverse=True)[1] + 1
+    dates, month, month_id = months.day_dates, months.day_months, months.day_month_ids
+    return [CollisionRecord(manufacture, None, dates[d], month[d], month_id[d], e)
+            for d, e in zip(day.tolist(), event_id.tolist())]
 
 
 def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
@@ -446,6 +496,14 @@ def interval_series_from_adversarial(records, scenario: int,
     return IntervalCountSeries(counts, X, tuple(covariates), performance=perf)
 
 
+def _day_offsets(months: MonthTable, records):
+    """``day_index`` of each record's date, from date ordinals, and whether
+    each date lies outside the period (where ``day_index`` raises)."""
+    first, last = months.start_date.toordinal(), months.end_date.toordinal()
+    ordinal = np.array([r.date.toordinal() for r in records], dtype=np.int64)
+    return ordinal - (first - 1), (ordinal < first) | (ordinal > last)
+
+
 def event_series_from_disengagements(records, mileage_rows, months: MonthTable,
                                      manufacture: str) -> list[EventSeries]:
     """Per-vehicle event series for one manufacturer.
@@ -458,25 +516,34 @@ def event_series_from_disengagements(records, mileage_rows, months: MonthTable,
     if not fleet_rows:
         raise ValueError(f"no mileage rows for manufacturer {manufacture!r}")
     schedules = derive_exposure(fleet_rows, months)
-    by_vin: dict[str, list[float]] = {r.vin: [] for r in fleet_rows}
-    for rec in records:
-        if rec.manufacture != manufacture:
-            continue
-        if rec.vin not in by_vin:
+    vehicle_of: dict[str, int] = {}  # rows that share a VIN share its events
+    for row in fleet_rows:
+        vehicle_of.setdefault(row.vin, len(vehicle_of))
+    ours = [r for r in records if r.manufacture == manufacture]
+    vehicle = np.array([vehicle_of.get(r.vin, -1) for r in ours], dtype=np.int64)
+    day, outside = _day_offsets(months, ours)
+    bad = (vehicle < 0) | outside
+    if bad.any():
+        rec = ours[np.argmax(bad)]
+        if rec.vin not in vehicle_of:
             raise ValueError(f"event for unknown vehicle {rec.vin!r}")
-        by_vin[rec.vin].append(float(months.day_index(rec.date)))
+        months.day_index(rec.date)  # raises for the date outside the period
+    # every vehicle's days, ascending, as one run of the sorted array
+    times = day[np.lexsort((day, vehicle))].astype(float)
+    count = np.bincount(vehicle, minlength=len(vehicle_of))
+    end = np.cumsum(count)
     series = []
     for row, schedule in zip(fleet_rows, schedules):
-        times = np.sort(np.asarray(by_vin[row.vin]))
-        series.append(EventSeries(schedule.unit_id, times, schedule.tau, schedule))
+        v = vehicle_of[row.vin]
+        series.append(EventSeries(schedule.unit_id, times[end[v] - count[v]:end[v]],
+                                  schedule.tau, schedule))
     return series
 
 
 def collision_times(records, months: MonthTable, manufacture: str) -> np.ndarray:
     """Manufacturer-level collision day offsets, ties preserved."""
-    times = [
-        float(months.day_index(r.date))
-        for r in records
-        if r.manufacture == manufacture
-    ]
-    return np.sort(np.asarray(times))
+    ours = [r for r in records if r.manufacture == manufacture]
+    day, outside = _day_offsets(months, ours)
+    if outside.any():
+        months.day_index(ours[np.argmax(outside)].date)  # raises for that date
+    return np.sort(day.astype(float))

@@ -332,3 +332,16 @@ def test_summarize_reads_a_quoted_header(tmp_path, capsys, data_dir):
     code, out, _ = run_cli(["summarize", str(path), "--out", str(tmp_path / "o")], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["schema"] == "disengagement"
+
+
+def test_summarize_does_not_detect_a_header_the_parser_rejects(tmp_path, capsys, data_dir):
+    # the parser matches header cells verbatim, so detection must too: with
+    # ", " separators no schema's columns are all present
+    lines = (data_dir / "disengagements" / "disengagements.csv").read_text().splitlines()
+    path = tmp_path / "spaced.csv"
+    path.write_text("\n".join([lines[0].replace(",", ", "), *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    code, _, err = run_cli(["summarize", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert "could not match" in err
+    assert "malformed header" not in err

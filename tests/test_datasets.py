@@ -216,6 +216,16 @@ def test_non_finite_daily_rate_rejected(bad):
         constant_exposure(bad, 730.0)
 
 
+@pytest.mark.parametrize("breakpoints, tau", [
+    ([0.0, float("nan"), 10.0], 10.0),
+    ([0.0, 5.0, float("nan")], 10.0),
+    ([0.0, 5.0, float("inf")], float("inf")),
+])
+def test_non_finite_breakpoints_rejected(breakpoints, tau):
+    with pytest.raises(ValueError, match="breakpoints"):
+        datasets.ExposureSchedule("u", np.array(breakpoints), np.ones(2), tau)
+
+
 def test_derive_exposure_conserves_mileage():
     months = MonthTable(build_months())
     rng = np.random.default_rng(0)

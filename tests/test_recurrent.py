@@ -74,6 +74,14 @@ def test_invalid_parameters_rejected():
         baseline_intensity(model, 0.0)
 
 
+@pytest.mark.parametrize("times", [[1.0, float("nan"), 3.0], [float("nan")]])
+def test_non_finite_event_times_rejected(times):
+    # a NaN passes the ascending and (0, tau] checks, and a fit on it used
+    # to report convergence at a finite log-likelihood
+    with pytest.raises(ValueError, match="finite"):
+        EventSeries("u", times, 5.0, constant_exposure(1.0, 5.0))
+
+
 def test_log_likelihood_hpp_closed_form():
     rate, x, tau = 0.5, 2.0, 10.0
     series = EventSeries("u", [1.0, 3.0, 7.0], tau, constant_exposure(x, tau))
