@@ -1,10 +1,11 @@
 """The ``air`` command line: ingestion, fitting, design, and simulation.
 
 Every subcommand writes its results plus a ``manifest.json`` (command,
-flags, input digests, seed, version, timestamps) to an output directory,
-``./air-out/<timestamp>`` unless ``--out`` says otherwise.  Exit codes:
-0 on success, 2 when validation finds violations (the report is still
-written), 1 on other errors.
+flags, input digests, seed, the package, Python, numpy and scipy
+versions, timestamps) to an output directory, ``./air-out/<timestamp>``
+unless ``--out`` says otherwise.  Exit codes: 0 on success, 2 when
+validation finds violations (the report is still written), 1 on other
+errors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, datasets, design, propagation, recurrent, regression, simulate, srgm
 from .datasets.repository import DATA_ROOT_ENV
@@ -83,6 +85,8 @@ class Run:
             "inputs": self.inputs,
             "seed": getattr(self.args, "seed", None),
             "version": __version__,
+            "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                         "scipy": scipy.__version__},
             "started": self.started.isoformat(),
             "finished": dt.datetime.now(dt.timezone.utc).isoformat(),
         }
@@ -223,7 +227,7 @@ def cmd_fit_ep(args, run: Run) -> int:
         grid = np.linspace(window / args.mae_grid, window, args.mae_grid)
         competitors = {
             "hpp": propagation.fit_independent_hpp(logs).model,
-            "nhpp": propagation.fit_independent_nhpp(logs).model,
+            "nhpp": propagation.fit_independent_nhpp(logs, ep_fit=fit).model,
             "ep": fit.model,
         }
         rows = [["model", *grid, "overall"]]

@@ -49,6 +49,11 @@ class MonthTable:
             if row.month_id != rows[0].month_id + i:
                 raise ValueError("month ids are not consecutive")
             expected = (row.end_date - row.start_date).days + 1
+            if expected < 1:
+                raise ValueError(
+                    f"month {row.month_id}: end date {row.end_date} precedes "
+                    f"start date {row.start_date}"
+                )
             if row.n_days != expected:
                 raise ValueError(
                     f"month {row.month_id}: n_days={row.n_days} but dates span {expected}"

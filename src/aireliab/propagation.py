@@ -156,6 +156,12 @@ class _ExpKernel:
     forward substitution (BLAS tbsv).  Each step adds non-negative terms,
     so nothing cancels, and every factor comes from a difference of nearby
     times.
+
+    Everything that does not depend on b is prepared once, so a fit that
+    evaluates one kernel thousands of times pays only the arithmetic: the
+    negated source gaps and query steps (a call multiplies them by b), the
+    F-order band buffer that tbsv reads, filled in place, and whether the
+    queries arrived sorted, in which case the results need no reordering.
     """
 
     def __init__(self, sources, queries):
@@ -163,7 +169,7 @@ class _ExpKernel:
         first = np.cumsum([0] + [q.size for q in queries])
         self.size = int(first[-1])
         self.pos = np.zeros(self.size, dtype=int)  # sorted slot of each query
-        self.step = np.full(self.size, np.inf)  # from the previous query
+        step = np.full(self.size, np.inf)  # from the previous query
         self.carried = np.zeros(self.size)  # sources before the previous query
         bins, gaps = [np.zeros(0, dtype=int)], [np.zeros(0)]
         for k, (q, s) in enumerate(zip(queries, sources)):
@@ -174,37 +180,45 @@ class _ExpKernel:
             order = np.argsort(q, kind="stable")
             q = q[order]
             self.pos[lo + order] = np.arange(lo, hi)
-            self.step[lo + 1:hi] = np.diff(q)
+            step[lo + 1:hi] = np.diff(q)
             self.carried[lo + 1:hi] = np.searchsorted(s, q[:-1], side="left")
             nxt = np.searchsorted(q, s, side="right")
             used = nxt < q.size  # sources after the last query never count
             bins.append(lo + nxt[used])
             gaps.append(q[nxt[used]] - s[used])
         self.bins = np.concatenate(bins)
-        self.gaps = np.concatenate(gaps)
+        self.neg_gaps = -np.concatenate(gaps)
+        self.neg_step = -step
+        self.in_order = bool((self.pos == np.arange(self.size)).all())
         # with at most one query per segment (as at window ends) there is
         # nothing to carry between queries
-        self.chained = bool(np.isfinite(self.step).any())
+        self.chained = bool(np.isfinite(step).any())
+        if self.chained:
+            self._band = np.zeros((2, self.size), order="F")
+            self._factors = np.empty(self.size - 1)  # the d_i, formed contiguously
 
     def trigger(self, decay: float) -> np.ndarray:
-        binned = np.bincount(self.bins, weights=np.exp(-decay * self.gaps),
+        binned = np.bincount(self.bins, weights=np.exp(decay * self.neg_gaps),
                              minlength=self.size)
         return self._unroll(binned, decay)
 
     def compensator(self, decay: float) -> np.ndarray:
-        binned = np.bincount(self.bins, weights=-np.expm1(-decay * self.gaps),
+        binned = np.bincount(self.bins, weights=-np.expm1(decay * self.neg_gaps),
                              minlength=self.size)
         if self.chained:
-            binned = binned + self.carried * -np.expm1(-decay * self.step)
+            binned = binned + self.carried * -np.expm1(decay * self.neg_step)
         return self._unroll(binned, decay) / decay
 
     def _unroll(self, c, decay):
-        """x_i = d_i x_{i-1} + c_i over the sorted queries, returned in input order."""
-        if not self.chained:
-            return c[self.pos]
-        band = np.zeros((2, self.size), order="F")
-        band[1, :-1] = -np.exp(-decay * self.step[1:])
-        return blas.dtbsv(1, band, c, lower=1, diag=1)[self.pos]
+        """x_i = d_i x_{i-1} + c_i over the sorted queries, returned in input order.
+
+        ``c`` is overwritten.
+        """
+        if self.chained:
+            d = np.exp(np.multiply(self.neg_step[1:], decay, out=self._factors), out=self._factors)
+            np.negative(d, out=self._band[1, :-1])
+            c = blas.dtbsv(1, self._band, c, lower=1, diag=1, overwrite_x=1)
+        return c if self.in_order else c[self.pos]
 
 
 def _edge_kernels(model: EPModel, log: ModuleEventLog, module: str, times):
@@ -278,41 +292,47 @@ def _module_objective(module, logs, source_names, decay_bounds):
 
     The parameter vector is z = (log shape, log scale, then log jump and
     log decay per source); decays are clipped to ``decay_bounds``.
+
+    Built once per fit: the module's event times and window ends, one
+    prepared ``_ExpKernel`` pair per edge (trigger sums at the module's own
+    events, compensators at each log's window end) and the clip bounds as
+    two vectors, so a call maps z to every parameter with one
+    ``exp(minimum(maximum(z, lo), hi))`` and then runs only array arithmetic.
     """
     own = [log.events.get(module, np.array([])) for log in logs]
     windows = np.array([log.window for log in logs])
     all_times = np.concatenate(own)
-    # per edge: trigger sums at the module's own events, compensators at
-    # each log's window end
     kernels = [
         (_ExpKernel(streams, own), _ExpKernel(streams, windows[:, None]))
         for streams in ([log.events.get(src, np.array([])) for log in logs]
                         for src in source_names)
     ]
-    lo_decay, hi_decay = np.log(decay_bounds[0]), np.log(decay_bounds[1])
+    lo = np.full(2 + 2 * len(source_names), -np.inf)
+    hi = np.full(lo.size, np.inf)
+    lo[3::2], hi[3::2] = np.log(decay_bounds[0]), np.log(decay_bounds[1])
+
+    def params(z):
+        return np.exp(np.minimum(np.maximum(z, lo), hi))
 
     def unpack(z):
-        shape, scale = np.exp(z[0]), np.exp(z[1])
-        # scalar min/max: np.clip costs more than the kernel on short logs
-        edges = [
-            (np.exp(z[2 + 2 * i]), np.exp(min(max(z[3 + 2 * i], lo_decay), hi_decay)))
-            for i in range(len(source_names))
-        ]
-        return shape, scale, edges
+        p = params(z)
+        return p[0], p[1], [(p[2 + 2 * i], p[3 + 2 * i]) for i in range(len(source_names))]
 
     def negloglik(z):
         if np.abs(z).max() > 50:
             return np.inf
-        shape, scale, edges = unpack(z)
+        p = params(z)
+        shape, scale = p[0], p[1]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
-            comp = float(np.sum((windows / scale) ** shape))
-            for (jump, decay), (at_events, at_windows) in zip(edges, kernels):
-                lam = lam + jump * at_events.trigger(decay)
-                comp += jump * float(np.sum(at_windows.compensator(decay)))
-            if (lam <= 0).any() or not np.isfinite(comp):
-                return np.inf
-            total = float(np.sum(np.log(lam))) - comp
+            comp = float(np.add.reduce((windows / scale) ** shape))
+            for i, (at_events, at_windows) in enumerate(kernels):
+                jump, decay = p[2 + 2 * i], p[3 + 2 * i]
+                lam += jump * at_events.trigger(decay)
+                comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
+            # an intensity <= 0 at an event (log -inf or nan) or a
+            # non-finite compensator leaves the total non-finite
+            total = float(np.add.reduce(np.log(lam))) - comp
         return -total if np.isfinite(total) else np.inf
 
     return negloglik, unpack
@@ -376,14 +396,43 @@ def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
     return EPFit(model, total_ll, 2 * k - 2 * total_ll, converged, iterations, per_module)
 
 
-def fit_independent_nhpp(logs, **options) -> EPFit:
-    """Independent power-law fit per module (no triggering edges)."""
+def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, **options) -> EPFit:
+    """Independent power-law fit per module (no triggering edges).
+
+    A module without in-edges is fitted here exactly as in ``fit_ep``: same
+    objective, starts and search, hence the same result.  Given ``ep_fit``,
+    which must be ``fit_ep(logs, **options)``, those modules take their
+    baseline and log-likelihood from it and only the modules with in-edges
+    are refitted; ``iterations`` then counts the refits alone and
+    ``converged`` also requires ``ep_fit.converged``.
+    """
     logs = _as_logs(logs)
-    stripped = [
-        ModuleEventLog(log.events, log.window, {}, log.weather, log.injection, log.scenario_id)
-        for log in logs
-    ]
-    return fit_ep(stripped, **options)
+    modules = list(logs[0].events)
+    fits = {}  # module -> the fit its baseline comes from
+    if ep_fit is not None:
+        if set(ep_fit.model.baseline) != set(modules):
+            raise ValueError("ep_fit was fitted to other modules than the logs hold")
+        targets = {tgt for tgt, _ in ep_fit.model.edges}
+        fits = {m: ep_fit for m in modules if m not in targets}
+    refit = [m for m in modules if m not in fits]
+    iterations = 0
+    if refit:
+        stripped = [
+            ModuleEventLog({m: t for m, t in log.events.items() if m in refit}, log.window, {},
+                           log.weather, log.injection, log.scenario_id)
+            for log in logs
+        ]
+        part = fit_ep(stripped, **options)
+        fits.update(dict.fromkeys(refit, part))
+        iterations = part.iterations
+    per_module = {m: fits[m].per_module[m] for m in modules}
+    total_ll = 0.0  # summed in module order, as in fit_ep
+    for m in modules:
+        total_ll += per_module[m]
+    model = EPModel({m: fits[m].model.baseline[m] for m in modules})
+    k = 2 * len(modules)
+    return EPFit(model, total_ll, 2 * k - 2 * total_ll,
+                 all(fit.converged for fit in fits.values()), iterations, per_module)
 
 
 def fit_independent_hpp(logs) -> EPFit:

@@ -220,6 +220,38 @@ def test_fit_ep_with_mae_table(tmp_path, capsys, data_dir):
     assert {line.split(",")[0] for line in lines[1:]} == {"hpp", "nhpp", "ep"}
 
 
+def test_fit_ep_nhpp_row_is_a_fresh_nhpp_fit(tmp_path, capsys, data_dir):
+    # the nhpp competitor reuses the EP fit's source-free modules; its MAE
+    # row must equal that of an independent fit made from scratch
+    from aireliab import datasets, propagation, simulate
+
+    log = data_dir / "module-errors" / "module_errors.csv"
+    code, _, _ = run_cli(["fit-ep", "--log", str(log), "--mae-grid", "4",
+                          "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "mae.csv").read_text().splitlines()]
+    grid = [float(v) for v in rows[0][1:-1]]
+    written = [float(v) for v in next(row for row in rows if row[0] == "nhpp")[1:]]
+    logs = list(simulate.module_event_log(datasets.load(log, "module_error")).values())
+    model = propagation.fit_independent_nhpp(logs).model
+    expected = [propagation.evaluate_mae(model, logs, [g]) for g in grid]
+    expected.append(propagation.evaluate_mae(model, logs, grid))
+    assert np.array_equal(np.array(written).view(np.int64), np.array(expected).view(np.int64))
+
+
+def test_manifest_records_runtime_versions(tmp_path, capsys, data_dir):
+    import platform
+
+    import scipy
+
+    code, _, _ = run_cli(["fit-ep", "--log", str(data_dir / "module-errors" / "module_errors.csv"),
+                          "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def test_simulate_mixture_roundtrips(tmp_path, capsys):
     code, out, _ = run_cli(["simulate", "mixture", "--seed", "3",
                             "--out", str(tmp_path)], capsys)

@@ -197,6 +197,14 @@ def test_parse_records_skips_unparseable_rows():
     assert "number format" in [v.rule for v in report.violations]
 
 
+@pytest.mark.parametrize("end, n_days", [(dt.date(2020, 1, 31), 0), (dt.date(2020, 1, 20), -11)])
+def test_month_ending_before_it_starts_rejected(end, n_days):
+    rows = build_months(start=dt.date(2019, 12, 1), n=3)
+    rows[-1] = datasets.MonthRow(3, dt.date(2020, 2, 1), end, n_days)
+    with pytest.raises(ValueError, match="month 3: end date .* precedes start date"):
+        MonthTable(rows)
+
+
 def test_derive_exposure_division_rule():
     months = MonthTable(build_months())
     row = MileageRow("Waymo", "V1", tuple([3.1] + [0.0] * 23))

@@ -131,6 +131,39 @@ def test_nesting_ep_contains_independent_nhpp():
     assert ep.log_lik >= nh.log_lik - 1e-8
 
 
+def fit_bits(fit):
+    """Every fitted number of an EPFit, as raw bits, in module order."""
+    values = [v for m, params in fit.model.baseline.items() for v in (*params, fit.per_module[m])]
+    return np.array(values + [fit.log_lik, fit.aic]).view(np.int64)
+
+
+@pytest.mark.parametrize("sources", [DEFAULT_SOURCES, {"localization": ("lidar",)}],
+                         ids=["default", "absent-source"])
+def test_nhpp_reuses_source_free_ep_fits_bit_for_bit(sources):
+    # a module whose sources are all absent from the logs has no in-edges
+    # in fit_ep, so it is source-free and reused too
+    logs = [ModuleEventLog(log.events, log.window, sources) for log in
+            (cascade(21)[1], cascade(22)[1])]
+    ep = fit_ep(logs)
+    fresh = fit_independent_nhpp(logs)
+    reused = fit_independent_nhpp(logs, ep_fit=ep)
+    assert list(reused.model.baseline) == list(fresh.model.baseline) == list(logs[0].events)
+    assert np.array_equal(fit_bits(reused), fit_bits(fresh))
+    assert reused.converged == (fresh.converged and ep.converged)
+    if ep.model.edges:
+        assert 0 < reused.iterations < fresh.iterations
+    else:
+        assert reused.iterations == 0
+        assert np.array_equal(fit_bits(reused), fit_bits(ep))
+
+
+def test_nhpp_rejects_ep_fit_of_other_modules():
+    logs = [cascade(21)[1]]
+    other = fit_ep(ModuleEventLog({"2d": logs[0].events["2d"]}, logs[0].window))
+    with pytest.raises(ValueError, match="other modules"):
+        fit_independent_nhpp(logs, ep_fit=other)
+
+
 def test_time_rescaling_ks_under_true_model():
     truth = EPModel(
         {"2d": (1.0, 1.0), "3d": (1.0, 1.0), "localization": (1.0, 2.0)},

@@ -5,6 +5,11 @@ source-query gap is formed explicitly, and the fit objective is built
 from flattened gap tables.  Each property holds the fast path to 1e-10
 relative on generated logs that include tied source/own times, empty
 source streams, single events and events at t = window.
+
+The fit objective also has a bit-for-bit oracle: the objective and kernel
+as they were before the kernel's b-free parts were prepared once per fit,
+copied verbatim.  The prepared objective must return the same bits at
+every z, so every fit takes the same path.
 """
 
 import numpy as np
@@ -12,8 +17,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from scipy.linalg import blas
+
+from aireliab._optim import maximize, starts
 from aireliab.propagation import (
     DEFAULT_SOURCES,
+    TOLERANCE,
     EPModel,
     ModuleEventLog,
     _module_objective,
@@ -133,6 +142,100 @@ def dense_module_negloglik(module, logs, source_names, decay_bounds):
 
 
 # ---------------------------------------------------------------------------
+# bit-for-bit oracle: the unprepared kernel and objective, verbatim
+
+
+class OracleExpKernel:
+    def __init__(self, sources, queries):
+        queries = [np.asarray(q, dtype=float).ravel() for q in queries]
+        first = np.cumsum([0] + [q.size for q in queries])
+        self.size = int(first[-1])
+        self.pos = np.zeros(self.size, dtype=int)  # sorted slot of each query
+        self.step = np.full(self.size, np.inf)  # from the previous query
+        self.carried = np.zeros(self.size)  # sources before the previous query
+        bins, gaps = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for k, (q, s) in enumerate(zip(queries, sources)):
+            if not q.size:
+                continue
+            lo, hi = first[k], first[k + 1]
+            s = np.asarray(s, dtype=float)
+            order = np.argsort(q, kind="stable")
+            q = q[order]
+            self.pos[lo + order] = np.arange(lo, hi)
+            self.step[lo + 1:hi] = np.diff(q)
+            self.carried[lo + 1:hi] = np.searchsorted(s, q[:-1], side="left")
+            nxt = np.searchsorted(q, s, side="right")
+            used = nxt < q.size  # sources after the last query never count
+            bins.append(lo + nxt[used])
+            gaps.append(q[nxt[used]] - s[used])
+        self.bins = np.concatenate(bins)
+        self.gaps = np.concatenate(gaps)
+        # with at most one query per segment (as at window ends) there is
+        # nothing to carry between queries
+        self.chained = bool(np.isfinite(self.step).any())
+
+    def trigger(self, decay: float) -> np.ndarray:
+        binned = np.bincount(self.bins, weights=np.exp(-decay * self.gaps),
+                             minlength=self.size)
+        return self._unroll(binned, decay)
+
+    def compensator(self, decay: float) -> np.ndarray:
+        binned = np.bincount(self.bins, weights=-np.expm1(-decay * self.gaps),
+                             minlength=self.size)
+        if self.chained:
+            binned = binned + self.carried * -np.expm1(-decay * self.step)
+        return self._unroll(binned, decay) / decay
+
+    def _unroll(self, c, decay):
+        """x_i = d_i x_{i-1} + c_i over the sorted queries, returned in input order."""
+        if not self.chained:
+            return c[self.pos]
+        band = np.zeros((2, self.size), order="F")
+        band[1, :-1] = -np.exp(-decay * self.step[1:])
+        return blas.dtbsv(1, band, c, lower=1, diag=1)[self.pos]
+
+
+def oracle_module_objective(module, logs, source_names, decay_bounds):
+    own = [log.events.get(module, np.array([])) for log in logs]
+    windows = np.array([log.window for log in logs])
+    all_times = np.concatenate(own)
+    # per edge: trigger sums at the module's own events, compensators at
+    # each log's window end
+    kernels = [
+        (OracleExpKernel(streams, own), OracleExpKernel(streams, windows[:, None]))
+        for streams in ([log.events.get(src, np.array([])) for log in logs]
+                        for src in source_names)
+    ]
+    lo_decay, hi_decay = np.log(decay_bounds[0]), np.log(decay_bounds[1])
+
+    def unpack(z):
+        shape, scale = np.exp(z[0]), np.exp(z[1])
+        # scalar min/max: np.clip costs more than the kernel on short logs
+        edges = [
+            (np.exp(z[2 + 2 * i]), np.exp(min(max(z[3 + 2 * i], lo_decay), hi_decay)))
+            for i in range(len(source_names))
+        ]
+        return shape, scale, edges
+
+    def negloglik(z):
+        if np.abs(z).max() > 50:
+            return np.inf
+        shape, scale, edges = unpack(z)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
+            comp = float(np.sum((windows / scale) ** shape))
+            for (jump, decay), (at_events, at_windows) in zip(edges, kernels):
+                lam = lam + jump * at_events.trigger(decay)
+                comp += jump * float(np.sum(at_windows.compensator(decay)))
+            if (lam <= 0).any() or not np.isfinite(comp):
+                return np.inf
+            total = float(np.sum(np.log(lam))) - comp
+        return -total if np.isfinite(total) else np.inf
+
+    return negloglik, unpack
+
+
+# ---------------------------------------------------------------------------
 # generated logs and models
 
 
@@ -248,3 +351,73 @@ def test_edge_case_logs_match_dense(index):
     negloglik, _ = _module_objective("localization", [log], SOURCES, DECAY_BOUNDS)
     reference, magnitude = dense_module_negloglik("localization", [log], SOURCES, DECAY_BOUNDS)(z)
     assert_close(negloglik(z), reference, magnitude)
+
+
+# ---------------------------------------------------------------------------
+# the prepared objective against its verbatim oracle, bit for bit
+
+
+LOG_DECAY_BOUNDS = tuple(float(np.log(b)) for b in DECAY_BOUNDS)
+GUARD = 50.0
+# coordinates on both sides of the |z| > 50 guard and of both decay clips
+EDGE_COORDINATES = [v + d for v in (-GUARD, GUARD, *LOG_DECAY_BOUNDS) for d in (-1e-9, 0.0, 1e-9)]
+COORDINATE = st.one_of(st.floats(-4.0, 4.0), st.floats(-60.0, 60.0),
+                       st.sampled_from(EDGE_COORDINATES))
+SOURCE_SETS = [(), ("2d",), SOURCES, ("lidar", "3d")]  # "lidar" streams are empty
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def unpacked_bits(unpack, z):
+    shape, scale, edges = unpack(z)
+    return bits([shape, scale, *(v for edge in edges for v in edge)])
+
+
+def late_source_logs():
+    """Own streams that are empty, or that end before some source events."""
+    late = ModuleEventLog({"2d": np.array([1.0, 4.0, 6.0]), "3d": np.array([0.5, 2.0, 5.5]),
+                           "localization": np.array([2.0, 3.0])}, 6.0, DEFAULT_SOURCES)
+    no_own = ModuleEventLog({"2d": np.array([1.0]), "3d": np.array([2.0]),
+                             "localization": np.array([])}, 3.0, DEFAULT_SOURCES)
+    return [late, no_own]
+
+
+Z_EDGE = [[0.2, 0.5, -0.3, LOG_DECAY_BOUNDS[0] - 0.5, 0.1, LOG_DECAY_BOUNDS[1] + 0.5],
+          [0.2, 0.5, GUARD + 1e-9, 0.0, 0.1, 0.0],
+          [1.0, -2.0, 0.3, 1.0, -GUARD, LOG_DECAY_BOUNDS[1]]]
+
+
+@PROPERTY
+@given(cases=st.lists(logs_with_queries(), min_size=1, max_size=3),
+       sources=st.sampled_from(SOURCE_SETS),
+       zs=st.lists(st.lists(COORDINATE, min_size=6, max_size=6), min_size=1, max_size=4))
+@example(cases=[(log, None) for log in edge_case_logs()[:2]], sources=SOURCES, zs=Z_EDGE)
+@example(cases=[(log, None) for log in edge_case_logs()[2:]], sources=SOURCES, zs=Z_EDGE)
+@example(cases=[(log, None) for log in late_source_logs()], sources=SOURCES, zs=Z_EDGE)
+def test_prepared_objective_matches_oracle_bit_for_bit(cases, sources, zs):
+    # several z per objective, so a buffer left stale by one call shows in the next
+    logs = [log for log, _ in cases]
+    negloglik, unpack = _module_objective("localization", logs, sources, DECAY_BOUNDS)
+    oracle, oracle_unpack = oracle_module_objective("localization", logs, sources, DECAY_BOUNDS)
+    for z in zs:
+        z = np.array(z[:2 + 2 * len(sources)])
+        value, expected = negloglik(z), oracle(z)
+        assert bits(value) == bits(expected), (z, value, expected)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(unpacked_bits(unpack, z), unpacked_bits(oracle_unpack, z))
+
+
+def test_prepared_objective_search_matches_oracle(data_dir):
+    from aireliab import datasets, simulate
+
+    records = datasets.load(data_dir / "module-errors" / "module_errors.csv", "module_error")
+    logs = list(simulate.module_event_log(records).values())
+    z0 = starts([0.0, 0.5, -1.0, 0.0, -1.0, 0.0], 3, 0.5, key=2024)
+    runs = [maximize(build("localization", logs, SOURCES, DECAY_BOUNDS)[0], z0, TOLERANCE, 4000)
+            for build in (_module_objective, oracle_module_objective)]
+    (value, point, ok, iterations), expected = runs
+    assert bits(value) == bits(expected[0])
+    assert np.array_equal(bits(point), bits(expected[1]))
+    assert (ok, iterations) == expected[2:]
