@@ -110,7 +110,7 @@ def _resolve_dataset(args) -> tuple[Path, str]:
     if candidate.is_file():
         schema = args.schema or _detect_schema(candidate)
         return candidate, schema
-    root = datasets.resolve_data_root(getattr(args, "data_root", None))
+    root = datasets.resolve_data_root(args.data_root)
     index = datasets.load_index(root)
     directory = index.directory(args.dataset)
     csvs = sorted(directory.glob("*.csv"))
@@ -433,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=False):
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--data-root", dest="data_root", default=None,
-                       help=f"dataset root (default: ${DATA_ROOT_ENV})")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; fits run serially")
         if seed:
@@ -451,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="tabulate a dataset")
     p.add_argument("dataset", help="CSV path or dataset name from DataList.csv")
     p.add_argument("--schema", default=None, choices=sorted(datasets.SCHEMAS))
+    p.add_argument("--data-root", dest="data_root", default=None,
+                   help=f"dataset root (default: ${DATA_ROOT_ENV})")
     common(p)
     p.set_defaults(func=cmd_summarize)
 

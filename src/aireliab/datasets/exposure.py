@@ -14,24 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class MonthRow:
-    """One calendar month of the observation period."""
-
-    month_id: int
-    start_date: dt.date
-    end_date: dt.date
-    n_days: int
-
-
-@dataclass(frozen=True)
-class MileageRow:
-    """Monthly mileage (thousands of miles) for one vehicle."""
-
-    manufacture: str
-    vin: str
-    monthly_miles: tuple[float, ...]
+from .schemas import MileageRow, MonthRow  # noqa: F401  (MileageRow is re-exported)
 
 
 class MonthTable:
@@ -115,13 +98,8 @@ class MonthTable:
     @cached_property
     def day_month_ids(self) -> tuple[int, ...]:
         """The month id of each day of the period."""
-        n = int(self.tau)
-        ids = np.zeros(n, dtype=np.int64)
-        # later rows first, so that the first row covering a day wins it, as
-        # in month_of_date; every day of the period is covered by some row
-        for row in reversed(self.rows):
-            first = (row.start_date - self.start_date).days
-            ids[max(first, 0):max(first + row.n_days, 0)] = row.month_id
+        # the rows tile the period in order (checked in __init__)
+        ids = np.repeat([r.month_id for r in self.rows], [r.n_days for r in self.rows])
         return tuple(ids.tolist())
 
 

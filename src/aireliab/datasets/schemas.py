@@ -1,15 +1,16 @@
-"""Record types, column specs and row/file invariant checks for the repository schemas.
+"""Column specs, record types and row/file invariant checks for the repository schemas.
 
 Six dataset schemas (incident, mixture, adversarial, module_error,
 disengagement, collision) plus the two auxiliary tables that accompany
 the vehicle data (mileage, month).  All files are UTF-8 CSV with a
 mandatory header row; dates are ISO-8601 and months are "YYYY-MM".
-Columns beyond a schema's required set are preserved verbatim in each
-record's ``extras`` so files round-trip untouched.
+Columns beyond a dataset schema's required set are preserved verbatim in
+each record's ``extras`` so files round-trip untouched.
 
 Each schema is declared once, as a column spec: per column the header
 name, the record attribute, the cell type and an optional range rule.
-One generic parser and one generic formatter work from the specs; only
+The frozen record type of each schema is built from its spec, one
+generic parser and one generic formatter work from the specs, and only
 the invariants that span several fields of a row (row checks) or several
 rows of a file (file checks) are written by hand.
 """
@@ -21,10 +22,8 @@ import datetime as dt
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, make_dataclass
 from operator import itemgetter
-
-from .exposure import MileageRow, MonthRow
 
 N_MILEAGE_MONTHS = 24
 
@@ -40,98 +39,6 @@ class Violation:
 
     def to_dict(self):
         return {"row": self.row, "column": self.column, "rule": self.rule}
-
-
-# ---------------------------------------------------------------------------
-# record types
-
-
-@dataclass(frozen=True)
-class DisengagementRecord:
-    manufacture: str
-    vin: str
-    date: dt.date
-    month: str
-    month_id: int
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CollisionRecord:
-    manufacture: str
-    vin: str | None
-    date: dt.date
-    month: str
-    month_id: int
-    event_id: int
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ModuleErrorRecord:
-    scenario_id: int
-    weather: str
-    window: tuple[float, float]
-    ei_time_2d: tuple[float, float]
-    ei_prob_2d: float
-    ei_time_3d: tuple[float, float]
-    ei_prob_3d: float
-    timestamp: float
-    err_2d: int
-    err_3d: int
-    err_loc: int
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class MixtureRecord:
-    x1: float
-    x2: float
-    x3: float
-    z1: int
-    z2: int
-    c1: int
-    c2: int
-    c3: int
-    y1: float
-    y2: float
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class AdversarialCountRecord:
-    scenario: int
-    epsilon_range: tuple[float, float]
-    t: int
-    fc: int
-    alpha: float
-    f1: float
-    epsilon: float
-    fgsm_pct: float
-    pgd_pct: float
-    train_acc: float
-    train_loss: float
-    val_acc: float
-    val_loss: float
-    test_acc: float
-    test_loss: float
-    memory: float
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class IncidentRecord:
-    incident_no: int
-    company: str
-    sector: str
-    system: str
-    algorithm: str
-    cause: str
-    description: str
-    casuality: int
-    injured: int
-    comment: str
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +113,11 @@ class Column:
 class SchemaDef:
     """One schema: its column spec plus the checks no single column states.
 
+    ``record_type`` is the frozen dataclass ``type_name`` built from the
+    spec: one field per attribute, in the order the attribute first
+    appears among the columns, holding a tuple where several columns share
+    the attribute, then an ``extras`` dict when ``extras`` is set.
+
     ``row_checks(row, record, out)`` sees each record whose cells all
     parsed and appends violations to ``out``; it returns True when the row
     must yield no record.  ``file_checks(rows_records, **options)`` sees
@@ -213,11 +125,23 @@ class SchemaDef:
     """
 
     name: str
-    record_type: type
+    type_name: str
     spec: tuple[Column, ...]
     row_checks: Callable | None = None
     file_checks: Callable | None = None
     options: tuple[str, ...] = ()
+    extras: bool = True
+    record_type: type = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slots = self._slots().items()
+        attrs = [(attr, tuple) if len(js) > 1 else attr for attr, js in slots]
+        if self.extras:
+            attrs.append(("extras", dict, field(default_factory=dict)))
+        # the type lives in this module, where pickle and repr look it up
+        record_type = make_dataclass(self.type_name, attrs, frozen=True,
+                                     namespace={"__module__": __name__})
+        object.__setattr__(self, "record_type", record_type)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -245,13 +169,11 @@ class SchemaDef:
                    if col.range is not None and col.range.reject]
         ranged = [(j, col) for j, col in enumerate(self.spec)
                   if col.range is not None and not col.range.reject]
-        slots = self._slots()
-        names = [f.name for f in fields(self.record_type)]
         # one getter per record field, in field order; a shared attribute's
         # getter takes several positions and so returns a tuple
-        getters = [itemgetter(*slots[name]) for name in names if name != "extras"]
+        getters = [itemgetter(*js) for js in self._slots().values()]
         extras = None
-        if "extras" in names:
+        if self.extras:
             extras = [(name, i) for name, i in index.items() if name not in self.columns]
         record_type, row_checks = self.record_type, self.row_checks
 
@@ -461,14 +383,14 @@ PERCENT = Range("percent range", 0, 100)
 SCHEMAS = {
     s.name: s
     for s in (
-        SchemaDef("disengagement", DisengagementRecord, (
+        SchemaDef("disengagement", "DisengagementRecord", (
             Column("Manufacture", "manufacture", STR),
             Column("VIN", "vin", STR),
             Column("Date", "date", DATE),
             Column("Month", "month", STR),
             Column("MonthID", "month_id", INT, MONTH_ID),
         ), _event_date_checks),
-        SchemaDef("collision", CollisionRecord, (
+        SchemaDef("collision", "CollisionRecord", (
             Column("Manufacture", "manufacture", STR),
             Column("VIN", "vin", OPTIONAL_STR),
             Column("Date", "date", DATE),
@@ -476,19 +398,19 @@ SCHEMAS = {
             Column("MonthID", "month_id", INT, MONTH_ID),
             Column("EventID", "event_id", INT, Range("event id range", 1)),
         ), _event_date_checks, _collision_file_checks),
-        SchemaDef("mileage", MileageRow, (
+        SchemaDef("mileage", "MileageRow", (
             Column("Manufacture", "manufacture", STR),
             Column("VIN", "vin", STR),
             *(Column(f"M{j}", "monthly_miles", FLOAT, Range("negative mileage", 0, reject=True))
               for j in range(1, N_MILEAGE_MONTHS + 1)),
-        )),
-        SchemaDef("month", MonthRow, (
+        ), extras=False),
+        SchemaDef("month", "MonthRow", (
             Column("MonthID", "month_id", INT),
             Column("StartDate", "start_date", DATE),
             Column("EndDate", "end_date", DATE),
             Column("NDays", "n_days", INT, Range("month length", 28)),
-        ), _month_checks, _month_file_checks),
-        SchemaDef("module_error", ModuleErrorRecord, (
+        ), _month_checks, _month_file_checks, extras=False),
+        SchemaDef("module_error", "ModuleErrorRecord", (
             Column("ScenarioID", "scenario_id", INT),
             Column("Weather", "weather", STR),
             Column("WindowStart", "window", FLOAT),
@@ -504,7 +426,7 @@ SCHEMAS = {
             Column("Error3D", "err_3d", FLAG),
             Column("ErrorLoc", "err_loc", FLAG),
         ), _module_error_checks),
-        SchemaDef("mixture", MixtureRecord, (
+        SchemaDef("mixture", "MixtureRecord", (
             Column("x1", "x1", FLOAT),
             Column("x2", "x2", FLOAT),
             Column("x3", "x3", FLOAT),
@@ -516,7 +438,7 @@ SCHEMAS = {
             Column("y1", "y1", FLOAT, Range("response range", 0, 1)),
             Column("y2", "y2", FLOAT),
         ), _mixture_checks),
-        SchemaDef("adversarial", AdversarialCountRecord, (
+        SchemaDef("adversarial", "AdversarialCountRecord", (
             Column("Scenario", "scenario", INT),
             Column("EpsilonRangeLow", "epsilon_range", FLOAT),
             Column("EpsilonRangeHigh", "epsilon_range", FLOAT),
@@ -535,7 +457,7 @@ SCHEMAS = {
             Column("TestLoss", "test_loss", FLOAT),
             Column("Memory", "memory", FLOAT, Range("memory range", 0)),
         ), _adversarial_checks, _adversarial_file_checks, options=("accuracy_scale",)),
-        SchemaDef("incident", IncidentRecord, (
+        SchemaDef("incident", "IncidentRecord", (
             Column("IncidentNo", "incident_no", INT),
             Column("Company", "company", STR),
             Column("Sector", "sector", STR),
@@ -549,6 +471,15 @@ SCHEMAS = {
         ), None, _incident_file_checks),
     )
 }
+
+DisengagementRecord = SCHEMAS["disengagement"].record_type
+CollisionRecord = SCHEMAS["collision"].record_type
+MileageRow = SCHEMAS["mileage"].record_type
+MonthRow = SCHEMAS["month"].record_type
+ModuleErrorRecord = SCHEMAS["module_error"].record_type
+MixtureRecord = SCHEMAS["mixture"].record_type
+AdversarialCountRecord = SCHEMAS["adversarial"].record_type
+IncidentRecord = SCHEMAS["incident"].record_type
 
 #: each module of an error cascade and the module_error flag attribute its events set
 MODULE_FLAGS = {"2d": "err_2d", "3d": "err_3d", "localization": "err_loc"}

@@ -258,6 +258,23 @@ def _as_logs(logs) -> list[ModuleEventLog]:
     return list(logs)
 
 
+def _fit_layout(logs):
+    """The logs as a list, with the modules (in the first log's order) and
+    the sources they all share; raises ValueError on no logs or on the
+    first log whose modules or sources differ from the first log's."""
+    logs = _as_logs(logs)
+    if not logs:
+        raise ValueError("no logs supplied")
+    first = logs[0]
+    for i, log in enumerate(logs[1:], 1):
+        if set(log.events) != set(first.events):
+            raise ValueError(f"log {i} holds modules {sorted(log.events)}, "
+                             f"log 0 holds {sorted(first.events)}")
+        if log.sources != first.sources:
+            raise ValueError(f"log {i} has sources {log.sources}, log 0 has {first.sources}")
+    return logs, list(first.events), first.sources
+
+
 def ep_log_likelihood(model: EPModel, logs) -> float:
     """Sum over modules (and scenario logs) of event terms minus compensators."""
     total = 0.0
@@ -369,13 +386,10 @@ def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
     independent power-law processes.  Decay rates are searched within
     ``DECAY_BOUNDS`` = (0.05, 10): an unconstrained decay admits a
     degenerate ridge where an arbitrarily tall, arbitrarily narrow kernel
-    chases single coincidences at no compensator cost.
+    chases single coincidences at no compensator cost.  Every log must
+    hold the same modules under the same sources, as in the other fitters.
     """
-    logs = _as_logs(logs)
-    if not logs:
-        raise ValueError("no logs supplied")
-    modules = list(logs[0].events)
-    sources = logs[0].sources
+    logs, modules, sources = _fit_layout(logs)
     baseline, edges, per_module = {}, {}, {}
     total_ll = 0.0
     iterations = 0
@@ -406,8 +420,7 @@ def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, **options) -> EPF
     are refitted; ``iterations`` then counts the refits alone and
     ``converged`` also requires ``ep_fit.converged``.
     """
-    logs = _as_logs(logs)
-    modules = list(logs[0].events)
+    logs, modules, _ = _fit_layout(logs)
     fits = {}  # module -> the fit its baseline comes from
     if ep_fit is not None:
         if set(ep_fit.model.baseline) != set(modules):
@@ -437,8 +450,7 @@ def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, **options) -> EPF
 
 def fit_independent_hpp(logs) -> EPFit:
     """Constant-rate fit per module: a power law with shape fixed at 1."""
-    logs = _as_logs(logs)
-    modules = list(logs[0].events)
+    logs, modules, _ = _fit_layout(logs)
     total_window = float(sum(log.window for log in logs))
     baseline = {}
     total_ll = 0.0

@@ -377,3 +377,15 @@ def test_summarize_does_not_detect_a_header_the_parser_rejects(tmp_path, capsys,
     assert code == 1
     assert "could not match" in err
     assert "malformed header" not in err
+
+
+def test_data_root_is_a_summarize_flag_only(tmp_path, capsys, data_dir):
+    path = data_dir / "ai-incidents" / "incidents.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(path), "--schema", "incident", "--data-root", str(data_dir),
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(["summarize", "ai-incidents", "--data-root", str(data_dir),
+                            "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == 72

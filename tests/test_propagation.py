@@ -275,3 +275,29 @@ def test_hpp_fit_closed_form():
     shape, scale = fit.model.baseline["m"]
     assert shape == 1.0
     assert 1.0 / scale == pytest.approx(0.3, abs=1e-14)
+
+
+FITTERS = [fit_ep, fit_independent_nhpp, fit_independent_hpp]
+
+
+@pytest.mark.parametrize("fitter", FITTERS)
+def test_fitters_reject_no_logs(fitter):
+    with pytest.raises(ValueError, match="no logs supplied"):
+        fitter([])
+
+
+@pytest.mark.parametrize("fitter", FITTERS)
+def test_fitters_name_the_first_log_unlike_log_0(fitter):
+    # the fit once took its modules and sources from log 0 alone, so its
+    # result hung on the order of the logs: [a, b] dropped b's module z,
+    # [b, a] dropped a's edge y <- x
+    events = {"x": [1.0, 2.0, 3.5], "y": [1.5, 2.5, 4.0]}
+    a = ModuleEventLog(events, 5.0, {"y": ("x",)})
+    b = ModuleEventLog({**events, "z": [2.2, 4.1]}, 5.0, {"z": ("x",)})
+    no_edges = ModuleEventLog(events, 5.0)
+    with pytest.raises(ValueError, match=r"log 1 holds modules \['x', 'y', 'z'\]"):
+        fitter([a, b])
+    with pytest.raises(ValueError, match=r"log 1 holds modules \['x', 'y'\]"):
+        fitter([b, a])
+    with pytest.raises(ValueError, match="log 2 has sources"):
+        fitter([a, a, no_edges])
