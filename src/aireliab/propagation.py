@@ -61,13 +61,17 @@ class ModuleEventLog:
     scenario_id: int | None = None
 
     def __post_init__(self):
-        # checked first: a too-long injection is why simulated events overrun the window
+        if not (np.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be finite and > 0, got {self.window}")
+        # checked next: a too-long injection is why simulated events overrun the window
         for name, win in (self.injection or {}).items():
             if win.end > self.window + 1e-9:
                 raise ValueError(f"module {name}: injection interval exceeds the window")
         events = {}
         for name, times in self.events.items():
             times = np.asarray(times, dtype=float)
+            if not np.isfinite(times).all():
+                raise ValueError(f"module {name}: event times must be finite")
             if np.any(np.diff(times) < 0):
                 raise ValueError(f"module {name}: event times must be ascending")
             if times.size and (times[0] <= 0 or times[-1] > self.window + 1e-9):
@@ -107,19 +111,21 @@ class EPModel:
     """Power-law baselines per module plus exponential triggering per edge.
 
     ``baseline[m] = (shape, scale)``; ``edges[(target, source)] = (jump, decay)``
-    with jump >= 0 and decay > 0.
+    with jump >= 0 and decay > 0; every parameter is finite.
     """
 
     baseline: dict[str, tuple[float, float]]
     edges: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for m, (shape, scale) in self.baseline.items():
-            if shape <= 0 or scale <= 0:
-                raise ValueError(f"module {m}: baseline parameters must be positive")
+        for m in self.baseline:
+            try:
+                self.module_baseline(m)
+            except ValueError as err:
+                raise ValueError(f"module {m}: {err}") from None
         for (tgt, src), (jump, decay) in self.edges.items():
-            if jump < 0 or decay <= 0:
-                raise ValueError(f"edge {src}->{tgt}: jump must be >= 0 and decay > 0")
+            if not (np.isfinite(jump) and np.isfinite(decay) and jump >= 0 and decay > 0):
+                raise ValueError(f"edge {src}->{tgt}: need a finite jump >= 0 and decay > 0")
             if tgt not in self.baseline:
                 raise ValueError(f"edge targets unknown module {tgt!r}")
 
@@ -356,7 +362,7 @@ def _module_objective(module, logs, source_names, decay_bounds):
 
 
 def _fit_module(module, logs, source_names, *, multistarts, max_iter):
-    """Fit one module's baseline plus in-edge parameters; returns params and loglik."""
+    """Fit one module's baseline and in-edges, as ``_assemble`` takes them."""
     n_own = sum(len(log.events.get(module, ())) for log in logs)
     if n_own == 0:
         raise ValueError(f"module {module}: no events to fit")
@@ -374,7 +380,27 @@ def _fit_module(module, logs, source_names, *, multistarts, max_iter):
     fun, z_hat, ok, iters = maximize(negloglik, starts(seed, multistarts, 0.5, key=2024),
                                      TOLERANCE, max_iter)
     shape, scale, edges = unpack(z_hat)
-    return (shape, scale), edges, -fun, ok, iters
+    return (shape, scale), list(zip(source_names, edges)), -fun, ok, iters
+
+
+def _assemble(modules, fit_module, n_baseline: int = 2) -> EPFit:
+    """The EPFit of ``fit_module(m)`` for each module, in module order.
+
+    ``fit_module`` returns the module's baseline, its in-edges as
+    (source, (jump, decay)) pairs, its log-likelihood, whether it converged
+    and its iterations.  Each baseline has ``n_baseline`` free parameters.
+    """
+    baseline, edges, per_module = {}, {}, {}
+    total_ll, iterations, converged = 0.0, 0, True
+    for m in modules:
+        baseline[m], in_edges, per_module[m], ok, iters = fit_module(m)
+        edges.update(((m, src), e) for src, e in in_edges)
+        total_ll += per_module[m]
+        iterations += iters
+        converged = converged and ok
+    k = n_baseline * len(modules) + 2 * len(edges)
+    return EPFit(EPModel(baseline, edges), total_ll, 2 * k - 2 * total_ll, converged,
+                 iterations, per_module)
 
 
 def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
@@ -390,83 +416,50 @@ def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
     hold the same modules under the same sources, as in the other fitters.
     """
     logs, modules, sources = _fit_layout(logs)
-    baseline, edges, per_module = {}, {}, {}
-    total_ll = 0.0
-    iterations = 0
-    converged = True
-    for module in modules:
-        srcs = tuple(s for s in sources.get(module, ()) if s in modules)
-        params, edge_params, ll, ok, iters = _fit_module(
-            module, logs, srcs, multistarts=multistarts, max_iter=max_iter)
-        baseline[module] = params
-        for src, ep in zip(srcs, edge_params):
-            edges[(module, src)] = ep
-        per_module[module] = ll
-        total_ll += ll
-        iterations += iters
-        converged = converged and ok
-    model = EPModel(baseline, edges)
-    k = 2 * len(modules) + 2 * len(edges)
-    return EPFit(model, total_ll, 2 * k - 2 * total_ll, converged, iterations, per_module)
+    return _assemble(modules, lambda m: _fit_module(
+        m, logs, tuple(s for s in sources.get(m, ()) if s in modules),
+        multistarts=multistarts, max_iter=max_iter))
 
 
-def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, **options) -> EPFit:
+def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, multistarts: int = 3,
+                         max_iter: int = 4000) -> EPFit:
     """Independent power-law fit per module (no triggering edges).
 
     A module without in-edges is fitted here exactly as in ``fit_ep``: same
     objective, starts and search, hence the same result.  Given ``ep_fit``,
-    which must be ``fit_ep(logs, **options)``, those modules take their
-    baseline and log-likelihood from it and only the modules with in-edges
-    are refitted; ``iterations`` then counts the refits alone and
-    ``converged`` also requires ``ep_fit.converged``.
+    which must be ``fit_ep(logs, multistarts=multistarts, max_iter=max_iter)``,
+    those modules take their baseline and log-likelihood from it and only
+    the modules with in-edges are refitted; ``iterations`` then counts the
+    refits alone and ``converged`` also requires ``ep_fit.converged``.
     """
     logs, modules, _ = _fit_layout(logs)
-    fits = {}  # module -> the fit its baseline comes from
+    reused = set()
     if ep_fit is not None:
         if set(ep_fit.model.baseline) != set(modules):
             raise ValueError("ep_fit was fitted to other modules than the logs hold")
-        targets = {tgt for tgt, _ in ep_fit.model.edges}
-        fits = {m: ep_fit for m in modules if m not in targets}
-    refit = [m for m in modules if m not in fits]
-    iterations = 0
-    if refit:
-        stripped = [
-            ModuleEventLog({m: t for m, t in log.events.items() if m in refit}, log.window, {},
-                           log.weather, log.injection, log.scenario_id)
-            for log in logs
-        ]
-        part = fit_ep(stripped, **options)
-        fits.update(dict.fromkeys(refit, part))
-        iterations = part.iterations
-    per_module = {m: fits[m].per_module[m] for m in modules}
-    total_ll = 0.0  # summed in module order, as in fit_ep
-    for m in modules:
-        total_ll += per_module[m]
-    model = EPModel({m: fits[m].model.baseline[m] for m in modules})
-    k = 2 * len(modules)
-    return EPFit(model, total_ll, 2 * k - 2 * total_ll,
-                 all(fit.converged for fit in fits.values()), iterations, per_module)
+        reused = set(modules) - {tgt for tgt, _ in ep_fit.model.edges}
+
+    def fit_module(m):
+        if m in reused:
+            return ep_fit.model.baseline[m], (), ep_fit.per_module[m], ep_fit.converged, 0
+        return _fit_module(m, logs, (), multistarts=multistarts, max_iter=max_iter)
+
+    return _assemble(modules, fit_module)
 
 
 def fit_independent_hpp(logs) -> EPFit:
     """Constant-rate fit per module: a power law with shape fixed at 1."""
     logs, modules, _ = _fit_layout(logs)
     total_window = float(sum(log.window for log in logs))
-    baseline = {}
-    total_ll = 0.0
-    per_module = {}
-    for module in modules:
-        n = sum(log.n_events(module) for log in logs)
+
+    def fit_module(m):
+        n = sum(log.n_events(m) for log in logs)
         if n == 0:
-            raise ValueError(f"module {module}: no events to fit")
+            raise ValueError(f"module {m}: no events to fit")
         rate = n / total_window
-        baseline[module] = (1.0, 1.0 / rate)
-        ll = n * np.log(rate) - rate * total_window
-        per_module[module] = ll
-        total_ll += ll
-    model = EPModel(baseline, {})
-    k = len(modules)
-    return EPFit(model, total_ll, 2 * k - 2 * total_ll, True, 0, per_module)
+        return (1.0, 1.0 / rate), (), n * np.log(rate) - rate * total_window, True, 0
+
+    return _assemble(modules, fit_module, n_baseline=1)
 
 
 def evaluate_mae(model, logs, grid) -> float:

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln, log_ndtr, ndtr
-from scipy.stats import norm, t as student_t
+from scipy.special import gammaln, log_ndtr, ndtr, stdtrit
 
 from ._optim import maximize, numeric_stderr
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 class RankDeficiencyError(ValueError):
@@ -147,7 +149,7 @@ def _irls_step(family, eta, eps):
         return mu, w, w
     if family == "bernoulli-probit":
         mu = np.clip(ndtr(eta), eps, 1 - eps)
-        phi = np.clip(norm.pdf(eta), eps, None)
+        phi = np.clip(np.exp(-eta**2 / 2.0) / _SQRT_2PI, eps, None)
         return mu, phi**2 / (mu * (1 - mu)), phi
     mu = np.clip(np.exp(eta), eps, None)
     return mu, mu, mu
@@ -266,11 +268,11 @@ def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
             return np.inf
         sigma = np.exp(log_sigma)
         z = (logt - D @ beta) / sigma
+        zo, zc = z[obs], z[~obs]
         if dist == "lognormal":
-            ll = np.sum(norm.logpdf(z[obs]) - log_sigma) + np.sum(norm.logsf(z[~obs]))
+            ll = np.sum(-zo**2 / 2.0 - _LOG_SQRT_2PI - log_sigma) + np.sum(log_ndtr(-zc))
         else:
-            zo = z[obs]
-            ll = np.sum(zo - np.exp(zo) - log_sigma) - np.sum(np.exp(z[~obs]))
+            ll = np.sum(zo - np.exp(zo) - log_sigma) - np.sum(np.exp(zc))
         return -ll if np.isfinite(ll) else np.inf
 
     beta0, *_ = np.linalg.lstsq(D[obs], logt[obs], rcond=None)
@@ -371,7 +373,9 @@ class MixtureFit:
 
     def conf_int(self, level: float = 0.95) -> np.ndarray:
         """Two-sided t confidence intervals, one (lo, hi) row per term."""
-        half = student_t.ppf(0.5 + level / 2.0, self.df_resid) * self.stderr
+        if not 0 < level < 1:
+            raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+        half = stdtrit(self.df_resid, 0.5 + level / 2.0) * self.stderr
         return np.column_stack([self.coef - half, self.coef + half])
 
 

@@ -177,6 +177,8 @@ def simulate_ep_cascade(model: EPModel, sources: dict, window: float,
     are keyed by the module's rank in sorted name order, so adding
     modules never perturbs existing streams.
     """
+    if not (np.isfinite(window) and window > 0):  # an endless window never ends a draw
+        raise ValueError(f"window must be finite and > 0, got {window}")
     modules = sorted(model.baseline)
     stream = {m: i for i, m in enumerate(modules)}
     order = toposort(set(modules), {m: tuple(sources.get(m, ())) for m in modules})

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from aireliab.cli import EXIT_OK, EXIT_VIOLATIONS, main
+from aireliab.cli import DEFAULT_EP_SPEC, EXIT_OK, EXIT_VIOLATIONS, main
+
+from conftest import REPO_ROOT
 
 
 def run_cli(argv, capsys):
@@ -389,3 +394,24 @@ def test_data_root_is_a_summarize_flag_only(tmp_path, capsys, data_dir):
                             "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["rows"] == 72
+
+
+def test_simulate_ep_cascade_rejects_a_nan_decay(tmp_path, capsys):
+    # json reads NaN, so a spec file can carry one
+    spec = dict(DEFAULT_EP_SPEC, edges={"localization<-2d": [2.0, float("nan")]})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(["simulate", "ep-cascade", "--spec", str(path),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert "edge 2d->localization" in err
+    assert not (tmp_path / "o" / "module_errors.csv").exists()
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh interpreter: this test process imports scipy.stats for its oracles
+    code = "import sys, aireliab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

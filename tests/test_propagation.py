@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from aireliab import simulate
 from aireliab.datasets import constant_exposure
 from aireliab.propagation import (
     DEFAULT_SOURCES,
@@ -301,3 +304,53 @@ def test_fitters_name_the_first_log_unlike_log_0(fitter):
         fitter([b, a])
     with pytest.raises(ValueError, match="log 2 has sources"):
         fitter([a, a, no_edges])
+
+
+def test_nhpp_equals_ep_fit_of_the_logs_without_sources():
+    # fit_independent_nhpp once stripped the sources from the logs and
+    # called fit_ep; its own per-module loop must give the same fit
+    logs = [cascade(23)[1], cascade(24)[1]]
+    nh = fit_independent_nhpp(logs, multistarts=2, max_iter=600)
+    ep = fit_ep([ModuleEventLog(log.events, log.window) for log in logs],
+                multistarts=2, max_iter=600)
+    assert not ep.model.edges and not nh.model.edges
+    assert np.array_equal(fit_bits(nh), fit_bits(ep))
+    assert (nh.converged, nh.iterations) == (ep.converged, ep.iterations)
+    with pytest.raises(TypeError):
+        fit_independent_nhpp(logs, tolerance=1e-3)
+
+
+@pytest.mark.parametrize("baseline, edge", [
+    ((np.nan, 1.0), (1.0, 1.0)),
+    ((1.0, np.inf), (1.0, 1.0)),
+    ((1.0, 1.0), (np.inf, 1.0)),
+    ((1.0, 1.0), (float("1e400"), 1.0)),
+    ((1.0, 1.0), (np.nan, 1.0)),
+    ((1.0, 1.0), (1.0, np.nan)),
+    ((1.0, 1.0), (1.0, np.inf)),
+])
+def test_ep_model_rejects_non_finite_parameters(baseline, edge):
+    name = "module b" if baseline != (1.0, 1.0) else "edge a->b"
+    with pytest.raises(ValueError, match=name):
+        EPModel({"a": (1.0, 1.0), "b": baseline}, {("b", "a"): edge})
+
+
+@pytest.mark.parametrize("events, window, message", [
+    ({"m": [1.0, np.nan, 3.0]}, 5.0, "module m: event times must be finite"),
+    ({"m": []}, -5.0, "window must be finite and > 0"),
+    ({"m": [1.0]}, np.inf, "window must be finite and > 0"),
+    ({"m": [1.0]}, np.nan, "window must be finite and > 0"),
+    ({"m": []}, 0.0, "window must be finite and > 0"),
+])
+def test_module_event_log_rejects_bad_times_and_windows(events, window, message):
+    with pytest.raises(ValueError, match=message):
+        ModuleEventLog(events, window)
+
+
+@pytest.mark.parametrize("window", [np.inf, np.nan, 0.0, -1.0])
+def test_cascade_checks_its_window_before_drawing(window):
+    # an infinite window gives the downstream module a last segment with
+    # no end, so a draw would never stop: the check must come first
+    with mock.patch.object(simulate, "make_rng", side_effect=AssertionError("drew events")):
+        with pytest.raises(ValueError, match="window must be finite and > 0"):
+            simulate_ep_cascade(BUNDLED_TRUTH, DEFAULT_SOURCES, window, seed=1)
