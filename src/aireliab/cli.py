@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _finite(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 class Run:
     """Output directory plus the manifest that describes the run."""
 
@@ -61,7 +71,8 @@ class Run:
         return path
 
     def write_json(self, name: str, payload) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2) + "\n")
+        """JSON with every non-finite float written as null."""
+        return self.write_text(name, json.dumps(_finite(payload), indent=2) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         target = self.dir / name
@@ -95,7 +106,7 @@ class Run:
 
 def _detect_schema(path) -> str:
     # header cells as the parser matches them: verbatim, spaces included
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         header_set = set(next(csv.reader(handle), []))
     matches = [n for n, schema in datasets.SCHEMAS.items() if set(schema.columns) <= header_set]
     # prefer the most specific match (largest required column set)
@@ -175,6 +186,8 @@ def _fit_payload(fit, tau, grid_points):
 
 
 def cmd_fit_recurrent(args, run: Run) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     months = datasets.MonthTable(datasets.load(run.track_input(args.months), "month"))
     mileage = datasets.load(run.track_input(args.mileage), "mileage")
     schema = "disengagement" if args.level == "vehicle" else "collision"

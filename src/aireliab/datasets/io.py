@@ -69,7 +69,7 @@ def parse_records(source, schema_name: str, **options):
     if bad:
         raise TypeError(f"schema {schema_name!r} takes no option {bad[0]!r}")
     if not hasattr(source, "read"):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return parse_records(handle, schema_name, **options)
     reader = csv.reader(source)
     header = next(reader, None)

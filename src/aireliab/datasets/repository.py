@@ -56,7 +56,7 @@ def load_index(root) -> DatasetIndex:
     if not index_path.exists():
         raise FileNotFoundError(f"{index_path} not found")
     entries = []
-    with open(index_path, "r", encoding="utf-8", newline="") as handle:
+    with open(index_path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         for col in ("name", "path", "description"):
             if reader.fieldnames is None or col not in reader.fieldnames:

@@ -88,32 +88,17 @@ def random_latin_hypercube(n: int, p: int, rng) -> np.ndarray:
     return np.column_stack([rng.permutation(levels) for _ in range(p)])
 
 
-def _distances_from(pts, i: int, j: int, m: float) -> np.ndarray:
-    """Minkowski distances from rows i and j to every row, as a 2 x n array.
-
-    Each distance is summed factor by factor in column order, as ``pdist``
-    sums it, so the values are the ones ``pdist`` returns.
-    """
-    if m != 2.0:
-        return cdist(pts[[i, j]], pts, "minkowski", p=m)
-    sq = pts - pts[[i, j]][:, None, :]
-    sq *= sq
-    acc = sq[..., 0]
-    for c in range(1, pts.shape[1]):
-        acc += sq[..., c]
-    return np.sqrt(acc)
-
-
 class _SwapCriterion:
     """phi of a design kept up to date under within-column swaps.
 
     Holds ``pdist``'s condensed vector of d_ij^(-k) terms, plus one
     scratch slot that takes each row's pair with itself.  A swap of rows i
     and j recomputes only the 2(n - 1) terms that involve them, O(n p),
-    and phi re-sums the whole vector in ``pdist`` order, O(n^2) additions
-    in one call, so it equals ``phi_criterion`` of the swapped design bit
-    for bit.  ``undo`` swaps back and restores the saved terms.  ``pts``
-    is changed in place.
+    with ``cdist``, which shares ``pdist``'s Minkowski kernel and so
+    returns the same distances; phi re-sums the whole vector in ``pdist``
+    order, O(n^2) additions in one call, so it equals ``phi_criterion`` of
+    the swapped design bit for bit.  ``undo`` swaps back and restores the
+    saved terms.  ``pts`` is changed in place.
     """
 
     def __init__(self, pts, k: int, m: float):
@@ -134,7 +119,7 @@ class _SwapCriterion:
     def swap(self, col: int, i: int, j: int) -> float:
         """Exchange rows i and j of column ``col``; phi of the result."""
         self._exchange(col, i, j)
-        d = _distances_from(self.pts, i, j, self.m)
+        d = cdist(self.pts[[i, j]], self.pts, "minkowski", p=self.m)
         # a row's distance to itself only fills the scratch slot; rows stay
         # distinct under swaps, as every column keeps distinct levels
         d[0, i] = d[1, j] = 1.0

@@ -297,14 +297,9 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-# The search objectives below take log parameters z.  For |z| <= 300 every
+# The search objective below takes log parameters z.  For |z| <= 300 every
 # exp(z) is positive and finite, so the family's parameters need no check
 # inside the search; the family itself is checked once by the fitter.
-
-
-def _mle_objective(packed: _Packed, family: str):
-    """Negative log-likelihood of ``family`` at log parameters z."""
-    return _proportional_objective(packed, family, np.zeros((packed.n_units, 0)))
 
 
 def _proportional_objective(packed: _Packed, family: str, X):
@@ -383,7 +378,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     def negloglik_theta(th):
         if (th <= 0).any():
             return np.inf
-        return -packed.log_lik(BaselineIntensityModel(family, tuple(th)))
+        return -packed.log_lik_theta(family, th)
 
     stderr = numeric_stderr(negloglik_theta, theta, 1e-5 * (np.abs(theta) + 1e-8))
     return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, stderr)

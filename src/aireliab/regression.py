@@ -60,17 +60,6 @@ def _with_intercept(X, names, add_intercept):
     return X, names
 
 
-def _ols(D, y):
-    """Least-squares coefficients, their standard errors, sigma^2 and the
-    residual degrees of freedom of a full-rank design ``D``."""
-    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-    resid = y - D @ coef
-    df = D.shape[0] - D.shape[1]
-    sigma2 = float(resid @ resid) / df
-    cov = sigma2 * np.linalg.inv(D.T @ D)
-    return coef, np.sqrt(np.diag(cov)), sigma2, df
-
-
 @dataclass(frozen=True)
 class LinearFit:
     names: tuple[str, ...]
@@ -96,11 +85,15 @@ def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
     if D.shape[0] <= D.shape[1]:
         raise ValueError("need more rows than coefficients")
     _check_rank(D, cols)
-    coef, stderr, sigma2, df = _ols(D, y)
+    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
+    resid = y - D @ coef
+    df = D.shape[0] - D.shape[1]
+    sigma2 = float(resid @ resid) / df
+    cov = sigma2 * np.linalg.inv(D.T @ D)
     return LinearFit(
         names=tuple(cols),
         coef=coef,
-        stderr=stderr,
+        stderr=np.sqrt(np.diag(cov)),
         resid_sd=float(np.sqrt(sigma2)),
         n=D.shape[0],
         df_resid=df,
@@ -417,20 +410,17 @@ def fit_mixture(records, response: str = "y1", *, scenario: str | None = None,
     support = np.any(D != 0.0, axis=0)
     D = D[:, support]
     terms = tuple(t for t, keep in zip(terms, support) if keep)
-    if D.shape[0] <= D.shape[1]:
-        raise ValueError("need more observations than coefficients")
-    _check_rank(D, terms)
-    coef, stderr, sigma2, df = _ols(D, y)
+    fit = fit_linear(D, y, names=terms, add_intercept=False)
     return MixtureFit(
         response=response,
         scenario=scenario,
         z_names=z_names,
-        terms=terms,
-        coef=coef,
-        stderr=stderr,
-        resid_sd=float(np.sqrt(sigma2)),
-        n=D.shape[0],
-        df_resid=df,
+        terms=fit.names,
+        coef=fit.coef,
+        stderr=fit.stderr,
+        resid_sd=fit.resid_sd,
+        n=fit.n,
+        df_resid=fit.df_resid,
     )
 
 

@@ -399,9 +399,8 @@ def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
     return rows
 
 
-def module_event_log(records, sources=None) -> dict[int, ModuleEventLog]:
-    """Group module-error rows by scenario into event logs."""
-    sources = dict(DEFAULT_SOURCES if sources is None else sources)
+def module_event_log(records) -> dict[int, ModuleEventLog]:
+    """Group module-error rows by scenario into event logs with the default sources."""
     by_scenario: dict[int, list[ModuleErrorRecord]] = {}
     for rec in records:
         by_scenario.setdefault(rec.scenario_id, []).append(rec)
@@ -419,7 +418,7 @@ def module_event_log(records, sources=None) -> dict[int, ModuleEventLog]:
             events={m: np.sort([rec.timestamp - start for rec in rows if getattr(rec, attr)])
                     for m, attr in MODULE_FLAGS.items()},
             window=window,
-            sources=sources,
+            sources=dict(DEFAULT_SOURCES),
             weather=rows[0].weather,
             injection=injection,
             scenario_id=scenario,

@@ -311,13 +311,16 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     Raises
     ------
     ValueError
-        If fewer than five steps are available, the fitting window has no
-        failures, or a requested covariate column is constant (its effect
-        is confounded with the scale and not identifiable).
+        If fewer than five steps are available, ``split`` is not finite,
+        the fitting window has no failures, or a requested covariate column
+        is constant (its effect is confounded with the scale and not
+        identifiable).
     """
     T = series.n_steps
     if T < 5:
         raise ValueError("need at least five intervals to fit and hold out")
+    if not math.isfinite(split):
+        raise ValueError(f"split must be finite, got {split}")
     if hazard_family not in HAZARD_FAMILIES:
         raise ValueError(f"unknown hazard family {hazard_family!r}")
     if covariates is None:
@@ -478,6 +481,8 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     """
     if series.performance is None:
         raise ValueError("series has no performance column")
+    if not math.isfinite(split):
+        raise ValueError(f"split must be finite, got {split}")
     r = series.performance
     T = series.n_steps
     if candidates is None:

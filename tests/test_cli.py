@@ -415,3 +415,106 @@ def test_import_leaves_scipy_stats_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_byte_order_mark_is_accepted_by_validate_and_summarize(tmp_path, capsys, data_dir):
+    # spreadsheet programs often save CSVs with a leading UTF-8 BOM
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "mixture-robustness" / "mixture.csv").read_bytes())
+    code, out, _ = run_cli(["validate", str(path), "--schema", "mixture",
+                            "--out", str(tmp_path / "v")], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["violations"] == []
+    code, out, _ = run_cli(["summarize", str(path), "--out", str(tmp_path / "s")], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["schema"] == "mixture"
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_fit_recurrent_rejects_too_few_grid_points(tmp_path, capsys, data_dir, points):
+    base = data_dir / "collisions"
+    code, _, err = run_cli([
+        "fit-recurrent", "--family", "hpp", "--level", "manufacturer",
+        "--events", str(base / "collisions.csv"),
+        "--mileage", str(base / "mileage.csv"),
+        "--months", str(base / "months.csv"),
+        "--grid-points", points, "--out", str(tmp_path),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: --grid-points must be at least 1")
+    assert not list(tmp_path.glob("fit-*.json"))
+
+
+@pytest.mark.parametrize("command", [["fit-srgm", "--hazard", "gm"],
+                                     ["fit-resilience", "--form", "linear"]])
+@pytest.mark.parametrize("split", ["inf", "-inf", "nan"])
+def test_fit_rejects_a_non_finite_split(tmp_path, capsys, data_dir, command, split):
+    code, _, err = run_cli([
+        *command, "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv"),
+        f"--split={split}", "--out", str(tmp_path),
+    ], capsys)
+    assert code == 1
+    assert err.startswith(f"error: split must be finite, got {float(split)}")
+
+
+@pytest.mark.parametrize("command, name, keys", [
+    (["fit-srgm", "--hazard", "gm"], "srgm.json", ("holdout_mae",)),
+    (["fit-resilience", "--form", "linear"], "resilience.json", ("holdout_mae", "baseline_mae")),
+])
+def test_json_outputs_write_non_finite_values_as_null(tmp_path, capsys, data_dir, command,
+                                                      name, keys):
+    # with --split 1 nothing is held out, so the held-out errors are NaN
+    code, _, _ = run_cli([
+        *command, "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv"),
+        "--split", "1", "--out", str(tmp_path),
+    ], capsys)
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads((tmp_path / name).read_text(), parse_constant=reject)
+    assert all(payload[key] is None for key in keys)
+
+
+def test_benchmark_tracer_wraps_and_restores_its_targets(tmp_path, capsys, data_dir,
+                                                         monkeypatch):
+    # the benchmark's tracer reaches the layers through module attributes
+    # and reads counts off their results; a renamed target fails here
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  REPO_ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_tracing", tracing)
+    spec.loader.exec_module(tracing)
+    originals = {(module, attr): getattr(importlib.import_module(module), attr)
+                 for module, attr, _, _ in tracing.TARGETS}
+    base = data_dir / "collisions"
+    jobs = [
+        ["fit-recurrent", "--family", "hpp", "--level", "manufacturer",
+         "--events", str(base / "collisions.csv"), "--mileage", str(base / "mileage.csv"),
+         "--months", str(base / "months.csv"), "--out", str(tmp_path / "fit")],
+        ["design-lhd", "--n", "10", "--p", "3", "--out", str(tmp_path / "lhd")],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for index, argv in enumerate(jobs):
+            tracer.begin_job(index, argv[0])
+            code = main(argv)
+            tracer.end_job(code != EXIT_OK)
+            assert code == EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span)
+    assert spans["fit_mle"] and all("fit_iterations" in s.counts for s in spans["fit_mle"])
+    assert len(spans["search_mmlhd"]) == 1
+    assert spans["search_mmlhd"][0].counts["accepted_moves"] > 0
+    assert not any(span.error for span in tracer.spans)
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(module), attr) is original

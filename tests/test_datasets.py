@@ -25,7 +25,7 @@ from aireliab.datasets import (
     validate,
 )
 
-from conftest import build_months
+from conftest import DATA_DIR, build_months
 
 FIXTURE_FILES = {
     "incident": ("ai-incidents", "incidents.csv"),
@@ -312,3 +312,29 @@ def test_month_table_day_arithmetic():
     assert months.date_of_day(32) == dt.date(2018, 1, 1)
     with pytest.raises(ValueError):
         months.day_index(dt.date(2020, 1, 1))
+
+
+BUNDLED_CSVS = sorted(str(p.relative_to(DATA_DIR)) for p in DATA_DIR.glob("*/*.csv"))
+SCHEMA_OF_FILE = {"months.csv": "month", "mileage.csv": "mileage",
+                  **{name: schema for schema, (_, name) in FIXTURE_FILES.items()}}
+
+
+@pytest.mark.parametrize("relative", BUNDLED_CSVS)
+def test_byte_order_mark_is_accepted(relative, data_dir, tmp_path):
+    # spreadsheet programs often save CSVs with a leading UTF-8 BOM
+    original = data_dir / relative
+    schema = SCHEMA_OF_FILE[original.name]
+    copy = tmp_path / original.name
+    copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    report = validate(copy, schema)
+    assert report.ok, report.violations[:3]
+    assert report.rows > 0
+    assert load(copy, schema) == load(original, schema)
+
+
+def test_index_with_byte_order_mark_is_read(data_dir, tmp_path):
+    index = load_index(data_dir)
+    for name in index.names():
+        (tmp_path / index.directory(name).relative_to(data_dir)).mkdir(parents=True)
+    (tmp_path / "DataList.csv").write_bytes(b"\xef\xbb\xbf" + (data_dir / "DataList.csv").read_bytes())
+    assert load_index(tmp_path).entries == index.entries

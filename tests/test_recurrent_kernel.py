@@ -48,7 +48,6 @@ from aireliab.recurrent import (
     fit_proportional,
     log_likelihood,
     proportional_log_likelihood,
-    _mle_objective,
     _Packed,
     _proportional_objective,
 )
@@ -346,7 +345,7 @@ def test_search_objectives_equal_model_building_path(data, family):
     units = data.draw(unit_lists())
     k = len(FAMILY_PARAMS[family])
     for packed in (_Packed(units), _Packed(fleet_of(units))):
-        objective = _mle_objective(packed, family)
+        objective = _proportional_objective(packed, family, np.zeros((packed.n_units, 0)))
         reference = reference_mle_objective(packed, family)
         for _ in range(3):
             z = np.array(data.draw(st.lists(Z, min_size=k, max_size=k)))
@@ -370,7 +369,8 @@ def test_search_path_equals_model_building_path(family):
     exposures = [u.exposure for u in mixed_units()[:4]]
     packed = _Packed(simulate_fleet(model, exposures, exposures[0].tau, seed=4))
     start = [np.log(FIXED_THETA[family])]
-    got = maximize(_mle_objective(packed, family), start, 1e-8, 300)
+    got = maximize(_proportional_objective(packed, family, np.zeros((packed.n_units, 0))),
+                   start, 1e-8, 300)
     want = maximize(reference_mle_objective(packed, family), start, 1e-8, 300)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
