@@ -51,6 +51,11 @@ def _finite(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def _dumps(value) -> str:
+    """JSON with every non-finite float written as null."""
+    return json.dumps(_finite(value), indent=2)
+
+
 class Run:
     """Output directory plus the manifest that describes the run."""
 
@@ -71,8 +76,14 @@ class Run:
         return path
 
     def write_json(self, name: str, payload) -> Path:
-        """JSON with every non-finite float written as null."""
-        return self.write_text(name, json.dumps(_finite(payload), indent=2) + "\n")
+        return self.write_text(name, _dumps(payload) + "\n")
+
+    def report(self, name: str, payload, *shown) -> Path:
+        """``payload`` written as ``name`` and printed, whole or only its
+        ``shown`` keys, both through the same encoder."""
+        target = self.write_json(name, payload)
+        print(_dumps({k: payload[k] for k in shown} if shown else payload))
+        return target
 
     def write_text(self, name: str, text: str) -> Path:
         target = self.dir / name
@@ -145,8 +156,7 @@ def cmd_validate(args, run: Run) -> int:
     if args.schema == "adversarial":
         options["accuracy_scale"] = args.accuracy_scale
     report = datasets.validate(path, args.schema, **options)
-    run.write_text("report.json", report.to_json() + "\n")
-    print(report.to_json())
+    run.report("report.json", report.to_dict())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
@@ -155,8 +165,7 @@ def cmd_summarize(args, run: Run) -> int:
     run.track_input(path)
     records = datasets.load(path, schema)
     summary = datasets.summarize(records, schema)
-    run.write_json("summary.json", summary)
-    print(json.dumps(summary, indent=2))
+    run.report("summary.json", summary)
     return EXIT_OK
 
 
@@ -216,9 +225,19 @@ def cmd_fit_recurrent(args, run: Run) -> int:
     return EXIT_OK
 
 
+def _module_logs(run: Run, path):
+    """The scenario logs of a module_error CSV, which must hold at least one row."""
+    records = datasets.load(run.track_input(path), "module_error")
+    if not records:
+        raise ValueError(f"{path} holds no module error rows")
+    return list(simulate.module_event_log(records).values())
+
+
 def cmd_fit_ep(args, run: Run) -> int:
-    records = datasets.load(run.track_input(args.log), "module_error")
-    logs = list(simulate.module_event_log(records).values())
+    if args.mae_grid < 0:
+        raise ValueError(f"--mae-grid must be non-negative, got {args.mae_grid}")
+    logs = _module_logs(run, args.log)
+    held = _module_logs(run, args.holdout) if args.mae_grid and args.holdout else logs
     fit = propagation.fit_ep(logs)
     payload = {
         "modules": list(fit.model.baseline),
@@ -228,14 +247,8 @@ def cmd_fit_ep(args, run: Run) -> int:
         "aic": fit.aic,
         "converged": fit.converged,
     }
-    run.write_json("ep_model.json", payload)
-    print(json.dumps({k: payload[k] for k in ("log_lik", "aic", "converged")}, indent=2))
+    run.report("ep_model.json", payload, "log_lik", "aic", "converged")
     if args.mae_grid:
-        if args.holdout:
-            held_records = datasets.load(run.track_input(args.holdout), "module_error")
-            held = list(simulate.module_event_log(held_records).values())
-        else:
-            held = logs
         window = held[0].window
         grid = np.linspace(window / args.mae_grid, window, args.mae_grid)
         competitors = {
@@ -273,11 +286,10 @@ def cmd_fit_srgm(args, run: Run) -> int:
         "converged": fit.converged,
         "n_fit": fit.n_fit,
     }
-    run.write_json("srgm.json", payload)
+    run.report("srgm.json", payload, "omega", "hazard", "beta", "holdout_mae")
     observed = np.cumsum(series.counts)
     run.write_table("cumulative.csv", [("t", "observed_cumulative", "fitted_cumulative"),
                                        *zip(range(1, series.n_steps + 1), observed, fit.fitted)])
-    print(json.dumps({k: payload[k] for k in ("omega", "hazard", "beta", "holdout_mae")}, indent=2))
     return EXIT_OK
 
 
@@ -301,12 +313,10 @@ def cmd_fit_resilience(args, run: Run) -> int:
         "baseline_mae": fit.baseline_mae,
         "n_fit": fit.n_fit,
     }
-    run.write_json("resilience.json", payload)
+    run.report("resilience.json", payload, "form", "intercept", "coef", "holdout_mae")
     steps = range(1, series.n_steps + 1)
     run.write_table("reconstruction.csv", [("t", "observed", "fitted"),
                                            *zip(steps, series.performance, fit.reconstructed)])
-    print(json.dumps({k: payload[k] for k in ("form", "intercept", "coef", "holdout_mae")},
-                     indent=2))
     return EXIT_OK
 
 
@@ -324,11 +334,10 @@ def cmd_fit_mixture(args, run: Run) -> int:
         "resid_sd": fit.resid_sd,
         "n": fit.n,
     }
-    run.write_json("mixture.json", payload)
     z = [args.z1, args.z2] + ([0, 0] if args.pooled else [])
     table = regression.predict_simplex_grid(fit, z, args.grid)
+    run.report("mixture.json", payload, "coef", "resid_sd")
     run.write_table("contour_grid.csv", [("x1", "x2", "x3", "yhat"), *table])
-    print(json.dumps({"coef": payload["coef"], "resid_sd": fit.resid_sd}, indent=2))
     return EXIT_OK
 
 
@@ -564,7 +573,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(args, run)
     except datasets.SchemaViolationError as exc:
-        run.write_text("report.json", exc.report.to_json() + "\n")
+        run.write_json("report.json", exc.report.to_dict())
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VIOLATIONS
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

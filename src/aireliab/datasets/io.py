@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,9 +42,6 @@ class ValidationReport:
             "rows": self.rows,
             "violations": [v.to_dict() for v in self.violations],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _schema(name: str):

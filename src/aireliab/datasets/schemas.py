@@ -339,6 +339,10 @@ def _month_file_checks(rows_records):
     if ids and ids != list(range(1, len(ids) + 1)):
         out.append(Violation(None, "MonthID", "month sequence",
                              "month ids must run 1..N consecutively"))
+    for (_, prev), (row, rec) in zip(rows_records, rows_records[1:]):
+        if rec.start_date != prev.end_date + dt.timedelta(days=1):
+            out.append(Violation(row, "StartDate", "month contiguity",
+                                 f"{rec.start_date} is not the day after {prev.end_date}"))
     return out
 
 

@@ -282,20 +282,23 @@ def _fit_layout(logs):
 
 
 def ep_log_likelihood(model: EPModel, logs) -> float:
-    """Sum over modules (and scenario logs) of event terms minus compensators."""
+    """Sum over modules (and scenario logs) of event terms minus compensators.
+
+    Each module's term is the one its fit maximises (``_module_loglik`` at
+    the module's parameters), summed in ``model.baseline`` order, so the
+    fitters report exactly this function of the model they return.
+    """
+    logs = _as_logs(logs)
     total = 0.0
-    for log in _as_logs(logs):
-        for module in model.baseline:
-            times = log.events.get(module, np.array([]))
-            if times.size:
-                lam = ep_intensity(model, log, module, times)
-                if np.any(np.asarray(lam) <= 0):
-                    raise ValueError(
-                        f"module {module}: intensity is zero at an observed event time"
-                    )
-                total += float(np.sum(np.log(lam)))
-            total -= float(expected_counts(model, log, module, [log.window])[0])
-    return total
+    for module in model.baseline:
+        in_edges = [(src, edge) for (tgt, src), edge in model.edges.items() if tgt == module]
+        loglik = _module_loglik(module, logs, [src for src, _ in in_edges])
+        term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
+        if not np.isfinite(term):
+            raise ValueError(f"module {module}: log-likelihood is not finite (intensity is "
+                             f"zero at an observed event time, or a term overflows)")
+        total += term
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -310,26 +313,52 @@ class EPFit:
     per_module: dict[str, float]
 
 
-def _module_objective(module, logs, source_names, decay_bounds):
-    """Negative log-likelihood of ``module`` and the map from its parameters.
+def _module_loglik(module, logs, source_names):
+    """Log-likelihood of ``module`` as a function of its parameters.
 
-    The parameter vector is z = (log shape, log scale, then log jump and
-    log decay per source); decays are clipped to ``decay_bounds``.
+    The parameter vector is p = (shape, scale, then jump and decay per
+    source); the result is not finite where an intensity at an event is
+    <= 0 or the compensator overflows.
 
-    Built once per fit: the module's event times and window ends, one
+    Built once per fit: the module's event times and window ends and one
     prepared ``_ExpKernel`` pair per edge (trigger sums at the module's own
-    events, compensators at each log's window end) and the clip bounds as
-    two vectors, so a call maps z to every parameter with one
-    ``exp(minimum(maximum(z, lo), hi))`` and then runs only array arithmetic.
+    events, compensators at each log's window end), so a call runs only
+    array arithmetic.
     """
     own = [log.events.get(module, np.array([])) for log in logs]
     windows = np.array([log.window for log in logs])
-    all_times = np.concatenate(own)
+    all_times = np.concatenate([np.zeros(0), *own])  # no logs: an empty sum
     kernels = [
         (_ExpKernel(streams, own), _ExpKernel(streams, windows[:, None]))
         for streams in ([log.events.get(src, np.array([])) for log in logs]
                         for src in source_names)
     ]
+
+    def loglik(p):
+        shape, scale = p[0], p[1]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
+            comp = float(np.add.reduce((windows / scale) ** shape))
+            for i, (at_events, at_windows) in enumerate(kernels):
+                jump, decay = p[2 + 2 * i], p[3 + 2 * i]
+                lam += jump * at_events.trigger(decay)
+                comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
+            # an intensity <= 0 at an event (log -inf or nan) or a
+            # non-finite compensator leaves the total non-finite
+            return float(np.add.reduce(np.log(lam))) - comp
+
+    return loglik
+
+
+def _module_objective(module, logs, source_names, decay_bounds):
+    """Negative log-likelihood of ``module`` and the map from its parameters.
+
+    The parameter vector is z = (log shape, log scale, then log jump and
+    log decay per source); decays are clipped to ``decay_bounds``.  The
+    clip bounds are two vectors, so a call maps z to every parameter with
+    one ``exp(minimum(maximum(z, lo), hi))``.
+    """
+    loglik = _module_loglik(module, logs, source_names)
     lo = np.full(2 + 2 * len(source_names), -np.inf)
     hi = np.full(lo.size, np.inf)
     lo[3::2], hi[3::2] = np.log(decay_bounds[0]), np.log(decay_bounds[1])
@@ -344,18 +373,7 @@ def _module_objective(module, logs, source_names, decay_bounds):
     def negloglik(z):
         if np.abs(z).max() > 50:
             return np.inf
-        p = params(z)
-        shape, scale = p[0], p[1]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
-            comp = float(np.add.reduce((windows / scale) ** shape))
-            for i, (at_events, at_windows) in enumerate(kernels):
-                jump, decay = p[2 + 2 * i], p[3 + 2 * i]
-                lam += jump * at_events.trigger(decay)
-                comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
-            # an intensity <= 0 at an event (log -inf or nan) or a
-            # non-finite compensator leaves the total non-finite
-            total = float(np.add.reduce(np.log(lam))) - comp
+        total = loglik(params(z))
         return -total if np.isfinite(total) else np.inf
 
     return negloglik, unpack
@@ -457,7 +475,8 @@ def fit_independent_hpp(logs) -> EPFit:
         if n == 0:
             raise ValueError(f"module {m}: no events to fit")
         rate = n / total_window
-        return (1.0, 1.0 / rate), (), n * np.log(rate) - rate * total_window, True, 0
+        baseline = (1.0, 1.0 / rate)
+        return baseline, (), _module_loglik(m, logs, ())(np.array(baseline)), True, 0
 
     return _assemble(modules, fit_module, n_baseline=1)
 

@@ -483,6 +483,8 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
         raise ValueError("series has no performance column")
     if not math.isfinite(split):
         raise ValueError(f"split must be finite, got {split}")
+    if form == "poly" and degree < 1:
+        raise ValueError(f"polynomial degree must be at least 1, got {degree}")
     r = series.performance
     T = series.n_steps
     if candidates is None:

@@ -518,3 +518,65 @@ def test_benchmark_tracer_wraps_and_restores_its_targets(tmp_path, capsys, data_
     assert not any(span.error for span in tracer.spans)
     for (module, attr), original in originals.items():
         assert getattr(importlib.import_module(module), attr) is original
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv, name, shown", [
+    (["validate", "disengagements/months.csv", "--schema", "month"], "report.json", None),
+    (["summarize", "mixture-robustness/mixture.csv"], "summary.json", None),
+    (["fit-ep", "--log", "module-errors/module_errors.csv"], "ep_model.json",
+     ("log_lik", "aic", "converged")),
+    (["fit-srgm", "--input", "adversarial-attacks/adversarial.csv", "--hazard", "gm"],
+     "srgm.json", ("omega", "hazard", "beta", "holdout_mae")),
+    (["fit-srgm", "--input", "adversarial-attacks/adversarial.csv", "--hazard", "gm",
+      "--split", "1"], "srgm.json", ("omega", "hazard", "beta", "holdout_mae")),
+    (["fit-resilience", "--input", "adversarial-attacks/adversarial.csv"],
+     "resilience.json", ("form", "intercept", "coef", "holdout_mae")),
+    (["fit-resilience", "--input", "adversarial-attacks/adversarial.csv", "--split", "1"],
+     "resilience.json", ("form", "intercept", "coef", "holdout_mae")),
+    (["fit-mixture", "--input", "mixture-robustness/mixture.csv", "--response", "y1",
+      "--scenario", "c1"], "mixture.json", ("coef", "resid_sd")),
+])
+def test_printed_json_is_the_written_json(tmp_path, capsys, data_dir, argv, name, shown):
+    # stdout goes through the encoder that writes the file: valid JSON,
+    # non-finite values as null, and the file's values for the shown keys
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    code, out, _ = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    written = json.loads((tmp_path / name).read_text(), parse_constant=reject_constant)
+    printed = json.loads(out, parse_constant=reject_constant)
+    assert printed == (written if shown is None else {k: written[k] for k in shown})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit-ep", "--log", "{data}/module-errors/module_errors.csv", "--mae-grid", "-2"],
+     "--mae-grid must be non-negative, got -2"),
+    (["fit-ep", "--log", "{data}/module-errors/module_errors.csv", "--mae-grid", "5",
+      "--holdout", "{tmp}/missing.csv"], "missing.csv"),
+    (["fit-ep", "--log", "{data}/module-errors/module_errors.csv", "--mae-grid", "5",
+      "--holdout", "{tmp}/empty.csv"], "empty.csv holds no module error rows"),
+    (["fit-mixture", "--input", "{data}/mixture-robustness/mixture.csv", "--response", "y1",
+      "--scenario", "c1", "--grid", "1"], "grid resolution must be at least 2"),
+])
+def test_bad_flags_fail_before_any_result_is_written(tmp_path, capsys, data_dir, argv, message):
+    header = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()[0]
+    (tmp_path / "empty.csv").write_text(header + "\n")
+    argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert message in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("form", ["poly:0", "poly:-2"])
+def test_fit_resilience_rejects_a_degree_below_one(tmp_path, capsys, data_dir, form):
+    code, _, err = run_cli([
+        "fit-resilience", "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv"),
+        "--form", form, "--out", str(tmp_path),
+    ], capsys)
+    assert code == 1
+    assert err.startswith(f"error: polynomial degree must be at least 1, got {form[5:]}")
+    assert not (tmp_path / "resilience.json").exists()

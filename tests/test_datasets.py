@@ -167,6 +167,21 @@ def test_month_table_violations():
     assert "month sequence" in [v.rule for v in report.violations]
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_month_gap_or_overlap_is_a_contiguity_violation(shift):
+    # month 2 starts a day late (a gap) or a day early (an overlap) and its
+    # NDays matches its own dates, so only the file check can see it
+    rows = build_months(n=3)
+    start = rows[1].start_date + dt.timedelta(days=shift)
+    end = rows[1].end_date
+    rows[1] = datasets.MonthRow(2, start, end, (end - start).days + 1)
+    report = validate(io.StringIO(dumps(rows, "month")), "month")
+    assert [(v.row, v.column, v.rule) for v in report.violations] == [
+        (2, "StartDate", "month contiguity")]
+    with pytest.raises(ValueError, match="month 2 does not start the day after month 1 ends"):
+        MonthTable(rows)
+
+
 def test_mileage_negative_value_violation():
     cols = ["Manufacture", "VIN"] + [f"M{j}" for j in range(1, 25)]
     row = ["Waymo", "V1"] + ["1.0"] * 24
