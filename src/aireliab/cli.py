@@ -201,7 +201,9 @@ def cmd_fit_recurrent(args, run: Run) -> int:
     mileage = datasets.load(run.track_input(args.mileage), "mileage")
     schema = "disengagement" if args.level == "vehicle" else "collision"
     events = datasets.load(run.track_input(args.events), schema)
-    manufacturers = sorted({r.manufacture for r in events})
+    if not events:
+        raise ValueError(f"{args.events} holds no events")
+    manufacturers = sorted(set(datasets.column(events, "manufacture")))
     if args.manufacturer:
         if args.manufacturer not in manufacturers:
             raise ValueError(f"no events for manufacturer {args.manufacturer!r}")
@@ -213,9 +215,7 @@ def cmd_fit_recurrent(args, run: Run) -> int:
             fit = recurrent.fit_mle(units, args.family)
         else:
             times = simulate.collision_times(events, months, name)
-            fleet = datasets.derive_exposure(
-                [r for r in mileage if r.manufacture == name], months
-            )
+            fleet = datasets.derive_exposure(datasets.select(mileage, "manufacture", name), months)
             fit = recurrent.fit_manufacturer_level(times, fleet, args.family)
         payload = _fit_payload(fit, months.tau, args.grid_points)
         payload["manufacturer"] = name
@@ -236,8 +236,10 @@ def _module_logs(run: Run, path):
 def cmd_fit_ep(args, run: Run) -> int:
     if args.mae_grid < 0:
         raise ValueError(f"--mae-grid must be non-negative, got {args.mae_grid}")
+    if args.holdout is not None and not args.mae_grid:
+        raise ValueError("--holdout is read only for the MAE table; it needs a positive --mae-grid")
     logs = _module_logs(run, args.log)
-    held = _module_logs(run, args.holdout) if args.mae_grid and args.holdout else logs
+    held = _module_logs(run, args.holdout) if args.holdout else logs
     fit = propagation.fit_ep(logs)
     payload = {
         "modules": list(fit.model.baseline),
@@ -381,8 +383,8 @@ def cmd_simulate(args, run: Run) -> int:
         if args.mileage is None or args.months is None:
             raise ValueError("simulate nhpp needs both --mileage and --months")
         months = datasets.MonthTable(datasets.load(run.track_input(args.months), "month"))
-        mileage = [r for r in datasets.load(run.track_input(args.mileage), "mileage")
-                   if r.manufacture == args.manufacture]
+        mileage = datasets.select(datasets.load(run.track_input(args.mileage), "mileage"),
+                                  "manufacture", args.manufacture)
         if not mileage:
             raise ValueError(f"no mileage rows for {args.manufacture!r}")
         theta = tuple(float(v) for v in args.theta.split(","))

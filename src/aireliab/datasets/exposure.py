@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .schemas import MileageRow, MonthRow  # noqa: F401  (MileageRow is re-exported)
+from .table import RecordTable, column
 
 
 class MonthTable:
@@ -192,7 +193,8 @@ def constant_exposure(rate: float, tau: float, unit_id: str = "unit") -> Exposur
 
 
 def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
-    """Daily exposure schedules from monthly mileage and month lengths.
+    """Daily exposure schedules from monthly mileage rows (a table or a list
+    of ``MileageRow``) and month lengths.
 
     Each month's rate is that month's mileage divided by its number of
     days, so the schedule integrates back to the monthly totals exactly.
@@ -202,16 +204,15 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
     """
     if not isinstance(months, MonthTable):
         months = MonthTable(months)
-    rows = list(mileage_rows)
+    rows = mileage_rows if isinstance(mileage_rows, RecordTable) else list(mileage_rows)
+    miles = column(rows, "monthly_miles")
     n_days = np.array([r.n_days for r in months.rows], dtype=float)
     breakpoints = np.concatenate([[0.0], np.cumsum(n_days)])
     tau = float(breakpoints[-1])
     n_months = len(months)
     # the rows before the first one with the wrong number of months
-    n_good = next((i for i, row in enumerate(rows) if len(row.monthly_miles) != n_months),
-                  len(rows))
-    rates = np.array([row.monthly_miles for row in rows[:n_good]],
-                     dtype=float).reshape(n_good, n_months)
+    n_good = next((i for i, n in enumerate(map(len, miles)) if n != n_months), len(rows))
+    rates = np.array(miles[:n_good], dtype=float).reshape(n_good, n_months)
     rates /= n_days
     if n_good:
         if not (np.diff(breakpoints) > 0).all():
@@ -223,9 +224,8 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
             f"{row.vin}: {len(row.monthly_miles)} mileage columns but {n_months} month rows"
         )
     return [
-        ExposureSchedule._prechecked(f"{row.manufacture}:{row.vin}", breakpoints.copy(),
-                                     rate, tau)
-        for row, rate in zip(rows, rates)
+        ExposureSchedule._prechecked(f"{maker}:{vin}", breakpoints.copy(), rate, tau)
+        for maker, vin, rate in zip(column(rows, "manufacture"), column(rows, "vin"), rates)
     ]
 
 

@@ -1,13 +1,23 @@
-"""CSV loading, validation reports, and serialization for all schemas."""
+"""CSV loading, validation reports, and serialization for all schemas.
+
+``parse_records`` and ``load`` return a ``RecordTable``: one column per
+record attribute, read as the list of typed records it holds.  The DMV
+readers (``derive_exposure``, ``summarize``, ``simulate``'s
+``event_series_from_disengagements`` and ``collision_times``) and ``air
+fit-recurrent`` read its columns and take a plain record list as well.
+A header must hold every schema column and name no column twice.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .schemas import SCHEMAS, Violation
+from .table import parse_table
 
 
 class SchemaError(ValueError):
@@ -54,11 +64,13 @@ def _schema(name: str):
 
 
 def parse_records(source, schema_name: str, **options):
-    """Parse ``source`` fully; returns (records, report).
+    """Parse ``source`` fully; returns (table, report).
 
-    ``records`` contains one typed record per row that parsed, in file
-    order; rows that fail to parse are reported but skipped.  File-level
-    invariants run over the parsed rows.
+    ``table`` is a ``RecordTable``: one column per record attribute of the
+    rows that parsed, in file order, read as the list of their typed
+    records.  Rows that fail to parse are reported but skipped.  A header
+    that lacks a schema column or names any column twice is a
+    ``SchemaError``.  File-level invariants run over the parsed rows.
     """
     schema = _schema(schema_name)
     bad = [k for k in options if k not in schema.options]
@@ -74,21 +86,11 @@ def parse_records(source, schema_name: str, **options):
     missing = [c for c in schema.columns if c not in header]
     if missing:
         raise SchemaError(f"malformed header: missing column(s) {missing}")
-    parse_row = schema.row_parser(header)
-    violations: list[Violation] = []
-    rows_records = []
-    n_rows = 0
-    for cells in reader:
-        if not cells:  # a blank line holds no row
-            continue
-        n_rows += 1
-        record = parse_row(n_rows, cells, violations)
-        if record is not None:
-            rows_records.append((n_rows, record))
-    if schema.file_checks is not None:
-        violations.extend(schema.file_checks(rows_records, **options))
-    report = ValidationReport(schema_name, n_rows, tuple(violations))
-    return [record for _, record in rows_records], report
+    twice = [name for name, count in Counter(header).items() if count > 1]
+    if twice:
+        raise SchemaError(f"duplicate column(s) {twice}")
+    table, violations, n_rows = parse_table(schema, header, reader, **options)
+    return table, ValidationReport(schema_name, n_rows, tuple(violations))
 
 
 def validate(source, schema_name: str, **options) -> ValidationReport:
@@ -98,7 +100,8 @@ def validate(source, schema_name: str, **options) -> ValidationReport:
 
 
 def load(source, schema_name: str, **options):
-    """Typed records from a CSV file; raises if any invariant is violated."""
+    """The table of typed records of a CSV file; raises if any invariant is
+    violated."""
     records, report = parse_records(source, schema_name, **options)
     if not report.ok:
         raise SchemaViolationError(report)

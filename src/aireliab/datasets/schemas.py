@@ -23,7 +23,8 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, make_dataclass
-from operator import itemgetter
+
+import numpy as np
 
 N_MILEAGE_MONTHS = 24
 
@@ -60,17 +61,23 @@ def _fmt(value) -> str:
 @dataclass(frozen=True)
 class Cell:
     """Conversion between one CSV cell and a record value; ``parse`` raises
-    ValueError on a malformed cell, which is reported under ``rule``."""
+    ValueError on a malformed cell, which is reported under ``rule``.
+
+    The cells of an ``array`` type rarely repeat, so a column of them is
+    parsed cell by cell and held as a float array; other cells are parsed
+    once per distinct string and held as a list.
+    """
 
     parse: Callable[[str], object]
     format: Callable[[object], object]
     rule: str = ""
+    array: bool = False
 
 
 STR = Cell(str, lambda value: value)
 OPTIONAL_STR = Cell(lambda raw: raw or None, lambda value: value or "")
 INT = Cell(int, str, "integer format")
-FLOAT = Cell(float, _fmt, "number format")
+FLOAT = Cell(float, _fmt, "number format", array=True)
 DATE = Cell(dt.date.fromisoformat, lambda value: value.isoformat(), "date format")
 FLAG = Cell(_flag, str, "binary flag")
 
@@ -91,10 +98,13 @@ class Range:
     strict: bool = False
     reject: bool = False
 
-    def breached(self, value) -> bool:
+    def breached(self, value):
+        """Whether ``value`` breaks the rule; elementwise for an array."""
         if self.hi is not None:
-            return not self.lo <= value <= self.hi
-        return not (self.lo < value if self.strict else self.lo <= value) or value == math.inf
+            ok = (self.lo <= value) & (value <= self.hi)
+        else:
+            ok = ((self.lo < value) if self.strict else (self.lo <= value)) & (value != math.inf)
+        return ~ok if isinstance(ok, np.ndarray) else not ok
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,8 @@ class SchemaDef:
 
     ``row_checks(row, record, out)`` sees each record whose cells all
     parsed and appends violations to ``out``; it returns True when the row
-    must yield no record.  ``file_checks(rows_records, **options)`` sees
+    must yield no record.  Its ``reads`` names the record attributes it
+    reads (see ``_reads``).  ``file_checks(rows_records, **options)`` sees
     the (row, record) pairs of a whole file and returns violations.
     """
 
@@ -154,65 +165,6 @@ class SchemaDef:
             slots.setdefault(col.attr, []).append(j)
         return slots
 
-    def row_parser(self, header):
-        """Parser of the data rows of a file with ``header``.
-
-        ``parse(row, cells, out)`` returns the row's record, or None after
-        appending to ``out`` why the row yields none: its cell count differs
-        from the header's, a cell is malformed or breaks a ``reject`` range,
-        or a row check drops it.  Cells are parsed in column order; the
-        range rules that only report run last, on rows that yield a record.
-        """
-        index = {name: i for i, name in enumerate(header)}
-        parsers = [(index[col.name], col.cell.parse) for col in self.spec]
-        rejects = [(j, col) for j, col in enumerate(self.spec)
-                   if col.range is not None and col.range.reject]
-        ranged = [(j, col) for j, col in enumerate(self.spec)
-                  if col.range is not None and not col.range.reject]
-        # one getter per record field, in field order; a shared attribute's
-        # getter takes several positions and so returns a tuple
-        getters = [itemgetter(*js) for js in self._slots().values()]
-        extras = None
-        if self.extras:
-            extras = [(name, i) for name, i in index.items() if name not in self.columns]
-        record_type, row_checks = self.record_type, self.row_checks
-
-        def report_cells(row, cells, out):
-            for (i, parse_cell), col in zip(parsers, self.spec):
-                try:
-                    value = parse_cell(cells[i])
-                except ValueError:
-                    out.append(Violation(row, col.name, col.cell.rule,
-                                         f"malformed cell {cells[i]!r}"))
-                    continue
-                if col.range is not None and col.range.reject and col.range.breached(value):
-                    out.append(Violation(row, col.name, col.range.rule, f"got {value!r}"))
-
-        def parse(row, cells, out):
-            if len(cells) != len(header):
-                out.append(Violation(row, None, "row length",
-                                     f"{len(cells)} cells under {len(header)} columns"))
-                return None
-            try:
-                values = [parse_cell(cells[i]) for i, parse_cell in parsers]
-            except ValueError:
-                values = None
-            if values is None or any(col.range.breached(values[j]) for j, col in rejects):
-                report_cells(row, cells, out)
-                return None
-            args = [get(values) for get in getters]
-            if extras is not None:
-                args.append({name: cells[i] for name, i in extras})
-            record = record_type(*args)
-            if row_checks is not None and row_checks(row, record, out):
-                return None
-            for j, col in ranged:
-                if col.range.breached(values[j]):
-                    out.append(Violation(row, col.name, col.range.rule, f"got {values[j]!r}"))
-            return record
-
-        return parse
-
     def row_formatter(self, extra_columns):
         """Function from a record to its cells under the schema columns
         followed by ``extra_columns``, which are read from ``extras``."""
@@ -237,6 +189,16 @@ class SchemaDef:
 # row checks: invariants across several fields of one row
 
 
+def _reads(*attrs):
+    """Mark a row check with the record attributes it reads.  Its verdict
+    depends on nothing else, so the parser runs it once per distinct
+    combination of their values."""
+    def mark(check):
+        check.reads = attrs
+        return check
+    return mark
+
+
 @functools.lru_cache(maxsize=1024)  # the rows of a file share a few dozen months
 def _month_window(month: str):
     """First and last date of a 'YYYY-MM' month string, or None."""
@@ -247,6 +209,7 @@ def _month_window(month: str):
     return start, start.replace(day=calendar.monthrange(start.year, start.month)[1])
 
 
+@_reads("date", "month")
 def _event_date_checks(row, rec, out):
     """Disengagement and collision dates fall inside their month."""
     window = _month_window(rec.month)
@@ -257,6 +220,7 @@ def _event_date_checks(row, rec, out):
                              f"{rec.date} not in month {rec.month}"))
 
 
+@_reads("start_date", "end_date", "n_days")
 def _month_checks(row, rec, out):
     span = (rec.end_date - rec.start_date).days + 1
     if span != rec.n_days:
@@ -264,6 +228,7 @@ def _month_checks(row, rec, out):
                              f"spans {span} days, not {rec.n_days}"))
 
 
+@_reads("window", "ei_time_2d", "ei_time_3d", "timestamp")
 def _module_error_checks(row, rec, out):
     """Injection intervals and the time stamp lie inside an ordered window;
     a row whose window is out of order yields no record."""
@@ -283,6 +248,7 @@ def _module_error_checks(row, rec, out):
 SIMPLEX_TOL = 1e-9
 
 
+@_reads("x1", "x2", "x3", "c1", "c2", "c3")
 def _mixture_checks(row, rec, out):
     """Class proportions form a simplex point and one scenario flag is set."""
     xs = (rec.x1, rec.x2, rec.x3)
@@ -299,6 +265,7 @@ def _mixture_checks(row, rec, out):
 ATTACK_MIX_TOL = 1e-6
 
 
+@_reads("epsilon_range", "fgsm_pct", "pgd_pct")
 def _adversarial_checks(row, rec, out):
     """The epsilon range is an interval in [0, 1]; FGSM and PGD shares sum to 100."""
     lo, hi = rec.epsilon_range

@@ -10,7 +10,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 
+import numpy as np
+
 from .schemas import MODULE_FLAGS
+from .table import RecordTable, column
 
 _TOKEN = re.compile(r"[a-z]+")
 _STOPWORDS = {
@@ -44,58 +47,57 @@ def _date_range(dates):
 
 
 def summarize(records, schema_name: str) -> dict:
-    """Row counts, per-category tallies, and date ranges for one dataset."""
-    records = list(records)
+    """Row counts, per-category tallies, and date ranges for one dataset,
+    read column by column from a table or a list of records."""
+    records = records if isinstance(records, RecordTable) else list(records)
+
+    def col(attr):  # Python values, so that sums add as Python floats do
+        values = column(records, attr)
+        return values.tolist() if isinstance(values, np.ndarray) else values
+
     out = {"schema": schema_name, "rows": len(records)}
     if schema_name == "disengagement":
-        out["by_manufacture"] = _tally(r.manufacture for r in records)
-        out["by_month"] = _tally(r.month for r in records)
-        out["n_vehicles"] = len({(r.manufacture, r.vin) for r in records})
-        out["date_range"] = _date_range(r.date for r in records)
+        out["by_manufacture"] = _tally(col("manufacture"))
+        out["by_month"] = _tally(col("month"))
+        out["n_vehicles"] = len(set(zip(col("manufacture"), col("vin"))))
+        out["date_range"] = _date_range(col("date"))
     elif schema_name == "collision":
-        out["by_manufacture"] = _tally(r.manufacture for r in records)
-        out["by_month"] = _tally(r.month for r in records)
-        out["n_event_dates"] = len({(r.manufacture, r.date) for r in records})
-        out["date_range"] = _date_range(r.date for r in records)
+        out["by_manufacture"] = _tally(col("manufacture"))
+        out["by_month"] = _tally(col("month"))
+        out["n_event_dates"] = len(set(zip(col("manufacture"), col("date"))))
+        out["date_range"] = _date_range(col("date"))
     elif schema_name == "mileage":
-        out["by_manufacture"] = _tally(r.manufacture for r in records)
-        out["n_vehicles"] = len({(r.manufacture, r.vin) for r in records})
-        out["total_thousand_miles"] = float(
-            sum(sum(r.monthly_miles) for r in records)
-        )
+        out["by_manufacture"] = _tally(col("manufacture"))
+        out["n_vehicles"] = len(set(zip(col("manufacture"), col("vin"))))
+        out["total_thousand_miles"] = float(sum(sum(m) for m in col("monthly_miles")))
     elif schema_name == "month":
-        out["total_days"] = int(sum(r.n_days for r in records))
+        out["total_days"] = int(sum(col("n_days")))
         out["period"] = (
-            [records[0].start_date.isoformat(), records[-1].end_date.isoformat()]
+            [col("start_date")[0].isoformat(), col("end_date")[-1].isoformat()]
             if records else None
         )
     elif schema_name == "module_error":
-        out["by_scenario"] = _tally(r.scenario_id for r in records)
-        out["by_weather"] = _tally(r.weather for r in records)
+        out["by_scenario"] = _tally(col("scenario_id"))
+        out["by_weather"] = _tally(col("weather"))
         out["events_by_module"] = {
-            module: int(sum(getattr(r, attr) for r in records))
-            for module, attr in MODULE_FLAGS.items()
+            module: int(sum(col(attr))) for module, attr in MODULE_FLAGS.items()
         }
     elif schema_name == "mixture":
-        out["by_scenario"] = {
-            "c1": int(sum(r.c1 for r in records)),
-            "c2": int(sum(r.c2 for r in records)),
-            "c3": int(sum(r.c3 for r in records)),
-        }
-        out["by_algorithm_flag"] = _tally(r.z1 for r in records)
+        out["by_scenario"] = {c: int(sum(col(c))) for c in ("c1", "c2", "c3")}
+        out["by_algorithm_flag"] = _tally(col("z1"))
         if records:
-            out["mean_y1"] = float(sum(r.y1 for r in records) / len(records))
-            out["mean_y2"] = float(sum(r.y2 for r in records) / len(records))
+            out["mean_y1"] = float(sum(col("y1")) / len(records))
+            out["mean_y2"] = float(sum(col("y2")) / len(records))
     elif schema_name == "adversarial":
-        out["by_scenario"] = _tally(r.scenario for r in records)
-        out["total_failures"] = int(sum(r.fc for r in records))
+        out["by_scenario"] = _tally(col("scenario"))
+        out["total_failures"] = int(sum(col("fc")))
     elif schema_name == "incident":
-        out["by_cause"] = _tally(r.cause for r in records)
-        out["by_sector"] = _tally(r.sector for r in records)
-        out["casuality_count"] = int(sum(r.casuality for r in records))
-        out["injured_count"] = int(sum(r.injured for r in records))
-        out["algorithm_terms"] = term_frequency((r.algorithm for r in records), top=25)
-        out["cause_terms"] = term_frequency((r.cause for r in records), top=25)
+        out["by_cause"] = _tally(col("cause"))
+        out["by_sector"] = _tally(col("sector"))
+        out["casuality_count"] = int(sum(col("casuality")))
+        out["injured_count"] = int(sum(col("injured")))
+        out["algorithm_terms"] = term_frequency(col("algorithm"), top=25)
+        out["cause_terms"] = term_frequency(col("cause"), top=25)
     else:
         raise ValueError(f"no summarizer for schema {schema_name!r}")
     return out

@@ -136,6 +136,19 @@ def cumulative_baseline(model: BaselineIntensityModel, t):
     return out if out.ndim else float(out)
 
 
+def check_event_times(times: np.ndarray, tau: float, same_unit=True) -> None:
+    """Raise unless the float array ``times`` is finite, inside (0, tau] and
+    ascending (ties allowed).  For the times of several units laid end to
+    end, ``same_unit`` flags each pair of neighbours that one unit holds,
+    and only those pairs must ascend."""
+    if not np.isfinite(times).all():
+        raise ValueError("event_times must be finite")
+    if ((np.diff(times) < 0) & same_unit).any():
+        raise ValueError("event_times must be ascending (ties allowed)")
+    if times.size and (times.min() <= 0 or times.max() > tau + 1e-9):
+        raise ValueError("event_times must lie in (0, tau]")
+
+
 @dataclass(frozen=True)
 class EventSeries:
     """Event times for one unit over (0, tau] with its exposure schedule."""
@@ -149,16 +162,22 @@ class EventSeries:
         times = np.asarray(self.event_times, dtype=float)
         if times.ndim != 1:
             raise ValueError("event_times must be one-dimensional")
-        if not np.isfinite(times).all():
-            raise ValueError("event_times must be finite")
-        if (np.diff(times) < 0).any():
-            raise ValueError("event_times must be ascending (ties allowed)")
-        if times.size and (times[0] <= 0 or times[-1] > self.tau + 1e-9):
-            raise ValueError("event_times must lie in (0, tau]")
+        check_event_times(times, self.tau)
         if abs(self.exposure.tau - self.tau) > 1e-9:
             raise ValueError("exposure horizon does not match tau")
         object.__setattr__(self, "event_times", times)
         object.__setattr__(self, "tau", float(self.tau))
+
+    @classmethod
+    def _prechecked(cls, unit_id: str, event_times: np.ndarray, tau: float,
+                    exposure: ExposureSchedule) -> "EventSeries":
+        """A series from fields that already passed ``__post_init__``'s
+        checks, built without running them again."""
+        self = object.__new__(cls)
+        for name, value in (("unit_id", unit_id), ("event_times", event_times), ("tau", tau),
+                            ("exposure", exposure)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def n_events(self) -> int:

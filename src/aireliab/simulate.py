@@ -33,8 +33,9 @@ from .datasets.schemas import (
     MixtureRecord,
     ModuleErrorRecord,
 )
+from .datasets.table import column, select
 from .propagation import DEFAULT_SOURCES, EPModel, InjectionWindow, ModuleEventLog, toposort
-from .recurrent import BaselineIntensityModel, EventSeries, baseline_intensity
+from .recurrent import BaselineIntensityModel, EventSeries, baseline_intensity, check_event_times
 from .regression import mixture_design
 from .srgm import DiscreteHazard, IntervalCountSeries, mean_value_increments
 
@@ -497,11 +498,11 @@ def interval_series_from_adversarial(records, scenario: int,
     return IntervalCountSeries(counts, X, tuple(covariates), performance=perf)
 
 
-def _day_offsets(months: MonthTable, records):
-    """``day_index`` of each record's date, from date ordinals, and whether
-    each date lies outside the period (where ``day_index`` raises)."""
+def _day_offsets(months: MonthTable, dates):
+    """``day_index`` of each date, from date ordinals, and whether each date
+    lies outside the period (where ``day_index`` raises)."""
     first, last = months.start_date.toordinal(), months.end_date.toordinal()
-    ordinal = np.array([r.date.toordinal() for r in records], dtype=np.int64)
+    ordinal = np.array([d.toordinal() for d in dates], dtype=np.int64)
     return ordinal - (first - 1), (ordinal < first) | (ordinal > last)
 
 
@@ -511,40 +512,43 @@ def event_series_from_disengagements(records, mileage_rows, months: MonthTable,
 
     Every vehicle with a mileage row contributes a series (possibly with
     zero events); dated events convert to whole-day offsets, preserving
-    same-day ties.
+    same-day ties.  Events and mileage are tables or lists of records.
     """
-    fleet_rows = [r for r in mileage_rows if r.manufacture == manufacture]
+    fleet_rows = select(mileage_rows, "manufacture", manufacture)
     if not fleet_rows:
         raise ValueError(f"no mileage rows for manufacturer {manufacture!r}")
     schedules = derive_exposure(fleet_rows, months)
     vehicle_of: dict[str, int] = {}  # rows that share a VIN share its events
-    for row in fleet_rows:
-        vehicle_of.setdefault(row.vin, len(vehicle_of))
-    ours = [r for r in records if r.manufacture == manufacture]
-    vehicle = np.array([vehicle_of.get(r.vin, -1) for r in ours], dtype=np.int64)
-    day, outside = _day_offsets(months, ours)
+    for vin in column(fleet_rows, "vin"):
+        vehicle_of.setdefault(vin, len(vehicle_of))
+    ours = select(records, "manufacture", manufacture)
+    vins, dates = column(ours, "vin"), column(ours, "date")
+    vehicle = np.array([vehicle_of.get(vin, -1) for vin in vins], dtype=np.int64)
+    day, outside = _day_offsets(months, dates)
     bad = (vehicle < 0) | outside
     if bad.any():
-        rec = ours[np.argmax(bad)]
-        if rec.vin not in vehicle_of:
-            raise ValueError(f"event for unknown vehicle {rec.vin!r}")
-        months.day_index(rec.date)  # raises for the date outside the period
+        k = np.argmax(bad)
+        if vins[k] not in vehicle_of:
+            raise ValueError(f"event for unknown vehicle {vins[k]!r}")
+        months.day_index(dates[k])  # raises for the date outside the period
     # every vehicle's days, ascending, as one run of the sorted array
-    times = day[np.lexsort((day, vehicle))].astype(float)
+    order = np.lexsort((day, vehicle))
+    times = day[order].astype(float)
+    # what each series would check of its times, once for the fleet; every
+    # schedule's tau is the period's
+    check_event_times(times, months.tau, same_unit=np.diff(vehicle[order]) == 0)
     count = np.bincount(vehicle, minlength=len(vehicle_of))
     end = np.cumsum(count)
-    series = []
-    for row, schedule in zip(fleet_rows, schedules):
-        v = vehicle_of[row.vin]
-        series.append(EventSeries(schedule.unit_id, times[end[v] - count[v]:end[v]],
-                                  schedule.tau, schedule))
-    return series
+    return [EventSeries._prechecked(schedule.unit_id, times[end[v] - count[v]:end[v]],
+                                    schedule.tau, schedule)
+            for v, schedule in zip(map(vehicle_of.__getitem__, column(fleet_rows, "vin")),
+                                   schedules)]
 
 
 def collision_times(records, months: MonthTable, manufacture: str) -> np.ndarray:
     """Manufacturer-level collision day offsets, ties preserved."""
-    ours = [r for r in records if r.manufacture == manufacture]
-    day, outside = _day_offsets(months, ours)
+    dates = column(select(records, "manufacture", manufacture), "date")
+    day, outside = _day_offsets(months, dates)
     if outside.any():
-        months.day_index(ours[np.argmax(outside)].date)  # raises for that date
+        months.day_index(dates[np.argmax(outside)])  # raises for that date
     return np.sort(day.astype(float))

@@ -580,3 +580,34 @@ def test_fit_resilience_rejects_a_degree_below_one(tmp_path, capsys, data_dir, f
     assert code == 1
     assert err.startswith(f"error: polynomial degree must be at least 1, got {form[5:]}")
     assert not (tmp_path / "resilience.json").exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--mae-grid", "0"]])
+def test_fit_ep_holdout_needs_a_positive_mae_grid(tmp_path, capsys, data_dir, grid):
+    # the holdout feeds only the MAE table; without one it would go unread
+    code, _, err = run_cli([
+        "fit-ep", "--log", str(data_dir / "module-errors" / "module_errors.csv"),
+        "--holdout", str(tmp_path / "nonexistent.csv"), *grid, "--out", str(tmp_path / "out"),
+    ], capsys)
+    assert code == 1
+    assert "--holdout" in err and "needs a positive --mae-grid" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("level, directory, events", [
+    ("vehicle", "disengagements", "disengagements.csv"),
+    ("manufacturer", "collisions", "collisions.csv"),
+])
+def test_fit_recurrent_rejects_an_events_file_without_rows(tmp_path, capsys, data_dir, level,
+                                                          directory, events):
+    base = data_dir / directory
+    empty = tmp_path / events
+    empty.write_text((base / events).read_text().splitlines()[0] + "\n")
+    code, _, err = run_cli([
+        "fit-recurrent", "--family", "hpp", "--level", level, "--events", str(empty),
+        "--mileage", str(base / "mileage.csv"), "--months", str(base / "months.csv"),
+        "--out", str(tmp_path / "out"),
+    ], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {empty} holds no events")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
