@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas
 
-from ._optim import maximize, starts
+from ._optim import maximize, quiet, starts
 from .recurrent import BaselineIntensityModel, baseline_intensity, cumulative_baseline
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
@@ -293,7 +293,8 @@ def ep_log_likelihood(model: EPModel, logs) -> float:
     for module in model.baseline:
         in_edges = [(src, edge) for (tgt, src), edge in model.edges.items() if tgt == module]
         loglik = _module_loglik(module, logs, [src for src, _ in in_edges])
-        term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
+        with quiet():
+            term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
         if not np.isfinite(term):
             raise ValueError(f"module {module}: log-likelihood is not finite (intensity is "
                              f"zero at an observed event time, or a term overflows)")
@@ -323,7 +324,7 @@ def _module_loglik(module, logs, source_names):
     Built once per fit: the module's event times and window ends and one
     prepared ``_ExpKernel`` pair per edge (trigger sums at the module's own
     events, compensators at each log's window end), so a call runs only
-    array arithmetic.
+    array arithmetic, under the error state its caller sets.
     """
     own = [log.events.get(module, np.array([])) for log in logs]
     windows = np.array([log.window for log in logs])
@@ -336,16 +337,15 @@ def _module_loglik(module, logs, source_names):
 
     def loglik(p):
         shape, scale = p[0], p[1]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
-            comp = float(np.add.reduce((windows / scale) ** shape))
-            for i, (at_events, at_windows) in enumerate(kernels):
-                jump, decay = p[2 + 2 * i], p[3 + 2 * i]
-                lam += jump * at_events.trigger(decay)
-                comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
-            # an intensity <= 0 at an event (log -inf or nan) or a
-            # non-finite compensator leaves the total non-finite
-            return float(np.add.reduce(np.log(lam))) - comp
+        lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
+        comp = float(np.add.reduce((windows / scale) ** shape))
+        for i, (at_events, at_windows) in enumerate(kernels):
+            jump, decay = p[2 + 2 * i], p[3 + 2 * i]
+            lam += jump * at_events.trigger(decay)
+            comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
+        # an intensity <= 0 at an event (log -inf or nan) or a
+        # non-finite compensator leaves the total non-finite
+        return float(np.add.reduce(np.log(lam))) - comp
 
     return loglik
 
@@ -476,7 +476,9 @@ def fit_independent_hpp(logs) -> EPFit:
             raise ValueError(f"module {m}: no events to fit")
         rate = n / total_window
         baseline = (1.0, 1.0 / rate)
-        return baseline, (), _module_loglik(m, logs, ())(np.array(baseline)), True, 0
+        with quiet():
+            ll = _module_loglik(m, logs, ())(np.array(baseline))
+        return baseline, (), ll, True, 0
 
     return _assemble(modules, fit_module, n_baseline=1)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import maximize, numeric_stderr, starts
+from ._optim import maximize, numeric_stderr, quiet, starts
 from .datasets.exposure import ExposureSchedule, sum_schedules
 
 FAMILY_PARAMS = {
@@ -263,7 +263,8 @@ class _Packed:
 
     def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
         """Log-likelihood; ``unit_scale`` multiplies each unit's intensity."""
-        return self.log_lik_theta(model.family, model.theta, unit_scale)
+        with quiet():
+            return self.log_lik_theta(model.family, model.theta, unit_scale)
 
     def log_lik_theta(self, family: str, theta, unit_scale=None) -> float:
         """``log_lik`` at raw parameters of a family the caller checked.
@@ -272,19 +273,18 @@ class _Packed:
         construction, so the formulas run without the checks of
         ``baseline_intensity`` and ``cumulative_baseline``.
         """
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lam0 = _intensity(family, theta, self.event_times)
-            if (lam0 <= 0).any():
-                return -np.inf
-            event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
-            if unit_scale is None:
-                weights = self.interval_rate
-            else:
-                event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
-                weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
-                                      minlength=len(self.interval_rate))
-            cum = _cumulative(family, theta, self.grid)
-            total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
+        lam0 = _intensity(family, theta, self.event_times)
+        if (lam0 <= 0).any():
+            return -np.inf
+        event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
+        if unit_scale is None:
+            weights = self.interval_rate
+        else:
+            event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
+            weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
+                                  minlength=len(self.interval_rate))
+        cum = _cumulative(family, theta, self.grid)
+        total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
         return total if np.isfinite(total) else -np.inf
 
 

@@ -400,28 +400,38 @@ def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
     return rows
 
 
+#: the module-error columns that describe a whole scenario, in header order
+_SCENARIO_COLUMNS = ("Weather", "WindowStart", "WindowEnd", "EI2DStart", "EI2DEnd", "EI2DProb",
+                     "EI3DStart", "EI3DEnd", "EI3DProb")
+
+
 def module_event_log(records) -> dict[int, ModuleEventLog]:
-    """Group module-error rows by scenario into event logs with the default sources."""
+    """Group module-error rows by scenario into event logs with the default sources.
+
+    A scenario's rows must agree on its weather, window and injection
+    intervals and probabilities; a ValueError names the first that differs.
+    """
     by_scenario: dict[int, list[ModuleErrorRecord]] = {}
     for rec in records:
         by_scenario.setdefault(rec.scenario_id, []).append(rec)
     logs = {}
     for scenario, rows in sorted(by_scenario.items()):
-        window = rows[0].window[1] - rows[0].window[0]
-        start = rows[0].window[0]
-        injection = {
-            "2d": InjectionWindow(rows[0].ei_time_2d[0] - start,
-                                  rows[0].ei_time_2d[1] - start, rows[0].ei_prob_2d),
-            "3d": InjectionWindow(rows[0].ei_time_3d[0] - start,
-                                  rows[0].ei_time_3d[1] - start, rows[0].ei_prob_3d),
-        }
+        first, *rest = [(r.weather, *r.window, *r.ei_time_2d, r.ei_prob_2d, *r.ei_time_3d,
+                         r.ei_prob_3d) for r in rows]
+        other = next((cells for cells in rest if cells != first), first)
+        for name, was, now in zip(_SCENARIO_COLUMNS, first, other):
+            if was != now:
+                raise ValueError(f"scenario {scenario}: rows disagree on {name} "
+                                 f"({was!r} and {now!r})")
+        weather, start, end, start_2d, end_2d, p_2d, start_3d, end_3d, p_3d = first
         logs[scenario] = ModuleEventLog(
             events={m: np.sort([rec.timestamp - start for rec in rows if getattr(rec, attr)])
                     for m, attr in MODULE_FLAGS.items()},
-            window=window,
+            window=end - start,
             sources=dict(DEFAULT_SOURCES),
-            weather=rows[0].weather,
-            injection=injection,
+            weather=weather,
+            injection={"2d": InjectionWindow(start_2d - start, end_2d - start, p_2d),
+                       "3d": InjectionWindow(start_3d - start, end_3d - start, p_3d)},
             scenario_id=scenario,
         )
     return logs

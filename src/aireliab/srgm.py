@@ -266,34 +266,33 @@ class _Objective:
         for value, upper in zip(params, self.upper):
             if not 0 < value < upper:
                 return np.inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            h = _hazard(self.family, params, self.steps)
-            # in-domain parameters give no NaN hazard, so the extremes decide
-            if np.minimum.reduce(h) <= 0 or np.maximum.reduce(h) > 1:
-                return np.inf
-            g = np.exp(self.X @ z[self.k_h:]) if self.X.shape[1] else self.ones
-            q = (1.0 - h) ** g
-            q[:-1].cumprod(out=self.prior[1:])
-            s = (1.0 - q) * self.prior
-            # NaN propagates through min and max: this rejects any
-            # non-finite or negative increment
-            low = np.minimum.reduce(s)
-            if not (low >= 0 and np.maximum.reduce(s) < np.inf):
-                return np.inf
-            # an underflowed increment only rules the model out where a
-            # failure was actually observed in that interval
-            if low == 0 and ((s == 0) & self.observed).any():
-                return np.inf
-            mass = float(np.add.reduce(s))
-            if mass <= 0:
-                return np.inf
-            omega = self.n_total / mass
-            if low > 0:
-                dot = float(np.dot(self.counts, np.log(s)))
-            else:
-                pos = s > 0
-                dot = float(np.dot(self.counts[pos], np.log(s[pos])))
-            ll = dot + self.n_total * np.log(omega) - self.n_total - self.lgam
+        h = _hazard(self.family, params, self.steps)
+        # in-domain parameters give no NaN hazard, so the extremes decide
+        if np.minimum.reduce(h) <= 0 or np.maximum.reduce(h) > 1:
+            return np.inf
+        g = np.exp(self.X @ z[self.k_h:]) if self.X.shape[1] else self.ones
+        q = (1.0 - h) ** g
+        q[:-1].cumprod(out=self.prior[1:])
+        s = (1.0 - q) * self.prior
+        # NaN propagates through min and max: this rejects any
+        # non-finite or negative increment
+        low = np.minimum.reduce(s)
+        if not (low >= 0 and np.maximum.reduce(s) < np.inf):
+            return np.inf
+        # an underflowed increment only rules the model out where a
+        # failure was actually observed in that interval
+        if low == 0 and ((s == 0) & self.observed).any():
+            return np.inf
+        mass = float(np.add.reduce(s))
+        if mass <= 0:
+            return np.inf
+        omega = self.n_total / mass
+        if low > 0:
+            dot = float(np.dot(self.counts, np.log(s)))
+        else:
+            pos = s > 0
+            dot = float(np.dot(self.counts[pos], np.log(s[pos])))
+        ll = dot + self.n_total * np.log(omega) - self.n_total - self.lgam
         return -ll if math.isfinite(ll) else np.inf
 
 

@@ -244,6 +244,18 @@ def test_fit_ep_nhpp_row_is_a_fresh_nhpp_fit(tmp_path, capsys, data_dir):
     assert np.array_equal(np.array(written).view(np.int64), np.array(expected).view(np.int64))
 
 
+def test_fit_ep_rejects_a_scenario_whose_rows_disagree(tmp_path, capsys, data_dir):
+    from test_simulate import altered_module_errors
+
+    log = altered_module_errors(data_dir, tmp_path, {"WindowEnd": "30.0", "EI2DProb": "0.1"})
+    assert run_cli(["validate", str(log), "--schema", "module_error",
+                    "--out", str(tmp_path / "v")], capsys)[0] == EXIT_OK
+    code, _, err = run_cli(["fit-ep", "--log", str(log), "--out", str(tmp_path / "f")], capsys)
+    assert code == 1
+    assert "scenario 1: rows disagree on WindowEnd (20.0 and 30.0)" in err
+    assert not (tmp_path / "f" / "ep_model.json").exists()
+
+
 def test_manifest_records_runtime_versions(tmp_path, capsys, data_dir):
     import platform
 

@@ -231,3 +231,36 @@ def test_cascade_injection_past_the_window_is_named():
     injection = {"2d": InjectionWindow(10.0, 30.0, 0.8)}
     with pytest.raises(ValueError, match="injection interval exceeds the window"):
         simulate_ep_cascade(ep, DEFAULT_SOURCES, 20.0, injection, seed=3)
+
+
+def altered_module_errors(data_dir, tmp_path, changes):
+    """The bundled module-error file with the last scenario-1 row's cells
+    replaced by ``changes`` (column -> text)."""
+    lines = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    last = max(i for i, line in enumerate(lines[1:], 1) if line.startswith("1,"))
+    cells = lines[last].split(",")
+    for column, text in changes.items():
+        cells[header.index(column)] = text
+    lines[last] = ",".join(cells)
+    path = tmp_path / "module_errors.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("changes, column", [
+    ({"Weather": "snowy"}, "Weather"),
+    ({"WindowEnd": "30.0", "EI2DProb": "0.1"}, "WindowEnd"),
+    ({"EI2DProb": "0.1"}, "EI2DProb"),
+    ({"EI3DStart": "1.0"}, "EI3DStart"),
+])
+def test_module_event_log_rejects_a_scenario_whose_rows_disagree(tmp_path, data_dir, changes,
+                                                                  column):
+    # each row is valid on its own, so only the grouping into logs can see it
+    from aireliab import datasets
+    from aireliab.simulate import module_event_log
+
+    path = altered_module_errors(data_dir, tmp_path, changes)
+    assert datasets.validate(path, "module_error").ok
+    with pytest.raises(ValueError, match=f"scenario 1: rows disagree on {column} "):
+        module_event_log(datasets.load(path, "module_error"))
