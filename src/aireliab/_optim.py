@@ -3,23 +3,21 @@
 Fitters minimise a negative log-likelihood over an unconstrained
 (usually log-scale) parameter vector from a list of starts; standard
 errors come from a finite-difference Hessian at the optimum.  The simplex
-stage is an in-house copy of scipy's Nelder–Mead; ``scipy.optimize``
-supplies only the L-BFGS-B polish.  Objectives set no error state: the
-search does, once.
+stage is scipy's Nelder–Mead run in-house; scipy supplies only L-BFGS-B.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from functools import reduce
-from operator import add, lt
+from operator import add
 
 import numpy as np
 from scipy.optimize import minimize
 
 
 def quiet():
-    """The error state of a search, whose objectives meet inf and nan off the feasible region."""
+    """The error state of a search: its objectives meet inf and nan off the feasible region."""
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
@@ -35,6 +33,7 @@ def starts(seed, n: int, spread, key: int) -> list[np.ndarray]:
                      for _ in range(max(0, n - 1))]
 
 
+@quiet()
 def numeric_stderr(negloglik, theta, step) -> tuple[float, ...] | None:
     """Standard errors from a central-difference Hessian, when it is PD.
 
@@ -43,21 +42,25 @@ def numeric_stderr(negloglik, theta, step) -> tuple[float, ...] | None:
     k = len(theta)
     h = np.broadcast_to(step, (k,))
     hess = np.empty((k, k))
-    with quiet():
-        f0 = negloglik(theta)
-        if not np.isfinite(f0):
-            return None
-        steps = np.diag(h)
-        for i in range(k):
-            for j in range(i, k):
-                ei, ej = steps[i], steps[j]
-                if i == j:
-                    val = (negloglik(theta + ei) - 2 * f0 + negloglik(theta - ei)) / h[i] ** 2
-                else:
-                    val = (negloglik(theta + ei + ej) - negloglik(theta + ei - ej)
-                           - negloglik(theta - ei + ej) + negloglik(theta - ei - ej)
-                           ) / (4 * h[i] * h[j])
-                hess[i, j] = hess[j, i] = val
+    f0 = negloglik(theta)
+    if not np.isfinite(f0):
+        return None
+    for i in range(k):
+        for j in range(i, k):
+            ei = np.zeros(k)
+            ej = np.zeros(k)
+            ei[i] = h[i]
+            ej[j] = h[j]
+            if i == j:
+                val = (negloglik(theta + ei) - 2 * f0 + negloglik(theta - ei)) / h[i] ** 2
+            else:
+                val = (
+                    negloglik(theta + ei + ej)
+                    - negloglik(theta + ei - ej)
+                    - negloglik(theta - ei + ej)
+                    + negloglik(theta - ei - ej)
+                ) / (4 * h[i] * h[j])
+            hess[i, j] = hess[j, i] = val
     if not np.all(np.isfinite(hess)):
         return None
     try:
@@ -75,70 +78,53 @@ class _Spent(Exception):
 
 
 def _by_value(sim, fsim):
-    """``sim`` and ``fsim`` in ``np.argsort(fsim)`` order: a Python sort where
-    the values are distinct, else numpy's own (not always stable) sort."""
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    ranked = [fsim[i] for i in order]
-    if not all(map(lt, ranked, ranked[1:])):
-        order = np.argsort(np.array(fsim)).tolist()
-        ranked = [fsim[i] for i in order]
-    return [sim[i] for i in order], ranked
+    """``sim`` and ``fsim`` in ``np.argsort(fsim)`` order (numpy's, which is not stable)."""
+    order = np.argsort(np.array(fsim)).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _nelder_mead(f, x0, f0, xatol, fatol, maxiter, maxfev):
-    """Minimise ``f`` from ``x0`` step for step, in the same float arithmetic,
-    as scipy 1.17's ``minimize(method="Nelder-Mead")`` (unbounded, not
-    adaptive) with these options does.  ``f0`` is ``f(x0)``, counted as the
-    first evaluation.  Returns ``(x, fun, nit, nfev, success)`` as scipy does.
-    """
-    n = len(x0)
-    x0 = [float(v) for v in x0]
-    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
-                  for k, v in enumerate(x0)]
-    fsim, nfev = [np.inf] * (n + 1), 0
+    """scipy 1.17's ``minimize(method="Nelder-Mead")``, unbounded and not adaptive, step for
+    step in the same float arithmetic; ``f0 = f(x0)`` counts as the first evaluation.
+    Returns ``(x, fun, nit, nfev, success)`` as scipy does."""
+    n, x0 = len(x0), [float(v) for v in x0]
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:] for k, v in enumerate(x0)]
+    fsim, nfev, nit = [np.inf] * (n + 1), 0, 1
 
-    def evaluate(x, value=None):
+    def evaluate(x):
         nonlocal nfev
         if nfev >= maxfev:
             raise _Spent
         nfev += 1
-        return float(f(np.array(x)) if value is None else value)
+        return float(f(np.array(x)) if nfev > 1 else f0)
 
     with suppress(_Spent):
         for k, x in enumerate(sim):
-            fsim[k] = evaluate(x, None if k else f0)
-    # scipy sorts twice before the first step
-    sim, fsim = _by_value(*_by_value(sim, fsim))
-    nit = 1
+            fsim[k] = evaluate(x)
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts twice before the first step
     while nfev < maxfev and nit < maxiter:
-        best, worst = sim[0], sim[-1]
         try:
             # scipy tests x first; both tests are pure, and f is cheaper
             if (all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
-                    and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, best))):
+                    and all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, sim[0]))):
                 break
             # summed vertex by vertex in simplex order, as np.add.reduce does
             mid = [reduce(add, column) / n for column in zip(*sim[:-1])]
-            xr = [2 * c - w for c, w in zip(mid, worst)]
-            fxr = evaluate(xr)
+            fxr = evaluate(xr := [2 * c - w for c, w in zip(mid, sim[-1])])
             if fxr < fsim[0]:
-                xe = [3 * c - 2 * w for c, w in zip(mid, worst)]
-                fxe = evaluate(xe)
+                fxe = evaluate(xe := [3 * c - 2 * w for c, w in zip(mid, sim[-1])])
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                # contract outside the worst vertex if the reflection beat it
-                # (keep a point no worse than the reflection), else inside
-                outside = fxr < fsim[-1]
-                xc = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w
-                      for c, w in zip(mid, worst)]
-                fxc = evaluate(xc)
+                outside = fxr < fsim[-1]  # the reflection beat the worst vertex
+                fxc = evaluate(xc := [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w
+                                      for c, w in zip(mid, sim[-1])])
                 if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], best)]
+                        sim[j] = [b + 0.5 * (a - b) for a, b in zip(sim[j], sim[0])]
                         fsim[j] = evaluate(sim[j])
             nit += 1
         except _Spent:
@@ -148,29 +134,26 @@ def _nelder_mead(f, x0, f0, xatol, fatol, maxiter, maxfev):
     return np.array(sim[0]), np.min(fsim), nit, nfev, nfev < maxfev and nit < maxiter
 
 
+@quiet()
 def maximize(negloglik_z, z0_list, tol, max_iter):
     """Simplex descent per start, then quasi-Newton polish; best kept.
 
     The simplex stage works to ``tol`` relative in the objective; the
     L-BFGS-B polish (finite-difference gradients) sharpens the optimum.
     """
-    best = None
-    iterations = 0
-    with quiet():
-        for z0 in z0_list:
-            z0 = np.asarray(z0, dtype=float)
-            f0 = negloglik_z(z0)
-            fatol = tol * (1.0 + (abs(f0) if np.isfinite(f0) else 1.0))
-            nm_iter = min(max_iter, 250 * len(z0))
-            x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol,
-                                              nm_iter, 2 * nm_iter)
-            polish = minimize(negloglik_z, x, method="L-BFGS-B",
-                              options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10})
-            iterations += nit + polish.nit
-            if polish.fun <= fun:
-                x, fun = polish.x, polish.fun
-            if np.isfinite(fun) and (best is None or fun < best[0]):
-                best = (fun, x, bool(ok or polish.success))
+    best, iterations = None, 0
+    for z0 in z0_list:
+        f0 = negloglik_z(np.asarray(z0, dtype=float))
+        fatol = tol * (1.0 + (abs(f0) if np.isfinite(f0) else 1.0))
+        nm_iter = min(max_iter, 250 * len(z0))
+        x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol, nm_iter, 2 * nm_iter)
+        polish = minimize(negloglik_z, x, method="L-BFGS-B",
+                          options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10})
+        iterations += nit + polish.nit
+        if polish.fun <= fun:
+            x, fun = polish.x, polish.fun
+        if np.isfinite(fun) and (best is None or fun < best[0]):
+            best = (fun, x, bool(ok or polish.success))
     if best is None:
         raise RuntimeError("likelihood evaluation failed for every start")
     return best[0], best[1], best[2], iterations

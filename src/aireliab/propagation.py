@@ -281,6 +281,7 @@ def _fit_layout(logs):
     return logs, list(first.events), first.sources
 
 
+@quiet()
 def ep_log_likelihood(model: EPModel, logs) -> float:
     """Sum over modules (and scenario logs) of event terms minus compensators.
 
@@ -293,8 +294,7 @@ def ep_log_likelihood(model: EPModel, logs) -> float:
     for module in model.baseline:
         in_edges = [(src, edge) for (tgt, src), edge in model.edges.items() if tgt == module]
         loglik = _module_loglik(module, logs, [src for src, _ in in_edges])
-        with quiet():
-            term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
+        term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
         if not np.isfinite(term):
             raise ValueError(f"module {module}: log-likelihood is not finite (intensity is "
                              f"zero at an observed event time, or a term overflows)")
@@ -465,6 +465,7 @@ def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, multistarts: int 
     return _assemble(modules, fit_module)
 
 
+@quiet()
 def fit_independent_hpp(logs) -> EPFit:
     """Constant-rate fit per module: a power law with shape fixed at 1."""
     logs, modules, _ = _fit_layout(logs)
@@ -476,9 +477,7 @@ def fit_independent_hpp(logs) -> EPFit:
             raise ValueError(f"module {m}: no events to fit")
         rate = n / total_window
         baseline = (1.0, 1.0 / rate)
-        with quiet():
-            ll = _module_loglik(m, logs, ())(np.array(baseline))
-        return baseline, (), ll, True, 0
+        return baseline, (), _module_loglik(m, logs, ())(np.array(baseline)), True, 0
 
     return _assemble(modules, fit_module, n_baseline=1)
 

@@ -261,10 +261,10 @@ class _Packed:
         self.interval_lo, self.interval_hi = np.divmod(intervals, n_grid)
         self.interval_rate = np.bincount(self.seg_interval, seg_rate, minlength=len(intervals))
 
+    @quiet()
     def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
         """Log-likelihood; ``unit_scale`` multiplies each unit's intensity."""
-        with quiet():
-            return self.log_lik_theta(model.family, model.theta, unit_scale)
+        return self.log_lik_theta(model.family, model.theta, unit_scale)
 
     def log_lik_theta(self, family: str, theta, unit_scale=None) -> float:
         """``log_lik`` at raw parameters of a family the caller checked.

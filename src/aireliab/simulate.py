@@ -400,17 +400,8 @@ def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
     return rows
 
 
-#: the module-error columns that describe a whole scenario, in header order
-_SCENARIO_COLUMNS = ("Weather", "WindowStart", "WindowEnd", "EI2DStart", "EI2DEnd", "EI2DProb",
-                     "EI3DStart", "EI3DEnd", "EI3DProb")
-
-
 def module_event_log(records) -> dict[int, ModuleEventLog]:
-    """Group module-error rows by scenario into event logs with the default sources.
-
-    A scenario's rows must agree on its weather, window and injection
-    intervals and probabilities; a ValueError names the first that differs.
-    """
+    """Event logs with the default sources from module-error rows; a scenario's rows must agree."""
     by_scenario: dict[int, list[ModuleErrorRecord]] = {}
     for rec in records:
         by_scenario.setdefault(rec.scenario_id, []).append(rec)
@@ -418,11 +409,11 @@ def module_event_log(records) -> dict[int, ModuleEventLog]:
     for scenario, rows in sorted(by_scenario.items()):
         first, *rest = [(r.weather, *r.window, *r.ei_time_2d, r.ei_prob_2d, *r.ei_time_3d,
                          r.ei_prob_3d) for r in rows]
-        other = next((cells for cells in rest if cells != first), first)
-        for name, was, now in zip(_SCENARIO_COLUMNS, first, other):
-            if was != now:
-                raise ValueError(f"scenario {scenario}: rows disagree on {name} "
-                                 f"({was!r} and {now!r})")
+        for cells in dict.fromkeys(rest):
+            for column, was, now in zip(SCHEMAS["module_error"].spec[1:], first, cells):
+                if was != now and (was == was or now == now):  # two NaN cells agree
+                    raise ValueError(f"scenario {scenario}: rows disagree on {column.name} "
+                                     f"({was!r} and {now!r})")
         weather, start, end, start_2d, end_2d, p_2d, start_3d, end_3d, p_3d = first
         logs[scenario] = ModuleEventLog(
             events={m: np.sort([rec.timestamp - start for rec in rows if getattr(rec, attr)])

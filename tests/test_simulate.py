@@ -233,16 +233,18 @@ def test_cascade_injection_past_the_window_is_named():
         simulate_ep_cascade(ep, DEFAULT_SOURCES, 20.0, injection, seed=3)
 
 
-def altered_module_errors(data_dir, tmp_path, changes):
+def altered_module_errors(data_dir, tmp_path, changes, every=False):
     """The bundled module-error file with the last scenario-1 row's cells
-    replaced by ``changes`` (column -> text)."""
+    (every scenario-1 row's, with ``every``) replaced by ``changes``
+    (column -> text)."""
     lines = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()
     header = lines[0].split(",")
-    last = max(i for i, line in enumerate(lines[1:], 1) if line.startswith("1,"))
-    cells = lines[last].split(",")
-    for column, text in changes.items():
-        cells[header.index(column)] = text
-    lines[last] = ",".join(cells)
+    rows = [i for i, line in enumerate(lines[1:], 1) if line.startswith("1,")]
+    for i in rows if every else rows[-1:]:
+        cells = lines[i].split(",")
+        for column, text in changes.items():
+            cells[header.index(column)] = text
+        lines[i] = ",".join(cells)
     path = tmp_path / "module_errors.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -263,4 +265,16 @@ def test_module_event_log_rejects_a_scenario_whose_rows_disagree(tmp_path, data_
     path = altered_module_errors(data_dir, tmp_path, changes)
     assert datasets.validate(path, "module_error").ok
     with pytest.raises(ValueError, match=f"scenario 1: rows disagree on {column} "):
+        module_event_log(datasets.load(path, "module_error"))
+
+
+@pytest.mark.parametrize("column", ["EI2DStart", "EI2DEnd", "EI3DStart", "EI3DEnd"])
+def test_module_event_log_takes_nan_cells_in_every_row_as_agreeing(tmp_path, data_dir, column):
+    # the schema lets a NaN injection time through; rows that all hold one
+    # agree, and the injection window then rejects it
+    from aireliab import datasets
+    from aireliab.simulate import module_event_log
+
+    path = altered_module_errors(data_dir, tmp_path, {column: "nan"}, every=True)
+    with pytest.raises(ValueError, match="injection interval must satisfy"):
         module_event_log(datasets.load(path, "module_error"))
