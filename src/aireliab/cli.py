@@ -240,6 +240,9 @@ def cmd_fit_ep(args, run: Run) -> int:
         raise ValueError("--holdout is read only for the MAE table; it needs a positive --mae-grid")
     logs = _module_logs(run, args.log)
     held = _module_logs(run, args.holdout) if args.holdout else logs
+    if args.mae_grid and len({log.window for log in held}) > 1:
+        windows = ", ".join(f"scenario {log.scenario_id}: {log.window:g}" for log in held)
+        raise ValueError(f"the MAE grid needs one window for every held-out scenario, got {windows}")
     fit = propagation.fit_ep(logs)
     payload = {
         "modules": list(fit.model.baseline),

@@ -237,7 +237,7 @@ def _module_error_checks(row, rec, out):
         out.append(Violation(row, "WindowEnd", "window order", "window end must exceed start"))
         return True
     for col, (lo, hi) in (("EI2DStart", rec.ei_time_2d), ("EI3DStart", rec.ei_time_3d)):
-        if lo < start or hi > end or lo >= hi:
+        if not start <= lo < hi <= end:
             out.append(Violation(row, col, "injection window",
                                  f"[{lo}, {hi}) not inside window {rec.window}"))
     if not start <= rec.timestamp <= end:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from ._optim import maximize, quiet, starts
-from .recurrent import BaselineIntensityModel, baseline_intensity, cumulative_baseline
+from .recurrent import BaselineIntensityModel
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
 
@@ -227,41 +227,83 @@ class _ExpKernel:
         return c if self.in_order else c[self.pos]
 
 
-def _edge_kernels(model: EPModel, log: ModuleEventLog, module: str, times):
-    """(jump, decay, kernel at ``times``) for each edge into ``module``."""
-    for (tgt, src), (jump, decay) in model.edges.items():
-        if tgt == module:
-            yield jump, decay, _ExpKernel([log.events.get(src, np.array([]))], [times])
+class _ModuleIntensity:
+    """One module's intensity and its integral at fixed query times.
+
+    ``queries[k]`` holds the query times in ``logs[k]``; the triggering
+    part of the intensity at a query sums over the upstream events of
+    that query's own log.  With p = (shape, scale, then jump and decay per
+    source in ``source_names``), ``intensity(p)`` gives lambda at each
+    query and ``compensator(p)`` its integral over (0, q]:
+
+        lambda(q) = (shape / scale) (q / scale)^(shape - 1) + sum_n jump_n A_n(q)
+        Lambda(q) = (q / scale)^shape + sum_n jump_n C_n(q)
+
+    with A_n and C_n the unit sums of the source's ``_ExpKernel``,
+    prepared once here.  The query arrays are flattened and laid out in
+    log order, and so are the results.  A lone scalar query stays a scalar
+    in the power law, which numpy then raises as
+    ``recurrent.baseline_intensity`` does: its scalar and array ``pow``
+    may differ in the last bit.
+    """
+
+    def __init__(self, logs, source_names, queries):
+        queries = [q if q.ndim == 0 else q.ravel() for q in queries]
+        # no logs: an empty sum
+        self.times = queries[0] if len(queries) == 1 else np.concatenate([np.zeros(0), *queries])
+        self.kernels = [_ExpKernel([log.events.get(src, np.array([])) for log in logs], queries)
+                        for src in source_names]
+
+    def intensity(self, p):
+        shape, scale = p[0], p[1]
+        lam = (shape / scale) * (self.times / scale) ** (shape - 1.0)
+        for i, kernel in enumerate(self.kernels):
+            lam += p[2 + 2 * i] * kernel.trigger(p[3 + 2 * i])
+        return lam
+
+    def compensator(self, p, reduce=np.asarray):
+        """Lambda at the queries, or with ``reduce`` its baseline and each
+        source's term reduced before they are added."""
+        total = reduce((self.times / p[1]) ** p[0])
+        for i, kernel in enumerate(self.kernels):
+            total = total + p[2 + 2 * i] * reduce(kernel.compensator(p[3 + 2 * i]))
+        return total
+
+
+def _module_params(model: EPModel, module: str):
+    """The sources of ``module``'s in-edges and its p = (shape, scale, then
+    jump and decay per source), as ``_ModuleIntensity`` takes them."""
+    if module not in model.baseline:
+        raise KeyError(f"unknown module {module!r}")
+    in_edges = {src: edge for (tgt, src), edge in model.edges.items() if tgt == module}
+    return list(in_edges), np.concatenate([model.baseline[module], *in_edges.values()])
 
 
 def ep_intensity(model: EPModel, log: ModuleEventLog, module: str, t):
-    """Overall intensity of ``module`` at time(s) t, given the log's history."""
-    if module not in model.baseline:
-        raise KeyError(f"unknown module {module!r}")
+    """Overall intensity of ``module`` at time(s) t > 0, given the log's history."""
+    sources, p = _module_params(model, module)
     t = np.asarray(t, dtype=float)
-    total = np.asarray(baseline_intensity(model.module_baseline(module), t), dtype=float)
-    for jump, decay, kernel in _edge_kernels(model, log, module, t):
-        total = total + jump * kernel.trigger(decay).reshape(t.shape)
+    if not (t > 0).all():
+        raise ValueError("baseline intensity requires t > 0")
+    total = np.reshape(_ModuleIntensity([log], sources, [t]).intensity(p), t.shape)
     return total if total.ndim else float(total)
 
 
 def expected_counts(model: EPModel, log: ModuleEventLog, module: str, grid):
-    """Expected cumulative event counts of ``module`` on a time grid.
+    """Expected cumulative event counts of ``module`` on a time grid (t >= 0).
 
     The triggering part conditions on the log's observed upstream events,
     so models without edges reduce to their baseline cumulative intensity.
     """
+    sources, p = _module_params(model, module)
     grid = np.asarray(grid, dtype=float)
-    out = np.asarray(cumulative_baseline(model.module_baseline(module), grid), dtype=float)
-    for jump, decay, kernel in _edge_kernels(model, log, module, grid):
-        out = out + jump * kernel.compensator(decay).reshape(grid.shape)
-    return out
+    if not (grid >= 0).all():
+        raise ValueError("cumulative baseline requires t >= 0")
+    return np.reshape(_ModuleIntensity([log], sources, [grid]).compensator(p), grid.shape)
 
 
 def _as_logs(logs) -> list[ModuleEventLog]:
-    if isinstance(logs, ModuleEventLog):
-        return [logs]
-    return list(logs)
+    return [logs] if isinstance(logs, ModuleEventLog) else list(logs)
 
 
 def _fit_layout(logs):
@@ -292,9 +334,8 @@ def ep_log_likelihood(model: EPModel, logs) -> float:
     logs = _as_logs(logs)
     total = 0.0
     for module in model.baseline:
-        in_edges = [(src, edge) for (tgt, src), edge in model.edges.items() if tgt == module]
-        loglik = _module_loglik(module, logs, [src for src, _ in in_edges])
-        term = loglik(np.array([*model.baseline[module], *(v for _, e in in_edges for v in e)]))
+        sources, p = _module_params(model, module)
+        term = _module_loglik(module, logs, sources)(p)
         if not np.isfinite(term):
             raise ValueError(f"module {module}: log-likelihood is not finite (intensity is "
                              f"zero at an observed event time, or a term overflows)")
@@ -321,31 +362,21 @@ def _module_loglik(module, logs, source_names):
     source); the result is not finite where an intensity at an event is
     <= 0 or the compensator overflows.
 
-    Built once per fit: the module's event times and window ends and one
-    prepared ``_ExpKernel`` pair per edge (trigger sums at the module's own
-    events, compensators at each log's window end), so a call runs only
-    array arithmetic, under the error state its caller sets.
+    Built once per fit: one ``_ModuleIntensity`` at the module's own
+    events and one at each log's window end, so a call runs only array
+    arithmetic, under the error state its caller sets.  The compensator
+    adds the baseline summed over logs, then each source's jump times its
+    summed kernel.
     """
-    own = [log.events.get(module, np.array([])) for log in logs]
-    windows = np.array([log.window for log in logs])
-    all_times = np.concatenate([np.zeros(0), *own])  # no logs: an empty sum
-    kernels = [
-        (_ExpKernel(streams, own), _ExpKernel(streams, windows[:, None]))
-        for streams in ([log.events.get(src, np.array([])) for log in logs]
-                        for src in source_names)
-    ]
+    at_events = _ModuleIntensity(logs, source_names,
+                                 [log.events.get(module, np.array([])) for log in logs])
+    at_windows = _ModuleIntensity(logs, source_names, [np.array([log.window]) for log in logs])
 
     def loglik(p):
-        shape, scale = p[0], p[1]
-        lam = (shape / scale) * (all_times / scale) ** (shape - 1.0)
-        comp = float(np.add.reduce((windows / scale) ** shape))
-        for i, (at_events, at_windows) in enumerate(kernels):
-            jump, decay = p[2 + 2 * i], p[3 + 2 * i]
-            lam += jump * at_events.trigger(decay)
-            comp += jump * float(np.add.reduce(at_windows.compensator(decay)))
+        comp = at_windows.compensator(p, lambda values: float(np.add.reduce(values)))
         # an intensity <= 0 at an event (log -inf or nan) or a
         # non-finite compensator leaves the total non-finite
-        return float(np.add.reduce(np.log(lam))) - comp
+        return float(np.add.reduce(np.log(at_events.intensity(p)))) - comp
 
     return loglik
 
@@ -368,7 +399,7 @@ def _module_objective(module, logs, source_names, decay_bounds):
 
     def unpack(z):
         p = params(z)
-        return p[0], p[1], [(p[2 + 2 * i], p[3 + 2 * i]) for i in range(len(source_names))]
+        return p[0], p[1], list(zip(p[2::2], p[3::2]))
 
     def negloglik(z):
         if np.abs(z).max() > 50:
@@ -492,15 +523,12 @@ def evaluate_mae(model, logs, grid) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("prediction grid is empty")
-    logs = _as_logs(logs)
+    predict = model if callable(model) else lambda *args: expected_counts(model, *args)
     errors = []
-    for log in logs:
+    for log in _as_logs(logs):
         for module in log.events:
             observed = np.searchsorted(log.events[module], grid, side="right")
-            if callable(model):
-                predicted = np.asarray(model(log, module, grid), dtype=float)
-            else:
-                predicted = expected_counts(model, log, module, grid)
+            predicted = np.asarray(predict(log, module, grid), dtype=float)
             errors.append(np.abs(predicted - observed))
     return float(np.mean(np.concatenate(errors)))
 
@@ -511,6 +539,5 @@ def compensator_transform(model: EPModel, log: ModuleEventLog, module: str) -> n
     Under the true model the transformed gaps are independent Exp(1)
     draws, which is the basis of the goodness-of-fit check.
     """
-    times = log.events[module]
-    values = expected_counts(model, log, module, times)
+    values = expected_counts(model, log, module, log.events.get(module, np.zeros(0)))
     return np.diff(np.concatenate([[0.0], values]))

@@ -117,7 +117,7 @@ def baseline_intensity(model: BaselineIntensityModel, t):
     evaluate the same formulas on a prepared grid of event times.
     """
     t = np.asarray(t, dtype=float)
-    if (t <= 0).any():
+    if not (t > 0).all():
         raise ValueError("baseline intensity requires t > 0")
     out = _intensity(model.family, model.theta, t)
     return out if out.ndim else float(out)
@@ -130,7 +130,7 @@ def cumulative_baseline(model: BaselineIntensityModel, t):
     evaluate the same formulas on a prepared grid of breakpoints.
     """
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if not (t >= 0).all():
         raise ValueError("cumulative baseline requires t >= 0")
     out = _cumulative(model.family, model.theta, t)
     return out if out.ndim else float(out)

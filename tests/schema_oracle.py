@@ -241,7 +241,7 @@ def _parse_module_error(row, raw, out):
         return None
     for prefix in ("EI2D", "EI3D"):
         lo, hi = vals[f"{prefix}Start"], vals[f"{prefix}End"]
-        if lo < window[0] or hi > window[1] or lo >= hi:
+        if not window[0] <= lo < hi <= window[1]:
             out.append(Violation(row, f"{prefix}Start", "injection window",
                                  f"[{lo}, {hi}) not inside window {window}"))
         prob = vals[f"{prefix}Prob"]

@@ -256,6 +256,48 @@ def test_fit_ep_rejects_a_scenario_whose_rows_disagree(tmp_path, capsys, data_di
     assert not (tmp_path / "f" / "ep_model.json").exists()
 
 
+def test_nan_injection_time_fails_validate_and_fit_ep(tmp_path, capsys, data_dir):
+    # every comparison with NaN is false, so a NaN start once passed the
+    # injection-window rule
+    from test_simulate import altered_module_errors
+
+    log = altered_module_errors(data_dir, tmp_path, {"EI2DStart": "nan"}, every=True)
+    code, _, _ = run_cli(["validate", str(log), "--schema", "module_error",
+                          "--out", str(tmp_path / "v")], capsys)
+    assert code == EXIT_VIOLATIONS
+    rules = {(v["column"], v["rule"])
+             for v in json.loads((tmp_path / "v" / "report.json").read_text())["violations"]}
+    assert rules == {("EI2DStart", "injection window")}
+    code, _, err = run_cli(["fit-ep", "--log", str(log), "--out", str(tmp_path / "f")], capsys)
+    assert code == EXIT_VIOLATIONS
+    assert "injection window" in err
+    assert not (tmp_path / "f" / "ep_model.json").exists()
+
+
+def test_fit_ep_rejects_held_out_windows_that_differ(tmp_path, capsys, data_dir):
+    # the MAE grid runs over one window; scenario 2 cut to window 10 would be
+    # scored on scenario 1's grid up to t = 20
+    lines = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    kept = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if cells[0] == "2":
+            if float(cells[header.index("TimeStamp")]) > 10.0:
+                continue
+            for column in ("WindowEnd", "EI2DEnd", "EI3DEnd"):
+                cells[header.index(column)] = "10.0"
+        kept.append(",".join(cells))
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    code, _, err = run_cli([
+        "fit-ep", "--log", str(data_dir / "module-errors" / "module_errors.csv"),
+        "--holdout", str(holdout), "--mae-grid", "4", "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "scenario 1: 20, scenario 2: 10, scenario 3: 20" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
 def test_manifest_records_runtime_versions(tmp_path, capsys, data_dir):
     import platform
 

@@ -270,11 +270,13 @@ def test_module_event_log_rejects_a_scenario_whose_rows_disagree(tmp_path, data_
 
 @pytest.mark.parametrize("column", ["EI2DStart", "EI2DEnd", "EI3DStart", "EI3DEnd"])
 def test_module_event_log_takes_nan_cells_in_every_row_as_agreeing(tmp_path, data_dir, column):
-    # the schema lets a NaN injection time through; rows that all hold one
-    # agree, and the injection window then rejects it
+    # the schema flags a NaN injection time but keeps the row's record;
+    # rows that all hold one agree, and the injection window then rejects it
     from aireliab import datasets
     from aireliab.simulate import module_event_log
 
     path = altered_module_errors(data_dir, tmp_path, {column: "nan"}, every=True)
+    records, report = datasets.parse_records(path, "module_error")
+    assert {v.rule for v in report.violations} == {"injection window"}
     with pytest.raises(ValueError, match="injection interval must satisfy"):
-        module_event_log(datasets.load(path, "module_error"))
+        module_event_log(records)
