@@ -131,8 +131,9 @@ class SchemaDef:
     ``row_checks(row, record, out)`` sees each record whose cells all
     parsed and appends violations to ``out``; it returns True when the row
     must yield no record.  Its ``reads`` names the record attributes it
-    reads (see ``_reads``).  ``file_checks(rows_records, **options)`` sees
-    the (row, record) pairs of a whole file and returns violations.
+    reads (see ``_reads``).  ``file_checks(table, rows, **options)`` reads
+    the columns of the table of a whole file's records, whose data rows
+    (1-based) are ``rows``, and returns violations.
     """
 
     name: str
@@ -164,25 +165,6 @@ class SchemaDef:
         for j, col in enumerate(self.spec):
             slots.setdefault(col.attr, []).append(j)
         return slots
-
-    def row_formatter(self, extra_columns):
-        """Function from a record to its cells under the schema columns
-        followed by ``extra_columns``, which are read from ``extras``."""
-        slots = self._slots().items()
-        formats = [col.cell.format for col in self.spec]
-
-        def format_row(record):
-            cells = [None] * len(formats)
-            for attr, js in slots:
-                value = getattr(record, attr)
-                if len(js) == 1:
-                    cells[js[0]] = formats[js[0]](value)
-                else:  # a tuple of the wrong length raises, not a misaligned row
-                    for j, item in zip(js, value, strict=True):
-                        cells[j] = formats[j](item)
-            return cells + [record.extras.get(c, "") for c in extra_columns]
-
-        return format_row
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +215,7 @@ def _module_error_checks(row, rec, out):
     """Injection intervals and the time stamp lie inside an ordered window;
     a row whose window is out of order yields no record."""
     start, end = rec.window
-    if start >= end:
+    if not start < end:  # a NaN end or start is out of order too
         out.append(Violation(row, "WindowEnd", "window order", "window end must exceed start"))
         return True
     for col, (lo, hi) in (("EI2DStart", rec.ei_time_2d), ("EI3DStart", rec.ei_time_3d)):
@@ -281,66 +263,55 @@ def _adversarial_checks(row, rec, out):
 # file checks: invariants across the rows of one file
 
 
-def _collision_file_checks(rows_records):
-    """Within a manufacturer, event dates and ids must map one-to-one."""
-    out = []
-    date_to_id: dict = {}
-    id_to_date: dict = {}
-    for row, rec in rows_records:
-        key_d = (rec.manufacture, rec.date)
-        key_i = (rec.manufacture, rec.event_id)
-        if key_d in date_to_id and date_to_id[key_d] != rec.event_id:
-            out.append(Violation(row, "EventID", "event id mapping",
-                                 f"date {rec.date} already has event id {date_to_id[key_d]}"))
-        if key_i in id_to_date and id_to_date[key_i] != rec.date:
-            out.append(Violation(row, "EventID", "event id mapping",
-                                 f"event id {rec.event_id} already used on {id_to_date[key_i]}"))
-        date_to_id.setdefault(key_d, rec.event_id)
-        id_to_date.setdefault(key_i, rec.date)
-    return out
+def _collision_file_checks(table, rows):
+    """Within a manufacturer, event dates and ids must map one-to-one; each
+    distinct (manufacture, date, event id) is judged once, in first-seen order."""
+    triples = list(zip(*(table.columns[attr] for attr in ("manufacture", "date", "event_id"))))
+    date_to_id, id_to_date, broken = {}, {}, {}
+    for maker, date, event_id in dict.fromkeys(triples):
+        first_id = date_to_id.setdefault((maker, date), event_id)
+        first_date = id_to_date.setdefault((maker, event_id), date)
+        broken[maker, date, event_id] = [detail for detail, bad in (
+            (f"date {date} already has event id {first_id}", first_id != event_id),
+            (f"event id {event_id} already used on {first_date}", first_date != date)) if bad]
+    return [Violation(row, "EventID", "event id mapping", detail) for row, key in zip(rows, triples)
+            for detail in broken[key]] if any(broken.values()) else []
 
 
-def _month_file_checks(rows_records):
+def _month_file_checks(table, rows):
     out = []
-    ids = [rec.month_id for _, rec in rows_records]
+    ids, starts, ends = (table.columns[attr] for attr in ("month_id", "start_date", "end_date"))
     if ids and ids != list(range(1, len(ids) + 1)):
         out.append(Violation(None, "MonthID", "month sequence",
                              "month ids must run 1..N consecutively"))
-    for (_, prev), (row, rec) in zip(rows_records, rows_records[1:]):
-        if rec.start_date != prev.end_date + dt.timedelta(days=1):
+    for row, start, prev_end in zip(rows[1:], starts[1:], ends):
+        if start != prev_end + dt.timedelta(days=1):
             out.append(Violation(row, "StartDate", "month contiguity",
-                                 f"{rec.start_date} is not the day after {prev.end_date}"))
+                                 f"{start} is not the day after {prev_end}"))
     return out
 
 
-def _adversarial_file_checks(rows_records, accuracy_scale: str = "auto"):
+def _adversarial_file_checks(table, rows, accuracy_scale: str = "auto"):
     """Accuracies are proportions or percentages, declared once per file."""
-    out = []
     acc_cols = ("train_acc", "val_acc", "test_acc")
-    values = [(row, col, getattr(rec, col)) for row, rec in rows_records for col in acc_cols]
+    values = np.column_stack([table.columns[col] for col in acc_cols])
     if accuracy_scale == "auto":
-        accuracy_scale = "percent" if any(v > 1.5 for *_rc, v in values) else "proportion"
+        accuracy_scale = "percent" if (values > 1.5).any() else "proportion"
     if accuracy_scale not in ("proportion", "percent"):
         raise ValueError("accuracy_scale must be 'auto', 'proportion', or 'percent'")
     hi = 1.0 if accuracy_scale == "proportion" else 100.0
     names = {col.attr: col.name for col in SCHEMAS["adversarial"].spec}
-    for row, col, v in values:
-        if not 0 <= v <= hi:
-            out.append(Violation(row, names[col], "accuracy range",
-                                 f"{v} outside [0, {hi:g}] ({accuracy_scale} scale)"))
-    return out
+    return [Violation(rows[i], names[acc_cols[j]], "accuracy range",
+                      f"{float(values[i, j])} outside [0, {hi:g}] ({accuracy_scale} scale)")
+            for i, j in np.argwhere(~((0 <= values) & (values <= hi))).tolist()]
 
 
-def _incident_file_checks(rows_records):
-    out = []
+def _incident_file_checks(table, rows):
     seen = {}
-    for row, rec in rows_records:
-        if rec.incident_no in seen:
-            out.append(Violation(row, "IncidentNo", "duplicate incident number",
-                                 f"incident {rec.incident_no} already at row {seen[rec.incident_no]}"))
-        else:
-            seen[rec.incident_no] = row
-    return out
+    return [Violation(row, "IncidentNo", "duplicate incident number",
+                      f"incident {number} already at row {first}")
+            for row, number in zip(rows, table.columns["incident_no"])
+            if (first := seen.setdefault(number, row)) != row]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Parsed rows of one schema held column by column, read as their record list.
 
-``parse_table`` converts a file one spec column at a time with the
-column's own ``Cell.parse`` (once per distinct cell where cells repeat),
-applies range rules per column and the row check once per distinct
-combination of what it reads.  Only flagged rows go through
-``_report_row``, the rules row by row, which words every violation.
+``parse_table`` converts a file block by block as ``io._blocks`` reads it:
+``BLOCK_LINES`` lines at a time, split on commas while no line holds a
+quote, a lone ``\\r`` or the field size limit, and by ``csv.reader`` from the
+first block that does.  Each spec column is converted with its own
+``Cell.parse``, once per distinct cell where cells repeat (one memo per
+column across blocks); range rules apply per column and the row check once
+per distinct combination of what it reads.  Only flagged rows go through
+``_report_row``, which words every violation.  File checks read columns;
 ``column`` and ``select`` read a table or a plain list of records alike.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,21 +93,21 @@ def select(rows, attr: str, value):
     return rows if len(keep) == len(rows) else rows.take(keep)
 
 
-def _parse_column(col, cells):
-    """One spec column's values (a float array for ``array`` cells), the
-    mask of rows whose cell is malformed or out of range (None if none is)
-    and the text of each malformed cell by row."""
+def _parse_column(col, cells, known):
+    """One spec column's values over a block (a float array for ``array``
+    cells), the mask of rows whose cell is malformed or out of range (None if
+    none is) and each malformed cell by row; ``known`` is the column's memo."""
     parse, rule = col.cell.parse, col.range
     if not col.cell.array:
-        known = {}
-        for cell in set(cells):
+        distinct = set(cells)
+        for cell in distinct.difference(known):
             try:
                 known[cell] = parse(cell)
             except ValueError:
                 known[cell] = _FAILED
         values = list(map(known.__getitem__, cells))
-        bad = {cell for cell, value in known.items()
-               if value is _FAILED or (rule is not None and rule.breached(value))}
+        bad = {cell for cell in distinct if known[cell] is _FAILED
+               or (rule is not None and rule.breached(known[cell]))}
         if not bad:
             return values, None, {}
         return (values, np.fromiter((c in bad for c in cells), bool, len(cells)),
@@ -154,26 +157,37 @@ def _report_row(schema, row, values, failed, out) -> bool:
     return True
 
 
-def parse_table(schema, header, reader, **options):
-    """(table, violations, data rows) for the rows ``reader`` yields after
-    ``header``: the table of the rows that yield a record, the violations
-    in row order, file checks last, and the count of rows that are not blank."""
-    body = [cells for cells in reader if cells]  # a blank line holds no row
-    index, width, n_rows = {name: i for i, name in enumerate(header)}, len(header), len(body)
-    fit = [p for p, cells in enumerate(body) if len(cells) == width]
-    whole = len(fit) == n_rows
-    wrong = {} if whole else {p: len(body[p]) for p in set(range(n_rows)).difference(fit)}
-    cells = list(zip(*(body if whole else [body[p] for p in fit]))) or [()] * width
-    del body  # the rows and, column by column below, the cells are freed once read
-    flag = np.zeros(len(fit), dtype=bool)
-    values, failed = [], []
-    for col in schema.spec:
-        vals, bad, fails = _parse_column(col, cells[index[col.name]])
-        cells[index[col.name]] = None
-        values.append(vals)
-        failed.append(fails)
-        if bad is not None:
-            flag |= bad
+def parse_table(schema, header, blocks, **options):
+    """(table, violations, data rows) for the rows ``blocks`` yields after
+    ``header`` (see ``io._blocks``): the table of the rows that yield a record,
+    the violations in row order, file checks last, and the count of rows."""
+    index, width = {name: i for i, name in enumerate(header)}, len(header)
+    # per spec column: its memo, its malformed cells and its values (arrays block by block)
+    memos, failed, values = ([kind() for _ in schema.spec] for kind in (dict, dict, list))
+    extras = {name: [] for name in header if name not in schema.columns} if schema.extras else None
+    wrong, flags, n_rows = {}, [], 0
+    for cells, lengths in blocks:
+        if lengths.count(width) != len(lengths):  # keep the cells of the rows of the right length
+            wrong.update((n_rows + k, n) for k, n in enumerate(lengths) if n != width)
+            cells = [cell for end, n in zip(accumulate(lengths), lengths) if n == width
+                     for cell in cells[end - n:end]]
+        n_rows += len(lengths)
+        offset = sum(map(len, flags))  # the rows of the right length before the block
+        flag = np.zeros(len(cells) // width, dtype=bool)
+        for j, col in enumerate(schema.spec):
+            vals, bad, fails = _parse_column(col, cells[index[col.name]::width], memos[j])
+            values[j] += [vals] if col.cell.array else vals
+            failed[j].update((offset + i, cell) for i, cell in fails.items())
+            if bad is not None:
+                flag |= bad
+        flags.append(flag)
+        for name in extras or ():
+            extras[name] += cells[index[name]::width]
+        del cells
+    values = [np.concatenate([np.empty(0), *part]) if col.cell.array else part
+              for col, part in zip(schema.spec, values)]
+    flag = np.concatenate([np.zeros(0, dtype=bool), *flags])
+    fit = [p for p in range(n_rows) if p not in wrong] if wrong else range(n_rows)
     slots = schema._slots()
 
     def attr_values(attr, rows=None):
@@ -218,12 +232,9 @@ def parse_table(schema, header, reader, **options):
             columns[attr] = array if every else array[kept]
         else:
             columns[attr] = gather(attr_values(attr))
-    extras = None
-    if schema.extras:
-        known = schema.columns
-        extras = {name: gather(cells[i]) for name, i in index.items() if name not in known}
+    if extras is not None:
+        extras = {name: gather(cells) for name, cells in extras.items()}
     table = RecordTable(schema, columns, extras)
     if schema.file_checks is not None:
-        rows = [p + 1 for p in gather(fit)]
-        violations.extend(schema.file_checks(list(zip(rows, table)), **options))
+        violations.extend(schema.file_checks(table, [p + 1 for p in gather(fit)], **options))
     return table, violations, n_rows

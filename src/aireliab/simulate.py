@@ -28,12 +28,9 @@ from .datasets.schemas import (
     MODULE_FLAGS,
     SCHEMAS,
     AdversarialCountRecord,
-    CollisionRecord,
-    DisengagementRecord,
-    MixtureRecord,
     ModuleErrorRecord,
 )
-from .datasets.table import column, select
+from .datasets.table import RecordTable, column, select
 from .propagation import DEFAULT_SOURCES, EPModel, InjectionWindow, ModuleEventLog, toposort
 from .recurrent import BaselineIntensityModel, EventSeries, baseline_intensity, check_event_times
 from .regression import mixture_design
@@ -304,7 +301,7 @@ def _coef_for(coef, scenario_idx: int) -> np.ndarray:
 
 
 def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
-                             noise_sd_y2: float = 0.0, seed: int = 0) -> list[MixtureRecord]:
+                             noise_sd_y2: float = 0.0, seed: int = 0) -> RecordTable:
     """Mixture records over the crossed layout from known coefficients.
 
     Coefficients are 13-vectors in ``regression.mixture_terms`` order, or
@@ -314,7 +311,6 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
     """
     x, z, c = mixture_layout()
     rng = make_rng(seed)
-    records = []
     design, _ = mixture_design(x, z)
     scen_idx = np.argmax(c, axis=1)
     y1 = np.empty(len(x))
@@ -325,14 +321,9 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
         y2[rows] = design[rows] @ _coef_for(coef_y2, s)
     y1 = y1 + rng.normal(0.0, noise_sd_y1, len(x))
     y2 = y2 + rng.normal(0.0, noise_sd_y2, len(x))
-    for i in range(len(x)):
-        records.append(MixtureRecord(
-            x1=float(x[i, 0]), x2=float(x[i, 1]), x3=float(x[i, 2]),
-            z1=int(z[i, 0]), z2=int(z[i, 1]),
-            c1=int(c[i, 0]), c2=int(c[i, 1]), c3=int(c[i, 2]),
-            y1=float(y1[i]), y2=float(y2[i]),
-        ))
-    return records
+    flags = np.column_stack([z, c]).astype(int).T.tolist()
+    return RecordTable(SCHEMAS["mixture"], dict(zip(SCHEMAS["mixture"]._slots(),
+                                                    [*x.T, *flags, y1, y2])), None)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +341,7 @@ def _calendar(months: MonthTable, times) -> np.ndarray:
     return days.astype(np.intp) - 1
 
 
-def disengagement_records(series_list, months: MonthTable,
-                          manufacture: str) -> list[DisengagementRecord]:
+def disengagement_records(series_list, months: MonthTable, manufacture: str) -> RecordTable:
     """Event streams rendered as dated disengagement rows, by date and VIN.
 
     Event times are day offsets; an event at time t falls on calendar day
@@ -365,22 +355,28 @@ def disengagement_records(series_list, months: MonthTable,
     rank = np.array([vin_rank[vin] for vin in vins], dtype=np.intp)
     # by date, then VIN; events equal in both render as equal rows
     order = np.lexsort((rank[unit], day))
-    dates, month, month_id = months.day_dates, months.day_months, months.day_month_ids
-    return [DisengagementRecord(manufacture, vins[u], dates[d], month[d], month_id[d])
-            for u, d in zip(unit[order].tolist(), day[order].tolist())]
+    return RecordTable(SCHEMAS["disengagement"], {
+        "manufacture": [manufacture] * len(day),
+        "vin": list(map(vins.__getitem__, unit[order].tolist())),
+        **_calendar_columns(months, day[order].tolist())}, None)
 
 
-def collision_records(event_times, months: MonthTable,
-                      manufacture: str) -> list[CollisionRecord]:
+def collision_records(event_times, months: MonthTable, manufacture: str) -> RecordTable:
     """Manufacturer-level collision rows; event ids number distinct dates."""
     day = np.sort(_calendar(months, event_times))
     event_id = np.unique(day, return_inverse=True)[1] + 1
-    dates, month, month_id = months.day_dates, months.day_months, months.day_month_ids
-    return [CollisionRecord(manufacture, None, dates[d], month[d], month_id[d], e)
-            for d, e in zip(day.tolist(), event_id.tolist())]
+    return RecordTable(SCHEMAS["collision"], {
+        "manufacture": [manufacture] * len(day), "vin": [None] * len(day),
+        **_calendar_columns(months, day.tolist()), "event_id": event_id.tolist()}, None)
 
 
-def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
+def _calendar_columns(months: MonthTable, days: list) -> dict:
+    """The date, month and month id columns of rows on the per-day table rows ``days``."""
+    per_day = months.day_dates, months.day_months, months.day_month_ids
+    return dict(zip(("date", "month", "month_id"), ([table[d] for d in days] for table in per_day)))
+
+
+def module_error_records(log: ModuleEventLog) -> RecordTable:
     """One row per module event, carrying the scenario's injection setup."""
     def inj(module):
         if log.injection and module in log.injection:
@@ -388,16 +384,18 @@ def module_error_records(log: ModuleEventLog) -> list[ModuleErrorRecord]:
             return (w.start, w.end), w.prob
         return (0.0, log.window), 1.0
 
+    if unknown := [module for module in log.events if module not in MODULE_FLAGS]:
+        raise ValueError(f"no schema columns for module {unknown[0]!r}")
+    times = np.concatenate([np.empty(0), *log.events.values()])
+    order = np.argsort(times, kind="stable")  # ties keep module order
+    module = np.repeat(list(log.events), [len(t) for t in log.events.values()])[order]
     # the fields before the time stamp, shared by every row of the scenario
     head = (log.scenario_id or 0, log.weather or "", (0.0, log.window), *inj("2d"), *inj("3d"))
-    rows = []
-    for module, times in log.events.items():
-        if module not in MODULE_FLAGS:
-            raise ValueError(f"no schema columns for module {module!r}")
-        flags = {attr: int(module == m) for m, attr in MODULE_FLAGS.items()}
-        rows.extend(ModuleErrorRecord(*head, float(t), **flags) for t in times)
-    rows.sort(key=lambda r: r.timestamp)
-    return rows
+    columns = {attr: [v] * len(times) for attr, v in zip(SCHEMAS["module_error"]._slots(), head)}
+    columns["timestamp"] = times[order]
+    for name, attr in MODULE_FLAGS.items():
+        columns[attr] = (module == name).astype(int).tolist()
+    return RecordTable(SCHEMAS["module_error"], columns, None)
 
 
 def module_event_log(records) -> dict[int, ModuleEventLog]:

@@ -8,8 +8,9 @@ since changed on purpose, here as in the package: a NaN or an infinity
 breaches the one-sided range rules (mileage, ``Alpha``, ``Memory``), and
 a mixture ``proportion range`` breach is reported once per bad column.  The
 oracle reads rows with ``csv.DictReader`` and writes them with
-``csv.DictWriter``, as the package once did, and runs the package's file
-checks, which did not change.
+``csv.DictWriter``, as the package once did.  Its file checks are the package's
+record-based file checks from before they read columns, verbatim; both
+oracles run them.
 """
 
 from __future__ import annotations
@@ -104,6 +105,80 @@ def _check_event_date(record, row, out):
     elif not window[0] <= record.date <= window[1]:
         out.append(Violation(row, "Date", "date month mismatch",
                              f"{record.date} not in month {record.month}"))
+
+
+# ---------------------------------------------------------------------------
+# file checks over (row, record) pairs
+
+
+def _collision_file_checks(rows_records):
+    """Within a manufacturer, event dates and ids must map one-to-one."""
+    out = []
+    date_to_id: dict = {}
+    id_to_date: dict = {}
+    for row, rec in rows_records:
+        key_d = (rec.manufacture, rec.date)
+        key_i = (rec.manufacture, rec.event_id)
+        if key_d in date_to_id and date_to_id[key_d] != rec.event_id:
+            out.append(Violation(row, "EventID", "event id mapping",
+                                 f"date {rec.date} already has event id {date_to_id[key_d]}"))
+        if key_i in id_to_date and id_to_date[key_i] != rec.date:
+            out.append(Violation(row, "EventID", "event id mapping",
+                                 f"event id {rec.event_id} already used on {id_to_date[key_i]}"))
+        date_to_id.setdefault(key_d, rec.event_id)
+        id_to_date.setdefault(key_i, rec.date)
+    return out
+
+
+def _month_file_checks(rows_records):
+    out = []
+    ids = [rec.month_id for _, rec in rows_records]
+    if ids and ids != list(range(1, len(ids) + 1)):
+        out.append(Violation(None, "MonthID", "month sequence",
+                             "month ids must run 1..N consecutively"))
+    for (_, prev), (row, rec) in zip(rows_records, rows_records[1:]):
+        if rec.start_date != prev.end_date + dt.timedelta(days=1):
+            out.append(Violation(row, "StartDate", "month contiguity",
+                                 f"{rec.start_date} is not the day after {prev.end_date}"))
+    return out
+
+
+def _adversarial_file_checks(rows_records, accuracy_scale: str = "auto"):
+    """Accuracies are proportions or percentages, declared once per file."""
+    out = []
+    acc_cols = ("train_acc", "val_acc", "test_acc")
+    values = [(row, col, getattr(rec, col)) for row, rec in rows_records for col in acc_cols]
+    if accuracy_scale == "auto":
+        accuracy_scale = "percent" if any(v > 1.5 for *_rc, v in values) else "proportion"
+    if accuracy_scale not in ("proportion", "percent"):
+        raise ValueError("accuracy_scale must be 'auto', 'proportion', or 'percent'")
+    hi = 1.0 if accuracy_scale == "proportion" else 100.0
+    names = {col.attr: col.name for col in SCHEMAS["adversarial"].spec}
+    for row, col, v in values:
+        if not 0 <= v <= hi:
+            out.append(Violation(row, names[col], "accuracy range",
+                                 f"{v} outside [0, {hi:g}] ({accuracy_scale} scale)"))
+    return out
+
+
+def _incident_file_checks(rows_records):
+    out = []
+    seen = {}
+    for row, rec in rows_records:
+        if rec.incident_no in seen:
+            out.append(Violation(row, "IncidentNo", "duplicate incident number",
+                                 f"incident {rec.incident_no} already at row {seen[rec.incident_no]}"))
+        else:
+            seen[rec.incident_no] = row
+    return out
+
+
+FILE_CHECKS = {
+    "collision": _collision_file_checks,
+    "month": _month_file_checks,
+    "adversarial": _adversarial_file_checks,
+    "incident": _incident_file_checks,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +311,7 @@ def _parse_module_error(row, raw, out):
     if scenario is None or None in vals.values() or None in flags.values():
         return None
     window = (vals["WindowStart"], vals["WindowEnd"])
-    if window[0] >= window[1]:
+    if not window[0] < window[1]:
         out.append(Violation(row, "WindowEnd", "window order", "window end must exceed start"))
         return None
     for prefix in ("EI2D", "EI3D"):
@@ -501,9 +576,8 @@ def parse_records(source, schema_name, **options):
         record = PARSERS[schema_name](row_no, raw, violations)
         if record is not None:
             rows_records.append((row_no, record))
-    file_checks = SCHEMAS[schema_name].file_checks
-    if file_checks is not None:
-        violations.extend(file_checks(rows_records, **options))
+    if schema_name in FILE_CHECKS:
+        violations.extend(FILE_CHECKS[schema_name](rows_records, **options))
     return [rec for _, rec in rows_records], violations
 
 

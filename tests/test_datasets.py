@@ -130,6 +130,17 @@ def test_module_error_timestamp_window_violation(data_dir):
     assert [v.rule for v in report.violations] == ["timestamp window"]
 
 
+@pytest.mark.parametrize("column", ["WindowStart", "WindowEnd"])
+def test_nan_window_bound_is_a_window_order_violation(column, data_dir):
+    header, first = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()[:2]
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = "nan"
+    table, report = parse_records(io.StringIO(f"{header}\n{','.join(cells)}\n"), "module_error")
+    assert len(table) == 0
+    assert [(v.row, v.column, v.rule) for v in report.violations] == [(1, "WindowEnd",
+                                                                       "window order")]
+
+
 def test_incident_duplicate_number_violation(data_dir):
     records = load(data_dir / "ai-incidents" / "incidents.csv", "incident")
     text = dumps([records[0], records[0]], "incident")

@@ -128,8 +128,8 @@ def oracle_parse_records(source, schema_name, **options):
         record = parse_row(n_rows, cells, violations)
         if record is not None:
             rows_records.append((n_rows, record))
-    if schema.file_checks is not None:
-        violations.extend(schema.file_checks(rows_records, **options))
+    if schema_name in oracle.FILE_CHECKS:
+        violations.extend(oracle.FILE_CHECKS[schema_name](rows_records, **options))
     report = ValidationReport(schema_name, n_rows, tuple(violations))
     return [record for _, record in rows_records], report
 
