@@ -381,6 +381,22 @@ DEFAULT_EP_SPEC = {
 }
 
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ValueError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return value
+
+
+def _numbers(value, what: str, n: int | None = None) -> tuple:
+    """``value`` as a tuple if it is a JSON list of numbers (``n`` of them
+    when given), else a ValueError naming ``what``."""
+    if not (isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
+            and len(value) == (n or len(value))):
+        raise ValueError(f"{what} is not a list of {'' if n is None else f'{n} '}numbers")
+    return tuple(value)
+
+
 def cmd_simulate(args, run: Run) -> int:
     if args.generator == "nhpp":
         if args.mileage is None or args.months is None:
@@ -400,28 +416,35 @@ def cmd_simulate(args, run: Run) -> int:
     elif args.generator == "ep-cascade":
         spec = DEFAULT_EP_SPEC
         if args.spec:
-            spec = json.loads(Path(run.track_input(args.spec)).read_text(encoding="utf-8"))
+            spec = _object(json.loads(Path(run.track_input(args.spec)).read_text(encoding="utf-8")),
+                           "cascade spec")
         missing = [key for key in ("baseline", "window", "scenarios") if key not in spec]
         if missing:
             raise ValueError(f"cascade spec lacks the key(s) {missing}")
-        edges = {tuple(key.split("<-")): tuple(v) for key, v in spec.get("edges", {}).items()}
+        edges = {tuple(key.split("<-")): _numbers(v, f"edge {key!r}")
+                 for key, v in _object(spec.get("edges", {}), "edges").items()}
         bad = ["<-".join(pair) for pair in edges if len(pair) != 2]
         if bad:
             raise ValueError(f"edge key {bad[0]!r} is not of the form '<target><-<source>'")
-        model = propagation.EPModel({m: tuple(v) for m, v in spec["baseline"].items()}, edges)
-        sources = {m: tuple(v) for m, v in spec.get("sources", {}).items()}
-        rows = []
+        model = propagation.EPModel({m: _numbers(v, f"baseline {m!r}") for m, v in
+                                     _object(spec["baseline"], "baseline").items()}, edges)
+        sources = {m: tuple(v) for m, v in _object(spec.get("sources", {}), "sources").items()}
+        if not isinstance(spec["scenarios"], list) or not spec["scenarios"]:
+            raise ValueError("cascade spec needs a non-empty list of scenarios")
+        tables = []
         for idx, scenario in enumerate(spec["scenarios"], start=1):
             injection = {
-                m: propagation.InjectionWindow(*v)
-                for m, v in scenario.get("injection", {}).items()
+                m: propagation.InjectionWindow(*_numbers(v, f"scenario {idx} injection {m!r}", 3))
+                for m, v in _object(_object(scenario, f"scenario {idx}").get("injection", {}),
+                                    f"scenario {idx} injection").items()
             }
             log = simulate.simulate_ep_cascade(
                 model, sources, float(spec["window"]), injection,
                 seed=simulate.derive_seed(args.seed, idx), scenario_id=idx,
                 weather=scenario.get("weather"),
             )
-            rows.extend(simulate.module_error_records(log))
+            tables.append(simulate.module_error_records(log))
+        rows = datasets.concat(tables)
         datasets.dump(rows, "module_error", run.dir / "module_errors.csv")
         print(f"wrote {len(rows)} module error rows over {len(spec['scenarios'])} scenarios")
     elif args.generator == "srgm-counts":

@@ -8,14 +8,15 @@ first block that does.  Each spec column is converted with its own
 column across blocks); range rules apply per column and the row check once
 per distinct combination of what it reads.  Only flagged rows go through
 ``_report_row``, which words every violation.  File checks read columns;
-``column`` and ``select`` read a table or a plain list of records alike.
+``column`` and ``select`` read a table or a plain list of records alike,
+and ``concat`` joins tables.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +92,18 @@ def select(rows, attr: str, value):
         return [r for r in rows if getattr(r, attr) == value]
     keep = [i for i, v in enumerate(rows.columns[attr]) if v == value]
     return rows if len(keep) == len(rows) else rows.take(keep)
+
+
+def concat(tables) -> RecordTable:
+    """One table of the rows of ``tables``, in order: tables of one schema
+    with the same extra columns, at least one."""
+    def join(parts):
+        return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else [*chain(*parts)]
+
+    first = tables[0]
+    columns, extras = ({key: join([getattr(t, name)[key] for t in tables]) for key in
+                        getattr(first, name) or ()} for name in ("columns", "extras"))
+    return RecordTable(first.schema, columns, None if first.extras is None else extras)
 
 
 def _parse_column(col, cells, known):

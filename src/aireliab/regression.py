@@ -18,6 +18,7 @@ import scipy.linalg
 from scipy.special import gammaln, log_ndtr, ndtr, stdtrit
 
 from ._optim import maximize, numeric_stderr
+from .datasets.table import column, select
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
 _LOG_SQRT_2PI = np.log(_SQRT_2PI)
@@ -379,38 +380,36 @@ def fit_mixture(records, response: str = "y1", *, scenario: str | None = None,
                 pooled: bool = False) -> MixtureFit:
     """Least-squares fit of the mixture model to robustness records.
 
-    Records are objects carrying x1..x3, z1, z2, c1..c3, y1, y2.  By
-    default the model is fitted separately per scenario (pass one of
-    "c1", "c2", "c3"); with ``pooled=True`` all rows are used and the c2,
-    c3 flags join the z covariates (c1 is the reference and would be
-    collinear with the proportions).
+    Records are a table or a list of objects carrying x1..x3, z1, z2,
+    c1..c3, y1, y2.  By default the model is fitted separately per
+    scenario (pass one of "c1", "c2", "c3"); with ``pooled=True`` all rows
+    are used and the c2, c3 flags join the z covariates (c1 is the
+    reference and would be collinear with the proportions).
     """
     if response not in ("y1", "y2"):
         raise ValueError("response must be 'y1' or 'y2'")
-    records = list(records)
     if pooled:
         if scenario is not None:
             raise ValueError("scenario filter and pooled fit are mutually exclusive")
-        rows = records
-        z_names = ("z1", "z2", "c2", "c3")
-        z = np.array([[r.z1, r.z2, r.c2, r.c3] for r in rows], dtype=float)
+        rows, z_names = records, ("z1", "z2", "c2", "c3")
     else:
         if scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS} (or use pooled=True)")
-        rows = [r for r in records if getattr(r, scenario) == 1]
+        rows, z_names = select(records, scenario, 1), ("z1", "z2")
         if not rows:
             raise ValueError(f"no rows in scenario {scenario}")
-        z_names = ("z1", "z2")
-        z = np.array([[r.z1, r.z2] for r in rows], dtype=float)
-    x = np.array([[r.x1, r.x2, r.x3] for r in rows], dtype=float)
-    y = np.array([getattr(r, response) for r in rows], dtype=float)
-    D, terms = mixture_design(x, z, z_names)
+
+    def floats(name):
+        return np.asarray(column(rows, name), dtype=float)
+
+    D, terms = mixture_design(np.column_stack([floats(name) for name in ("x1", "x2", "x3")]),
+                              np.column_stack([floats(name) for name in z_names]), z_names)
     # one-hot scenario flags make some z products identically zero in the
     # pooled fit; such terms have no support and are dropped
     support = np.any(D != 0.0, axis=0)
     D = D[:, support]
     terms = tuple(t for t, keep in zip(terms, support) if keep)
-    fit = fit_linear(D, y, names=terms, add_intercept=False)
+    fit = fit_linear(D, floats(response), names=terms, add_intercept=False)
     return MixtureFit(
         response=response,
         scenario=scenario,

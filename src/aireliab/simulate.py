@@ -2,15 +2,19 @@
 mixture responses.
 
 These double as brute-force oracles for the fitters and as fixture
-factories, so every generator can emit records in the dataset schemas.
+factories, so every generator can emit rows in the dataset schemas.
 One constant-envelope thinning draw (Lewis & Shedler 1979) serves both
 the NHPP streams and the cascade's source modules; downstream cascade
 modules add one exponential trigger sum (Ogata 1981).  The converters
-between records and model objects take their column names from the
-schema specs, and map days to dates through the month table's per-day
-tables and date ordinals, over arrays.  Streams come from the counter-based Philox generator (see
-``_rng``); replicates derive child seeds through SeedSequence mixing, so
-results do not depend on evaluation order or thread count.
+between dataset rows and model objects take their column names from the
+schema specs and work on columns: the emitters return a ``RecordTable``,
+and the readers take a table or a plain list of records through
+``datasets.column`` and ``datasets.select``, so no record is built from a
+table here.  Days map to dates through the month table's per-day tables
+and date ordinals, over arrays.  Streams come from the counter-based
+Philox generator (see ``_rng``); replicates derive child seeds through
+SeedSequence mixing, so results do not depend on evaluation order or
+thread count.
 
 Baselines that are singular at the origin (power_law with shape < 1,
 weibull_growth with shape parameter theta3 < 1) are truncated below
@@ -24,12 +28,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .datasets.exposure import ExposureSchedule, MonthTable, derive_exposure
-from .datasets.schemas import (
-    MODULE_FLAGS,
-    SCHEMAS,
-    AdversarialCountRecord,
-    ModuleErrorRecord,
-)
+from .datasets.schemas import MODULE_FLAGS, SCHEMAS
 from .datasets.table import RecordTable, column, select
 from .propagation import DEFAULT_SOURCES, EPModel, InjectionWindow, ModuleEventLog, toposort
 from .recurrent import BaselineIntensityModel, EventSeries, baseline_intensity, check_event_times
@@ -399,30 +398,33 @@ def module_error_records(log: ModuleEventLog) -> RecordTable:
 
 
 def module_event_log(records) -> dict[int, ModuleEventLog]:
-    """Event logs with the default sources from module-error rows; a scenario's rows must agree."""
-    by_scenario: dict[int, list[ModuleErrorRecord]] = {}
-    for rec in records:
-        by_scenario.setdefault(rec.scenario_id, []).append(rec)
+    """Event logs with the default sources from module-error rows (a table or
+    a list of records), by scenario; a scenario's rows must agree on their
+    settings, each distinct setting judged once against the first."""
+    ids = np.asarray(column(records, "scenario_id"))
+    cells = np.column_stack([np.asarray(column(records, attr), dtype=float) for attr in
+                             ("window", "ei_time_2d", "ei_prob_2d", "ei_time_3d", "ei_prob_3d")])
+    settings: dict[int, list] = {}
+    for scenario, *setting in dict.fromkeys(zip(ids.tolist(), column(records, "weather"),
+                                                *cells.T.tolist())):
+        settings.setdefault(scenario, []).append(setting)
+    timestamp = np.asarray(column(records, "timestamp"), dtype=float)
+    flags = {m: np.asarray(column(records, attr), dtype=bool) for m, attr in MODULE_FLAGS.items()}
     logs = {}
-    for scenario, rows in sorted(by_scenario.items()):
-        first, *rest = [(r.weather, *r.window, *r.ei_time_2d, r.ei_prob_2d, *r.ei_time_3d,
-                         r.ei_prob_3d) for r in rows]
-        for cells in dict.fromkeys(rest):
-            for column, was, now in zip(SCHEMAS["module_error"].spec[1:], first, cells):
+    for scenario, (first, *rest) in sorted(settings.items()):
+        for setting in rest:
+            for col, was, now in zip(SCHEMAS["module_error"].spec[1:], first, setting):
                 if was != now and (was == was or now == now):  # two NaN cells agree
-                    raise ValueError(f"scenario {scenario}: rows disagree on {column.name} "
+                    raise ValueError(f"scenario {scenario}: rows disagree on {col.name} "
                                      f"({was!r} and {now!r})")
         weather, start, end, start_2d, end_2d, p_2d, start_3d, end_3d, p_3d = first
+        ours = ids == scenario
         logs[scenario] = ModuleEventLog(
-            events={m: np.sort([rec.timestamp - start for rec in rows if getattr(rec, attr)])
-                    for m, attr in MODULE_FLAGS.items()},
-            window=end - start,
-            sources=dict(DEFAULT_SOURCES),
-            weather=weather,
+            events={m: np.sort(timestamp[ours & flag] - start) for m, flag in flags.items()},
+            window=end - start, sources=dict(DEFAULT_SOURCES), weather=weather,
             injection={"2d": InjectionWindow(start_2d - start, end_2d - start, p_2d),
                        "3d": InjectionWindow(start_3d - start, end_3d - start, p_3d)},
-            scenario_id=scenario,
-        )
+            scenario_id=scenario)
     return logs
 
 
@@ -444,7 +446,7 @@ _ADVERSARIAL_DEFAULTS = {
 
 
 def adversarial_records(series: IntervalCountSeries, *, scenario: int = 1,
-                        epsilon_range=(0.0, 1.0)) -> list[AdversarialCountRecord]:
+                        epsilon_range=(0.0, 1.0)) -> RecordTable:
     """Count series rendered as adversarial-experiment rows.
 
     Covariate columns whose names match the schema columns (Alpha, F1,
@@ -462,13 +464,12 @@ def adversarial_records(series: IntervalCountSeries, *, scenario: int = 1,
     columns["pgd_pct"] = 100.0 - columns["fgsm_pct"]
     if series.performance is not None:
         columns["test_acc"] = series.performance
-    epsilon_range = (float(epsilon_range[0]), float(epsilon_range[1]))
-    return [
-        AdversarialCountRecord(scenario=scenario, epsilon_range=epsilon_range, t=t + 1,
-                               fc=int(series.counts[t]),
-                               **{attr: float(values[t]) for attr, values in columns.items()})
-        for t in range(series.n_steps)
-    ]
+    n = series.n_steps
+    columns.update(scenario=[scenario] * n, t=list(range(1, n + 1)),
+                   epsilon_range=np.tile(np.array(epsilon_range[:2], dtype=float), (n, 1)),
+                   fc=series.counts.astype(int).tolist())
+    return RecordTable(SCHEMAS["adversarial"],
+                       {attr: columns[attr] for attr in SCHEMAS["adversarial"]._slots()}, None)
 
 
 def interval_series_from_adversarial(records, scenario: int,
@@ -481,19 +482,21 @@ def interval_series_from_adversarial(records, scenario: int,
     adversarial schema; any other name raises ValueError.
     """
     named = (*covariates, performance_column) if performance_column else tuple(covariates)
-    unknown = [c for c in named if c not in _ADVERSARIAL_COLUMNS]
-    if unknown:
+    if unknown := [c for c in named if c not in _ADVERSARIAL_COLUMNS]:
         raise ValueError(f"unknown adversarial column(s) {', '.join(unknown)}; "
                          f"accepted: {', '.join(_ADVERSARIAL_COLUMNS)}")
-    rows = sorted((r for r in records if r.scenario == scenario), key=lambda r: r.t)
+    rows = select(records, "scenario", scenario)
     if not rows:
         raise ValueError(f"no rows for scenario {scenario}")
-    attr = _ADVERSARIAL_COLUMNS
-    counts = np.array([r.fc for r in rows], dtype=float)
-    X = np.column_stack([[getattr(r, attr[c]) for r in rows] for c in covariates]) \
-        if covariates else np.zeros((len(rows), 0))
-    perf = np.array([getattr(r, attr[performance_column]) for r in rows]) \
-        if performance_column else None
+    t = np.asarray(column(rows, "t"))
+    order = np.argsort(t, kind="stable")
+    if not np.array_equal(t[order], np.arange(1, len(t) + 1)):
+        raise ValueError(f"scenario {scenario}: steps T must run 1..{len(t)} once each")
+    # the counts, then the named columns, in step order
+    counts, *values = (np.asarray(column(rows, attr), dtype=float)[order]
+                       for attr in ("fc", *map(_ADVERSARIAL_COLUMNS.__getitem__, named)))
+    perf = values.pop() if performance_column else None
+    X = np.column_stack(values) if covariates else np.zeros((len(t), 0))
     return IntervalCountSeries(counts, X, tuple(covariates), performance=perf)
 
 

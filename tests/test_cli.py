@@ -665,3 +665,100 @@ def test_fit_recurrent_rejects_an_events_file_without_rows(tmp_path, capsys, dat
     assert code == 1
     assert err.startswith(f"error: {empty} holds no events")
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+def adversarial_copy(data_dir, tmp_path, edit):
+    """The bundled adversarial file with its data rows passed through ``edit``."""
+    header, *rows = (data_dir / "adversarial-attacks" / "adversarial.csv").read_text().splitlines()
+    path = tmp_path / "adversarial.csv"
+    path.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
+    return path
+
+
+def scenario_1_step(rows, t):
+    return next(i for i, row in enumerate(rows) if row.startswith("1,") and
+                row.split(",")[3] == str(t))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[:scenario_1_step(rows, 3) + 1] + rows[scenario_1_step(rows, 3):],
+    lambda rows: rows[:scenario_1_step(rows, 5)] + rows[scenario_1_step(rows, 5) + 1:],
+], ids=["T=3 twice", "T=5 missing"])
+def test_count_series_with_repeated_or_missing_steps_is_rejected(tmp_path, capsys, data_dir,
+                                                                edit):
+    # each row is valid on its own, so validate passes; the series is not
+    path = adversarial_copy(data_dir, tmp_path, edit)
+    assert run_cli(["validate", str(path), "--schema", "adversarial",
+                    "--out", str(tmp_path / "v")], capsys)[0] == EXIT_OK
+    for command in (["fit-srgm", "--hazard", "gm"], ["fit-resilience"]):
+        code, _, err = run_cli([*command, "--input", str(path), "--scenario", "1",
+                                "--out", str(tmp_path / command[0])], capsys)
+        assert code == 1
+        assert err.startswith("error: scenario 1: steps T must run 1..")
+
+
+def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_dir):
+    path = adversarial_copy(data_dir, tmp_path, lambda rows: rows[::-1])
+    written = []
+    for source in (data_dir / "adversarial-attacks" / "adversarial.csv", path):
+        out = tmp_path / str(len(written))
+        code, _, _ = run_cli(["fit-srgm", "--hazard", "gm", "--input", str(source),
+                              "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        written.append([(out / name).read_bytes() for name in ("srgm.json", "cumulative.csv")])
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([DEFAULT_EP_SPEC], "cascade spec is not a JSON object"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[["clear"]]), "scenario 1 is not a JSON object"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[{"injection": ["2d"]}]),
+     "scenario 1 injection is not a JSON object"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[{}, {"injection": {"2d": [0.0, 20.0]}}]),
+     "scenario 2 injection '2d' is not a list of 3 numbers"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[{"injection": {"3d": ["0", 20.0, 0.5]}}]),
+     "scenario 1 injection '3d' is not a list of 3 numbers"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[]), "cascade spec needs a non-empty list of scenarios"),
+    (dict(DEFAULT_EP_SPEC, baseline=[[1.0, 0.8]]), "baseline is not a JSON object"),
+    (dict(DEFAULT_EP_SPEC, edges={"localization<-2d": 2.0}),
+     "edge 'localization<-2d' is not a list of numbers"),
+    (dict(DEFAULT_EP_SPEC, sources=["2d"]), "sources is not a JSON object"),
+], ids=["array spec", "list scenario", "list injection", "short injection",
+        "string injection", "no scenarios", "list baseline", "number edge", "list sources"])
+def test_simulate_ep_cascade_malformed_spec_is_an_error_line(tmp_path, spec, message):
+    # a fresh interpreter, so an escaping exception would print its traceback
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "aireliab.cli", "simulate", "ep-cascade",
+                           "--spec", str(path), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
+    assert not (tmp_path / "o" / "module_errors.csv").exists()
+
+
+def test_bundled_jobs_read_tables_by_column(tmp_path, capsys, data_dir, monkeypatch):
+    # fit-recurrent and simulate nhpp are left out: MonthTable reads month records
+    from aireliab.datasets import RecordTable
+
+    def refuse(table):
+        raise AssertionError(f"a {table.schema.name} table was read record by record")
+
+    monkeypatch.setattr(RecordTable, "__iter__", refuse)
+    adversarial = str(data_dir / "adversarial-attacks" / "adversarial.csv")
+    mixture = str(data_dir / "mixture-robustness" / "mixture.csv")
+    jobs = [
+        ["fit-ep", "--log", str(data_dir / "module-errors" / "module_errors.csv"),
+         "--mae-grid", "10"],
+        ["fit-srgm", "--input", adversarial, "--hazard", "gm", "--stepwise"],
+        ["fit-resilience", "--input", adversarial],
+        ["fit-mixture", "--input", mixture, "--response", "y1", "--scenario", "c2"],
+        ["fit-mixture", "--input", mixture, "--response", "y2", "--pooled"],
+        ["simulate", "ep-cascade", "--seed", "3"],
+        ["simulate", "srgm-counts", "--seed", "3"],
+        ["simulate", "mixture", "--seed", "3"],
+    ]
+    for i, argv in enumerate(jobs):
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / str(i))], capsys)
+        assert (code, err) == (EXIT_OK, ""), argv

@@ -6,14 +6,12 @@ parser to the oracle on generated rows, malformed and out-of-range cells
 included: the same record or none, and the same violations per row up
 to their order within the row.  Generated in-range records must survive
 ``dumps`` then ``parse_records`` unchanged, and ``dumps`` must write the
-bytes the oracle wrote.  ``demos/build_sample_data.py`` must still
-reproduce ``data/`` byte for byte.
+bytes the oracle wrote.
 """
 
 import collections
 import csv
 import datetime as dt
-import importlib.util
 import io
 import math
 
@@ -40,7 +38,7 @@ from aireliab.datasets import (
 )
 from aireliab.datasets.schemas import DATE, FLAG, FLOAT, INT
 
-from conftest import PROPERTY, REPO_ROOT, build_months
+from conftest import PROPERTY, build_months
 
 ALL_SCHEMAS = tuple(SCHEMAS)
 
@@ -48,20 +46,6 @@ ALL_SCHEMAS = tuple(SCHEMAS)
 def test_spec_columns_match_oracle():
     for name in ALL_SCHEMAS:
         assert SCHEMAS[name].columns == oracle.COLUMNS[name]
-
-
-def test_sample_data_reproduced_byte_for_byte(tmp_path, data_dir):
-    path = REPO_ROOT / "demos" / "build_sample_data.py"
-    spec = importlib.util.spec_from_file_location("build_sample_data", path)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    demo.ROOT = tmp_path
-    demo.main()
-    expected = sorted(p.relative_to(data_dir) for p in data_dir.rglob("*") if p.is_file())
-    built = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
-    assert built == expected
-    for rel in expected:
-        assert (tmp_path / rel).read_bytes() == (data_dir / rel).read_bytes(), rel
 
 
 def test_ragged_rows_reported_and_skipped():
