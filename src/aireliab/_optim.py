@@ -4,6 +4,8 @@ Fitters minimise a negative log-likelihood over an unconstrained
 (usually log-scale) parameter vector from a list of starts; standard
 errors come from a finite-difference Hessian at the optimum.  The simplex
 stage is scipy's Nelder–Mead run in-house; scipy supplies only L-BFGS-B.
+A start whose objective is not finite is dropped before any search, so a
+fit's iteration count covers the searched starts only.
 """
 
 from __future__ import annotations
@@ -140,11 +142,15 @@ def maximize(negloglik_z, z0_list, tol, max_iter):
 
     The simplex stage works to ``tol`` relative in the objective; the
     L-BFGS-B polish (finite-difference gradients) sharpens the optimum.
+    A start where the objective is +inf or NaN costs that one evaluation
+    and is dropped: it gets no search and adds nothing to ``iterations``.
     """
     best, iterations = None, 0
     for z0 in z0_list:
         f0 = negloglik_z(np.asarray(z0, dtype=float))
-        fatol = tol * (1.0 + (abs(f0) if np.isfinite(f0) else 1.0))
+        if not np.isfinite(f0):
+            continue
+        fatol = tol * (1.0 + abs(f0))
         nm_iter = min(max_iter, 250 * len(z0))
         x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol, nm_iter, 2 * nm_iter)
         polish = minimize(negloglik_z, x, method="L-BFGS-B",

@@ -428,14 +428,26 @@ def cmd_simulate(args, run: Run) -> int:
             raise ValueError(f"edge key {bad[0]!r} is not of the form '<target><-<source>'")
         model = propagation.EPModel({m: _numbers(v, f"baseline {m!r}") for m, v in
                                      _object(spec["baseline"], "baseline").items()}, edges)
-        sources = {m: tuple(v) for m, v in _object(spec.get("sources", {}), "sources").items()}
+        sources = _object(spec.get("sources", {}), "sources")
+        for m, v in sources.items():
+            if not (isinstance(v, list) and all(isinstance(s, str) for s in v)):
+                raise ValueError(f"sources {m!r} is not a list of strings")
+        sources = {m: tuple(v) for m, v in sources.items()}
+        unlisted = [(t, s) for t, s in edges if s not in sources.get(t, ())]
+        if unlisted:
+            target, source = unlisted[0]
+            raise ValueError(f"edge '{target}<-{source}': sources {target!r} does not list "
+                             f"{source!r}")
         if not isinstance(spec["scenarios"], list) or not spec["scenarios"]:
             raise ValueError("cascade spec needs a non-empty list of scenarios")
         tables = []
         for idx, scenario in enumerate(spec["scenarios"], start=1):
+            scenario = _object(scenario, f"scenario {idx}")
+            if not isinstance(scenario.get("weather", ""), str):
+                raise ValueError(f"scenario {idx} weather is not a string")
             injection = {
                 m: propagation.InjectionWindow(*_numbers(v, f"scenario {idx} injection {m!r}", 3))
-                for m, v in _object(_object(scenario, f"scenario {idx}").get("injection", {}),
+                for m, v in _object(scenario.get("injection", {}),
                                     f"scenario {idx} injection").items()
             }
             log = simulate.simulate_ep_cascade(

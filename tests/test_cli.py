@@ -723,8 +723,15 @@ def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_di
     (dict(DEFAULT_EP_SPEC, edges={"localization<-2d": 2.0}),
      "edge 'localization<-2d' is not a list of numbers"),
     (dict(DEFAULT_EP_SPEC, sources=["2d"]), "sources is not a JSON object"),
+    # a string would be read as its characters, '2' and 'd'
+    (dict(DEFAULT_EP_SPEC, sources={"localization": "2d"}),
+     "sources 'localization' is not a list of strings"),
+    ({key: v for key, v in DEFAULT_EP_SPEC.items() if key != "sources"},
+     "edge 'localization<-2d': sources 'localization' does not list '2d'"),
+    (dict(DEFAULT_EP_SPEC, scenarios=[{"weather": 3}]), "scenario 1 weather is not a string"),
 ], ids=["array spec", "list scenario", "list injection", "short injection",
-        "string injection", "no scenarios", "list baseline", "number edge", "list sources"])
+        "string injection", "no scenarios", "list baseline", "number edge", "list sources",
+        "string sources", "unlisted edge source", "number weather"])
 def test_simulate_ep_cascade_malformed_spec_is_an_error_line(tmp_path, spec, message):
     # a fresh interpreter, so an escaping exception would print its traceback
     path = tmp_path / "spec.json"

@@ -3,15 +3,23 @@
 The oracles are the four multistart jitter loops that the fitters wrote
 out inline before ``starts`` replaced them; each must be reproduced bit
 for bit, so every fit keeps its starts.
+
+``maximize`` drops a start whose objective is +inf or NaN before any
+search.  Its oracle is the ``maximize`` that searched from every start;
+on the bundled stepwise srgm fits both must give the same fitted numbers,
+bit for bit, while the dropped starts no longer reach the simplex.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from aireliab._optim import numeric_stderr, starts
-from conftest import PROPERTY
+from aireliab import _optim, datasets, srgm
+from aireliab._optim import _nelder_mead, maximize, numeric_stderr, quiet, starts
+from aireliab.simulate import interval_series_from_adversarial
+from conftest import DATA_DIR, PROPERTY
 
 
 def recurrent_starts(seed_params, multistarts):
@@ -119,3 +127,169 @@ def test_numeric_stderr_recovers_quadratic_with_absolute_step():
 def test_numeric_stderr_none_when_not_positive_definite():
     assert numeric_stderr(lambda th: -float(th @ th), np.zeros(2), 1e-5) is None
     assert numeric_stderr(lambda th: np.inf, np.zeros(2), 1e-5) is None
+
+
+# ---------------------------------------------------------------------------
+# maximize searches only from starts where the objective is finite
+
+
+@quiet()
+def oracle_maximize(negloglik_z, z0_list, tol, max_iter):
+    """Simplex descent per start, then quasi-Newton polish; best kept.
+
+    The simplex stage works to ``tol`` relative in the objective; the
+    L-BFGS-B polish (finite-difference gradients) sharpens the optimum.
+    """
+    best, iterations = None, 0
+    for z0 in z0_list:
+        f0 = negloglik_z(np.asarray(z0, dtype=float))
+        fatol = tol * (1.0 + (abs(f0) if np.isfinite(f0) else 1.0))
+        nm_iter = min(max_iter, 250 * len(z0))
+        x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol, nm_iter, 2 * nm_iter)
+        polish = minimize(negloglik_z, x, method="L-BFGS-B",
+                          options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10})
+        iterations += nit + polish.nit
+        if polish.fun <= fun:
+            x, fun = polish.x, polish.fun
+        if np.isfinite(fun) and (best is None or fun < best[0]):
+            best = (fun, x, bool(ok or polish.success))
+    if best is None:
+        raise RuntimeError("likelihood evaluation failed for every start")
+    return best[0], best[1], best[2], iterations
+
+
+def walled_bowl(centre, weights, wall, bad):
+    """A weighted bowl that is ``bad`` (inf or NaN) where x[0] > wall."""
+    centre, weights = np.array(centre), np.array(weights)
+
+    def f(x):
+        return bad if x[0] > wall else float(weights @ (x - centre) ** 2)
+    return f
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The x0 of every simplex run and every L-BFGS-B polish inside ``maximize``."""
+    runs = {"simplex": [], "polish": []}
+    real_nelder_mead, real_minimize = _optim._nelder_mead, _optim.minimize
+
+    def nelder_mead(f, x0, *args):
+        runs["simplex"].append(np.asarray(x0, dtype=float))
+        return real_nelder_mead(f, x0, *args)
+
+    def polish(f, x0, **kwargs):
+        runs["polish"].append(np.asarray(x0, dtype=float))
+        return real_minimize(f, x0, **kwargs)
+
+    monkeypatch.setattr(_optim, "_nelder_mead", nelder_mead)
+    monkeypatch.setattr(_optim, "minimize", polish)
+    return runs
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_start_costs_one_call_and_no_search(searched, bad):
+    f = walled_bowl([0.5, -1.0], [1.0, 3.0], 2.0, bad)
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    bad_start, finite_start = np.array([4.0, 1.0]), np.array([1.0, 1.0])
+    maximize(counted, [bad_start, finite_start], 1e-10, 400)
+    # the dropped start is evaluated once, then the next start begins
+    assert calls[0].tobytes() == bad_start.tobytes()
+    assert calls[1].tobytes() == finite_start.tobytes()
+    assert sum(c.tobytes() == bad_start.tobytes() for c in calls) == 1
+    assert len(searched["simplex"]) == 1
+    assert searched["simplex"][0].tobytes() == finite_start.tobytes()
+    assert len(searched["polish"]) == 1
+
+
+def test_every_start_non_finite_raises_without_search(searched):
+    f = walled_bowl([0.0], [1.0], 1.0, np.inf)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    z0s = [np.array([2.0]), np.array([3.0]), np.array([1.5])]
+    with pytest.raises(RuntimeError, match="likelihood evaluation failed for every start"):
+        maximize(counted, z0s, 1e-10, 400)
+    assert len(calls) == len(z0s)
+    assert searched == {"simplex": [], "polish": []}
+
+
+def _outcome(f, z0s):
+    """``maximize``'s result with ``x`` as bytes, or its error when no start ends finite."""
+    try:
+        fun, x, ok, iterations = maximize(f, z0s, 1e-8, 200)
+    except RuntimeError as exc:
+        return str(exc)
+    return fun, x.tobytes(), ok, iterations
+
+
+@st.composite
+def mixed_starts(draw):
+    k = draw(st.integers(1, 3))
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    centre = draw(st.lists(coord, min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    wall = draw(st.floats(-1.0, 2.0))
+    bad = draw(st.sampled_from([np.inf, np.nan]))
+    inside = st.floats(-4.0, wall, allow_nan=False)
+    outside = st.floats(wall, 6.0, exclude_min=True, allow_nan=False)
+    finite = draw(st.lists(st.tuples(inside, st.lists(coord, min_size=k - 1, max_size=k - 1)),
+                           min_size=1, max_size=3))
+    non_finite = draw(st.lists(st.tuples(outside, st.lists(coord, min_size=k - 1,
+                                                           max_size=k - 1)),
+                               min_size=1, max_size=3))
+    tagged = [(True, s) for s in finite] + [(False, s) for s in non_finite]
+    order = draw(st.permutations(range(len(tagged))))
+    z0s = [(ok, np.array([head, *tail])) for ok, (head, tail) in (tagged[i] for i in order)]
+    return walled_bowl(centre, weights, wall, bad), z0s
+
+
+@PROPERTY
+@given(mixed_starts())
+def test_non_finite_starts_leave_the_result_unchanged(problem):
+    f, z0s = problem
+    assert _outcome(f, [z0 for _, z0 in z0s]) == \
+        _outcome(f, [z0 for finite, z0 in z0s if finite])
+
+
+def _fit_bits(fit):
+    """Every field of an ``SRGMFit`` but ``iterations``, each float as its bytes."""
+    def f64(v):
+        return np.float64(v).tobytes()
+    return (f64(fit.omega), fit.hazard.family, np.asarray(fit.hazard.params).tobytes(),
+            [(name, f64(b)) for name, b in fit.beta.items()], f64(fit.log_lik), f64(fit.aic),
+            fit.converged, fit.n_fit, f64(fit.holdout_mae), fit.fitted.tobytes(),
+            [(name, f64(aic)) for name, aic in fit.trace])
+
+
+def test_bundled_stepwise_fits_match_the_oracle(monkeypatch):
+    # the candidates and scenario of `air fit-srgm --stepwise`
+    candidates = ("Alpha", "F1", "Epsilon", "FGSM")
+    series = interval_series_from_adversarial(
+        datasets.load(DATA_DIR / "adversarial-attacks" / "adversarial.csv", "adversarial"),
+        scenario=1, covariates=candidates)
+    non_finite_f0 = []
+    real_nelder_mead = _optim._nelder_mead
+
+    def guarded(f, x0, f0, *args):
+        if not np.isfinite(f0):
+            non_finite_f0.append(np.asarray(x0))
+        return real_nelder_mead(f, x0, f0, *args)
+
+    for family in sorted(srgm.HAZARD_FAMILIES):
+        with monkeypatch.context() as patch:
+            patch.setattr(_optim, "_nelder_mead", guarded)
+            fit = srgm.forward_stepwise(series, family, candidates)
+        with monkeypatch.context() as patch:
+            patch.setattr(srgm, "maximize", oracle_maximize)
+            want = srgm.forward_stepwise(series, family, candidates)
+        assert _fit_bits(fit) == _fit_bits(want), family
+        assert fit.iterations <= want.iterations, family
+    assert non_finite_f0 == []
