@@ -6,6 +6,13 @@ errors come from a finite-difference Hessian at the optimum.  The simplex
 stage is scipy's Nelder–Mead run in-house; scipy supplies only L-BFGS-B.
 A start whose objective is not finite is dropped before any search, so a
 fit's iteration count covers the searched starts only.
+
+Start-up rule for the package: no module-level ``scipy.<subpackage>``
+import anywhere in ``aireliab``, so that ``import aireliab.cli`` loads
+numpy and bare ``scipy`` only.  A routine imports what it uses at its
+entry, as ``maximize`` does, or binds it once on a prepared object (the
+EP kernel, the LHD swap criterion); no import statement sits on a path
+that runs once per evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 def quiet():
@@ -145,6 +151,8 @@ def maximize(negloglik_z, z0_list, tol, max_iter):
     A start where the objective is +inf or NaN costs that one evaluation
     and is dropped: it gets no search and adds nothing to ``iterations``.
     """
+    from scipy.optimize import minimize
+
     best, iterations = None, 0
     for z0 in z0_list:
         f0 = negloglik_z(np.asarray(z0, dtype=float))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from ._rng import make_rng
 
@@ -65,8 +64,12 @@ def phi_criterion(design, k: int = 15, m: float = 2.0) -> float:
     pts = design.matrix if isinstance(design, LatinHypercube) else np.asarray(design, float)
     if pts.shape[0] < 2:
         raise ValueError("need at least two design points")
-    if k < 1 or m < 1:
-        raise ValueError("criterion power k and distance power m must be >= 1")
+    if not 1 <= k < np.inf:
+        raise ValueError(f"criterion power k must be finite and >= 1, got {k}")
+    if not m >= 1:  # m = inf is the Chebyshev distance
+        raise ValueError(f"distance power m must be >= 1, got {m}")
+    from scipy.spatial.distance import pdist
+
     d = pdist(pts, "minkowski", p=m)
     if np.any(d == 0):
         raise ValueError("duplicate design rows: criterion is infinite")
@@ -102,8 +105,10 @@ class _SwapCriterion:
     """
 
     def __init__(self, pts, k: int, m: float):
+        from scipy.spatial.distance import cdist, pdist
+
         n = pts.shape[0]
-        self.pts, self.power, self.root, self.m = pts, -float(k), 1.0 / k, m
+        self.pts, self.power, self.root, self.m, self.cdist = pts, -float(k), 1.0 / k, m, cdist
         self.size = n * (n - 1) // 2
         self.terms = np.empty(self.size + 1)
         self.terms[:self.size] = pdist(pts, "minkowski", p=m) ** self.power
@@ -119,7 +124,7 @@ class _SwapCriterion:
     def swap(self, col: int, i: int, j: int) -> float:
         """Exchange rows i and j of column ``col``; phi of the result."""
         self._exchange(col, i, j)
-        d = cdist(self.pts[[i, j]], self.pts, "minkowski", p=self.m)
+        d = self.cdist(self.pts[[i, j]], self.pts, "minkowski", p=self.m)
         # a row's distance to itself only fills the scratch slot; rows stay
         # distinct under swaps, as every column keeps distinct levels
         d[0, i] = d[1, j] = 1.0
@@ -202,6 +207,13 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     return SearchResult(design, phi_best, trace, int(seed), int(budget), accepted)
 
 
+def _check_positive(**values):
+    """Raise ValueError naming the first value that is not a positive finite number."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def acceleration_factor(*, life_normal: float | None = None,
                         life_accelerated: float | None = None,
                         activation_energy: float | None = None,
@@ -218,12 +230,11 @@ def acceleration_factor(*, life_normal: float | None = None,
     life_args = (life_normal, life_accelerated)
     arrh_args = (activation_energy, temp_use, temp_stress)
     if all(v is not None for v in life_args) and all(v is None for v in arrh_args):
-        if life_normal <= 0 or life_accelerated <= 0:
-            raise ValueError("lifetimes must be positive")
+        _check_positive(life_normal=life_normal, life_accelerated=life_accelerated)
         return float(life_normal) / float(life_accelerated)
     if all(v is not None for v in arrh_args) and all(v is None for v in life_args):
-        if activation_energy <= 0 or temp_use <= 0 or temp_stress <= 0:
-            raise ValueError("activation energy and temperatures must be positive")
+        _check_positive(activation_energy=activation_energy, temp_use=temp_use,
+                        temp_stress=temp_stress)
         return float(np.exp(activation_energy / BOLTZMANN_EV * (1.0 / temp_use - 1.0 / temp_stress)))
     raise ValueError(
         "give either (life_normal, life_accelerated) or "

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
 
 from ._optim import maximize, quiet, starts
 from .recurrent import BaselineIntensityModel
@@ -200,6 +199,9 @@ class _ExpKernel:
         # nothing to carry between queries
         self.chained = bool(np.isfinite(step).any())
         if self.chained:
+            from scipy.linalg import blas
+
+            self._tbsv = blas.dtbsv
             self._band = np.zeros((2, self.size), order="F")
             self._factors = np.empty(self.size - 1)  # the d_i, formed contiguously
 
@@ -223,7 +225,7 @@ class _ExpKernel:
         if self.chained:
             d = np.exp(np.multiply(self.neg_step[1:], decay, out=self._factors), out=self._factors)
             np.negative(d, out=self._band[1, :-1])
-            c = blas.dtbsv(1, self._band, c, lower=1, diag=1, overwrite_x=1)
+            c = self._tbsv(1, self._band, c, lower=1, diag=1, overwrite_x=1)
         return c if self.in_order else c[self.pos]
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, log_ndtr, ndtr, stdtrit
 
 from ._optim import maximize, numeric_stderr
 from .datasets.table import column, select
@@ -40,6 +38,8 @@ def _check_rank(X, names):
     """Raise RankDeficiencyError listing columns beyond the pivoted rank."""
     if X.shape[1] == 0:
         return
+    import scipy.linalg
+
     _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(X.shape) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
@@ -123,6 +123,8 @@ class GLMFit:
 
 
 def _glm_loglik(family, y, eta):
+    from scipy.special import gammaln, log_ndtr
+
     if family == "bernoulli-logit":
         return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     if family == "bernoulli-probit":
@@ -131,11 +133,12 @@ def _glm_loglik(family, y, eta):
     return float(np.sum(y * eta - mu - gammaln(y + 1.0)))
 
 
-def _irls_step(family, eta, eps):
+def _irls_step(family, eta, eps, ndtr):
     """Mean, IRLS weight and d(mu)/d(eta) at linear predictor ``eta``.
 
     The working response is ``eta + (y - mu) / dmu``; means and densities
-    are clipped at ``eps`` so no weight or divisor is zero.
+    are clipped at ``eps`` so no weight or divisor is zero.  ``ndtr`` is
+    scipy's standard normal CDF, which the probit mean needs.
     """
     if family == "bernoulli-logit":
         mu = np.clip(1.0 / (1.0 + np.exp(-eta)), eps, 1 - eps)
@@ -158,6 +161,8 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True) -> GLMFit:
     """
     if family not in GLM_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {GLM_FAMILIES}")
+    from scipy.special import ndtr
+
     y = np.asarray(y, dtype=float)
     bernoulli = family.startswith("bernoulli")
     if bernoulli and not np.all(np.isin(y, (0.0, 1.0))):
@@ -176,7 +181,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True) -> GLMFit:
     it = 0
     eps = 1e-10
     for it in range(1, _GLM_MAX_ITER + 1):
-        mu, w, dmu = _irls_step(family, eta, eps)
+        mu, w, dmu = _irls_step(family, eta, eps, ndtr)
         z = eta + (y - mu) / dmu
         WD = D * w[:, None]
         try:
@@ -196,7 +201,7 @@ def fit_glm(X, y, family: str, *, names=None, add_intercept=True) -> GLMFit:
         if delta < _GLM_TOL:
             converged = True
             break
-    _, w, _ = _irls_step(family, eta, eps)
+    _, w, _ = _irls_step(family, eta, eps, ndtr)
     cov = np.linalg.inv(D.T @ (D * w[:, None]))
     return GLMFit(
         family=family,
@@ -241,6 +246,8 @@ def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
     """
     if dist not in AFT_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected one of {AFT_DISTRIBUTIONS}")
+    from scipy.special import log_ndtr
+
     times = np.asarray(times, dtype=float)
     event = np.asarray(event, dtype=int)
     if np.any(times <= 0):
@@ -369,6 +376,8 @@ class MixtureFit:
         """Two-sided t confidence intervals, one (lo, hi) row per term."""
         if not 0 < level < 1:
             raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+        from scipy.special import stdtrit
+
         half = stdtrit(self.df_resid, 0.5 + level / 2.0) * self.stderr
         return np.column_stack([self.coef - half, self.coef + half])
 

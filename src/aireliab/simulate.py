@@ -241,6 +241,10 @@ def simulate_srgm_counts(omega: float, hazard: DiscreteHazard, beta, covariates,
                          T: int, seed: int, *, covariate_names=None,
                          performance=None) -> IntervalCountSeries:
     """Interval counts drawn as independent Poissons of the mean increments."""
+    if not 0 <= omega < np.inf:
+        raise ValueError(f"omega must be finite and non-negative, got {omega}")
+    if T < 2:
+        raise ValueError(f"T, the number of steps, must be at least 2, got {T}")
     beta = np.asarray(beta, dtype=float)
     if covariates is None:
         covariates = np.zeros((T, 0))
@@ -308,6 +312,9 @@ def simulate_mixture_records(coef_y1, coef_y2, *, noise_sd_y1: float = 0.0,
     surfaces.  Mean responses follow the mixture design exactly; optional
     Gaussian noise is added per response.
     """
+    for name, sd in (("noise_sd_y1", noise_sd_y1), ("noise_sd_y2", noise_sd_y2)):
+        if not 0 <= sd < np.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {sd}")
     x, z, c = mixture_layout()
     rng = make_rng(seed)
     design, _ = mixture_design(x, z)

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._optim import maximize, starts
 
@@ -242,6 +241,8 @@ class _Objective:
     """
 
     def __init__(self, family: str, X, counts):
+        from scipy.special import gammaln
+
         _, self.unpack, self.k_h = _transforms(family)
         self.family = family
         self.upper = tuple(_UPPER[kind] for _, kind in HAZARD_FAMILIES[family])
@@ -296,6 +297,14 @@ class _Objective:
         return -ll if math.isfinite(ll) else np.inf
 
 
+def _check_split(split):
+    """Raise ValueError unless ``split``, a fraction of the steps, lies in (0, 1]."""
+    if not math.isfinite(split):
+        raise ValueError(f"split must be finite, got {split}")
+    if not 0 < split <= 1:
+        raise ValueError(f"split must lie in (0, 1], got {split}")
+
+
 def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None,
              split: float = 0.9) -> SRGMFit:
     """Fit by grouped-count Poisson likelihood on the first ``split`` of steps.
@@ -310,16 +319,15 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     Raises
     ------
     ValueError
-        If fewer than five steps are available, ``split`` is not finite,
-        the fitting window has no failures, or a requested covariate column
-        is constant (its effect is confounded with the scale and not
-        identifiable).
+        If fewer than five steps are available, ``split`` is not finite
+        or lies outside (0, 1], the fitting window has no failures, or a
+        requested covariate column is constant (its effect is confounded
+        with the scale and not identifiable).
     """
     T = series.n_steps
     if T < 5:
         raise ValueError("need at least five intervals to fit and hold out")
-    if not math.isfinite(split):
-        raise ValueError(f"split must be finite, got {split}")
+    _check_split(split)
     if hazard_family not in HAZARD_FAMILIES:
         raise ValueError(f"unknown hazard family {hazard_family!r}")
     if covariates is None:
@@ -480,8 +488,7 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     """
     if series.performance is None:
         raise ValueError("series has no performance column")
-    if not math.isfinite(split):
-        raise ValueError(f"split must be finite, got {split}")
+    _check_split(split)
     if form == "poly" and degree < 1:
         raise ValueError(f"polynomial degree must be at least 1, got {degree}")
     r = series.performance

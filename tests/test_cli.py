@@ -462,13 +462,116 @@ def test_simulate_ep_cascade_rejects_a_nan_decay(tmp_path, capsys):
     assert not (tmp_path / "o" / "module_errors.csv").exists()
 
 
-def test_import_leaves_scipy_stats_out():
-    # a fresh interpreter: this test process imports scipy.stats for its oracles
-    code = "import sys, aireliab.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+HEAVY_SCIPY = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
+               "scipy.spatial", "scipy.stats")
+
+
+def fresh_interpreter(code, *args):
+    """The JSON that ``code`` prints last, run in a fresh interpreter: this test
+    process has imported scipy subpackages for its oracles."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"),
+                                                       str(REPO_ROOT / "tests")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+IMPORT_SHAPE = """
+import contextlib, io, json, sys
+heavy = lambda: [m for m in %r if m in sys.modules]
+import aireliab
+seen = [["import aireliab", heavy()]]
+from aireliab import cli
+seen.append(["import aireliab.cli", heavy()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([" ".join(argv), heavy() if code == 0 else f"exit {code}"])
+print(json.dumps(seen))
+""" % (HEAVY_SCIPY,)
+
+
+def test_import_leaves_scipy_stats_out(tmp_path, data_dir):
+    # neither the import nor a command that fits nothing loads a scipy subpackage
+    files = {"disengagement": "disengagements/disengagements.csv",
+             "mileage": "disengagements/mileage.csv", "month": "disengagements/months.csv",
+             "collision": "collisions/collisions.csv", "mixture": "mixture-robustness/mixture.csv",
+             "adversarial": "adversarial-attacks/adversarial.csv",
+             "module_error": "module-errors/module_errors.csv",
+             "incident": "ai-incidents/incidents.csv"}
+    jobs = [["validate", str(data_dir / rel), "--schema", schema] for schema, rel in files.items()]
+    jobs += [["summarize", name, "--data-root", str(data_dir)]
+             for name in ("ai-incidents", "mixture-robustness", "adversarial-attacks",
+                          "module-errors", "disengagements", "collisions")]
+    jobs += [["simulate", "nhpp", "--mileage", str(data_dir / files["mileage"]),
+              "--months", str(data_dir / files["month"]), "--manufacture", "Waymo",
+              "--theta", "360,0.004,0.8"],
+             ["simulate", "ep-cascade"], ["simulate", "srgm-counts"], ["simulate", "mixture"],
+             ["alt-af", "--ln", "1000", "--la", "20"],
+             ["fit-resilience", "--input", str(data_dir / files["adversarial"])]]
+    jobs = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(jobs)]
+    seen = fresh_interpreter(IMPORT_SHAPE, json.dumps(jobs))
+    assert len(seen) == 2 + len(jobs)
+    assert seen == [[step, []] for step, _ in seen]
+
+
+PER_EVALUATION = """
+import builtins, json, sys
+from aireliab import design, propagation, recurrent, simulate, srgm
+from conftest import unit_exposures
+heavy = lambda: [m for m in %r if m in sys.modules]
+loaded = {"before": heavy()}
+
+def imports_during(call):
+    real, count = builtins.__import__, 0
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(*args, **kwargs)
+    builtins.__import__ = counted
+    try:
+        call()
+    finally:
+        builtins.__import__ = real
+    return count
+
+model = propagation.EPModel(
+    {"2d": (1.2, 2.0), "3d": (1.2, 2.0), "localization": (1.1, 3.0)},
+    {("localization", "2d"): (0.3, 1.0), ("localization", "3d"): (0.3, 1.0)})
+logs = lambda w: [simulate.simulate_ep_cascade(model, propagation.DEFAULT_SOURCES, w, seed=s)
+                  for s in (1, 2)]
+fleet = lambda n: simulate.simulate_fleet(
+    recurrent.BaselineIntensityModel("power_law", (1.2, 5.0)), unit_exposures(n, 30.0), 30.0, 5)
+series = lambda t: simulate.simulate_srgm_counts(60.0, srgm.DiscreteHazard("gm", (0.1,)),
+                                                 [], None, t, 2)
+cases = {
+    "fit_ep": (lambda a: propagation.fit_ep(a, multistarts=1), logs(8.0), logs(20.0)),
+    "fit_mle": (lambda a: recurrent.fit_mle(a, "power_law", multistarts=1), fleet(4), fleet(40)),
+    "fit_srgm": (lambda a: srgm.fit_srgm(a, "gm"), series(10), series(40)),
+    "search_mmlhd": (lambda b: design.search_mmlhd(8, 3, seed=1, budget=b), 100, 1000),
+}
+counts = {}
+for name, (run, small, large) in cases.items():
+    run(small)  # the warm-up loads what the routine needs
+    loaded[name] = heavy()
+    counts[name] = [imports_during(lambda: run(small)), imports_during(lambda: run(large))]
+print(json.dumps({"loaded": loaded, "counts": counts}))
+""" % (HEAVY_SCIPY[:5],)
+
+
+def test_fits_and_lhd_search_import_once_per_call_not_per_evaluation():
+    out = fresh_interpreter(PER_EVALUATION)
+    # each routine loads the scipy subpackage it uses at its first call, not at import
+    loaded = out["loaded"]
+    assert loaded.pop("before") == []
+    uses = {"fit_ep": "scipy.linalg", "fit_mle": "scipy.optimize", "fit_srgm": "scipy.special",
+            "search_mmlhd": "scipy.spatial"}
+    assert {name: uses[name] in mods for name, mods in loaded.items()} == dict.fromkeys(uses, True)
+    # a warm routine's import statements run per call, never per evaluation:
+    # the count stays small, and a larger problem adds none
+    for name, (small, large) in out["counts"].items():
+        assert small == large <= 8, (name, small, large)
 
 
 def test_byte_order_mark_is_accepted_by_validate_and_summarize(tmp_path, capsys, data_dir):
@@ -623,6 +726,51 @@ def test_bad_flags_fail_before_any_result_is_written(tmp_path, capsys, data_dir,
     assert code == 1
     assert message in err
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, output", [(["fit-srgm", "--hazard", "gm"], "srgm.json"),
+                                             (["fit-resilience"], "resilience.json")])
+@pytest.mark.parametrize("split", ["-0.5", "0", "1.5"])
+def test_fit_rejects_a_split_outside_the_unit_interval(tmp_path, capsys, data_dir, command,
+                                                        output, split):
+    code, _, err = run_cli([
+        *command, "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv"),
+        f"--split={split}", "--out", str(tmp_path),
+    ], capsys)
+    assert code == 1
+    assert err == f"error: split must lie in (0, 1], got {float(split)}\n"
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["design-lhd", "--n", "6", "--p", "2", "--m", "nan"], "distance power m must be >= 1, got nan"),
+    (["alt-af", "--ln", "nan", "--la", "20"], "life_normal must be positive and finite, got nan"),
+    (["alt-af", "--ln", "inf", "--la", "20"], "life_normal must be positive and finite, got inf"),
+    (["alt-af", "--ea", "0.7", "--tuse", "300", "--tstress", "nan"],
+     "temp_stress must be positive and finite, got nan"),
+    (["simulate", "mixture", "--noise-y1", "nan"],
+     "noise_sd_y1 must be finite and non-negative, got nan"),
+    (["simulate", "mixture", "--noise-y1", "inf"],
+     "noise_sd_y1 must be finite and non-negative, got inf"),
+    (["simulate", "srgm-counts", "--omega", "nan"], "omega must be finite and non-negative, got nan"),
+    (["simulate", "srgm-counts", "--steps", "-2"],
+     "T, the number of steps, must be at least 2, got -2"),
+], ids=["lhd-m-nan", "af-ln-nan", "af-ln-inf", "af-tstress-nan", "mixture-noise-nan",
+        "mixture-noise-inf", "srgm-omega-nan", "srgm-steps-negative"])
+def test_non_finite_or_out_of_range_numbers_are_named(tmp_path, capsys, argv, message):
+    code, out, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["design-lhd", "--n", "6", "--p", "2", "--m", "inf"], "design.csv"),  # Chebyshev distance
+    (["simulate", "srgm-counts", "--omega", "0"], "adversarial.csv"),
+])
+def test_edge_values_that_stay_valid(tmp_path, capsys, argv, output):
+    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("form", ["poly:0", "poly:-2"])

@@ -13,6 +13,7 @@ bit for bit, while the dropped starts no longer reach the simplex.
 import numpy as np
 import pytest
 from hypothesis import given
+import scipy.optimize
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -169,9 +170,13 @@ def walled_bowl(centre, weights, wall, bad):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The x0 of every simplex run and every L-BFGS-B polish inside ``maximize``."""
+    """The x0 of every simplex run and every L-BFGS-B polish inside ``maximize``.
+
+    ``maximize`` imports ``minimize`` from ``scipy.optimize`` when it is
+    called, so patching the attribute there reaches every polish.
+    """
     runs = {"simplex": [], "polish": []}
-    real_nelder_mead, real_minimize = _optim._nelder_mead, _optim.minimize
+    real_nelder_mead, real_minimize = _optim._nelder_mead, scipy.optimize.minimize
 
     def nelder_mead(f, x0, *args):
         runs["simplex"].append(np.asarray(x0, dtype=float))
@@ -182,7 +187,7 @@ def searched(monkeypatch):
         return real_minimize(f, x0, **kwargs)
 
     monkeypatch.setattr(_optim, "_nelder_mead", nelder_mead)
-    monkeypatch.setattr(_optim, "minimize", polish)
+    monkeypatch.setattr(scipy.optimize, "minimize", polish)
     return runs
 
 

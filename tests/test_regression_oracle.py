@@ -62,7 +62,7 @@ def oracle_fit_aft(times, event, X, dist):
     return coef, float(np.exp(z_hat[-1])), -float(fun), ok, stderr
 
 
-def oracle_irls_step(family, eta, eps):
+def oracle_irls_step(family, eta, eps, _ndtr):
     assert family == "bernoulli-probit"
     mu = np.clip(ndtr(eta), eps, 1 - eps)
     phi = np.clip(norm.pdf(eta), eps, None)
