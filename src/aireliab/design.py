@@ -14,11 +14,16 @@ Latin hypercube marginals by construction.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import make_rng
+
+#: log of the largest float
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Boltzmann constant in eV per Kelvin, as conventionally used in the
 # Arrhenius rate model.
@@ -155,6 +160,11 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
     for a given seed.  Each move updates the criterion in O(n p) plus one
     O(n^2) sum (see ``_SwapCriterion``).
 
+    Rejects a ``k`` for which the criterion could overflow a float: every
+    distance is at least p**(1/m) / n, as two rows differ by at least 1/n
+    in every column, so the check is k log(n / p**(1/m)) + log(n(n-1)/2)
+    against the log of the largest float.
+
     Returns the best design visited together with the non-increasing
     best-so-far criterion trace (one entry per proposal, plus the start).
     """
@@ -162,6 +172,12 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
         raise ValueError("need n >= 2 runs and p >= 1 factors")
     if budget <= 0:
         raise ValueError("search budget must be positive")
+    # two rows differ by at least 1/n in every column, so every distance is
+    # at least p**(1/m) / n, and phi's sum is at most n(n-1)/2 (n / p**(1/m))**k
+    if m >= 1 and k * (math.log(n) - math.log(p) / m) + math.log(n * (n - 1) / 2) > _LOG_MAX:
+        raise ValueError(f"criterion power k = {k} is too large for n = {n}, p = {p} and "
+                         f"m = {m:g}: the criterion's sum of distances to the power -k "
+                         "could overflow")
     rng = make_rng(seed)
     current = random_latin_hypercube(n, p, rng)
     phi_cur = phi_criterion(current, k, m)

@@ -21,10 +21,18 @@ zero.  Log-likelihoods use the fact that exposure is piecewise constant,
 so each unit's compensator reduces to rate-weighted differences of the
 cumulative baseline at segment boundaries; summed over units, they need
 the cumulative baseline only at the distinct breakpoints.
+
+The fits search the profile likelihood.  Each family's cumulative
+baseline is an amplitude times a shape, A * S(t; phi), and for given
+shape parameters and covariate effects the amplitude has a closed-form
+maximum, so the search runs over (log phi, beta) alone, with an exact
+score (``_Profile``), and maps its optimum back to the family's
+parameters.  The reported log-likelihood is the one at those parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,10 +264,14 @@ class _Packed:
         seg_rate, seg_unit = seg_rate[keep], seg_unit[keep]
         lo_idx, hi_idx = lo_idx[keep], hi_idx[keep]
         self.seg_rate, self.seg_unit = seg_rate, seg_unit
-        self.total_exposure = float(np.dot(seg_rate, self.grid[hi_idx] - self.grid[lo_idx]))
         intervals, self.seg_interval = np.unique(lo_idx * n_grid + hi_idx, return_inverse=True)
         self.interval_lo, self.interval_hi = np.divmod(intervals, n_grid)
         self.interval_rate = np.bincount(self.seg_interval, seg_rate, minlength=len(intervals))
+        # summed over the distinct intervals: a BLAS dot over every segment
+        # of a large fleet runs threaded, after which the L-BFGS-B search
+        # that follows stalls for milliseconds at a time on a 2-core host
+        self.total_exposure = float(np.dot(
+            self.interval_rate, self.grid[self.interval_hi] - self.grid[self.interval_lo]))
 
     @quiet()
     def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
@@ -273,9 +285,18 @@ class _Packed:
         construction, so the formulas run without the checks of
         ``baseline_intensity`` and ``cumulative_baseline``.
         """
+        terms = self.terms(family, theta, unit_scale)
+        if terms is None:
+            return -np.inf
+        total = terms[0] - terms[1]
+        return total if np.isfinite(total) else -np.inf
+
+    def terms(self, family: str, theta, unit_scale=None):
+        """The event term and the compensator of ``log_lik_theta``, or None
+        where the intensity is not positive at some event."""
         lam0 = _intensity(family, theta, self.event_times)
         if (lam0 <= 0).any():
-            return -np.inf
+            return None
         event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
         if unit_scale is None:
             weights = self.interval_rate
@@ -284,8 +305,7 @@ class _Packed:
             weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
                                   minlength=len(self.interval_rate))
         cum = _cumulative(family, theta, self.grid)
-        total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
-        return total if np.isfinite(total) else -np.inf
+        return event_term, float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
 
 
 def log_likelihood(units, model: BaselineIntensityModel) -> float:
@@ -316,35 +336,207 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-# The search objective below takes log parameters z.  For |z| <= 300 every
-# exp(z) is positive and finite, so the family's parameters need no check
-# inside the search; the family itself is checked once by the fitter.
+# The searches run on the profile likelihood.  Every family splits its
+# baseline into an amplitude and a shape, Lambda0(t) = A * S(t; phi):
+# A = scale**-shape for power_law and A = theta1 for the others (the rate
+# for hpp, whose shape S(t) = t has no parameter).  For fixed phi and beta
+# the log-likelihood is N log A - A C plus terms free of A, where C is the
+# compensator at A = 1, so A has the closed-form maximum N / C.  The
+# search coordinates are z = (log phi, beta).  For |z| <= 300 every exp(z)
+# is positive and finite, so the shape parameters need no check inside the
+# search; a z whose amplitude parameter (theta1, or the power-law scale)
+# leaves that range on the log scale is refused too.
+
+#: the index of the amplitude parameter among each family's parameters
+_AMPLITUDE = {"hpp": 0, "power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
 
 
-def _proportional_objective(packed: _Packed, family: str, X):
-    """Negative log-likelihood of ``family`` with unit scales exp(X beta) at
-    z = (log theta, beta); with no columns in ``X`` no scale is applied."""
-    k = len(FAMILY_PARAMS[family])
+def _hpp_terms(p, psi):
+    return 0.0, [], p.grid, []
 
-    def negloglik_z(z):
-        if np.maximum.reduce(abs(z)) > 300:
+
+def _power_law_terms(p, psi):
+    (log_b,) = psi
+    b, n = math.exp(log_b), p.packed.n_events
+    b_log_grid = b * p.log_grid
+    cum = np.exp(b_log_grid)
+    return n * log_b + (b - 1.0) * p.sum_log_t, [n + b * p.sum_log_t], cum, [b_log_grid * cum]
+
+
+def _weibull_growth_terms(p, psi):
+    log_t2, log_t3 = psi
+    t3, n = math.exp(log_t3), p.packed.n_events
+    v = np.exp(log_t2 + t3 * p.log_t)
+    cv, clv = float(np.dot(p.counts, v)), float(np.dot(p.c_log_t, v))
+    event = n * (log_t2 + log_t3) + (t3 - 1.0) * p.sum_log_t - cv
+    neg_v = -np.exp(log_t2 + t3 * p.log_grid)
+    d_t2 = -neg_v * np.exp(neg_v)
+    return (event, [n - cv, n + t3 * (p.sum_log_t - clv)],
+            -np.expm1(neg_v), [d_t2, t3 * p.log_grid * d_t2])
+
+
+def _gompertz_terms(p, psi):
+    log_t2, log_t3 = psi
+    t2, t3, n = math.exp(log_t2), math.exp(log_t3), p.packed.n_events
+    u = np.exp(-t3 * p.times)
+    cu, ctu = float(np.dot(p.counts, u)), float(np.dot(p.c_t, u))
+    event = n * (log_t2 + log_t3) - t3 * p.sum_t - t2 * cu
+    x = -t3 * p.grid
+    u_grid, e_t2 = np.exp(x), math.exp(-t2)
+    uh = u_grid * np.exp(-t2 * u_grid)
+    return (event, [n - t2 * cu, n - t3 * p.sum_t + t2 * t3 * ctu],
+            e_t2 * np.expm1(-t2 * np.expm1(x)), [t2 * (e_t2 - uh), (t2 * t3) * p.grid * uh])
+
+
+def _musa_okumoto_terms(p, psi):
+    (log_t2,) = psi
+    t2, n = math.exp(log_t2), p.packed.n_events
+    r = t2 * p.times
+    event = n * log_t2 - float(np.dot(p.counts, np.log1p(r)))
+    r_grid = t2 * p.grid
+    return (event, [float(np.dot(p.counts, 1.0 / (1.0 + r)))],
+            np.log1p(r_grid), [r_grid / (1.0 + r_grid)])
+
+
+#: per family, at psi = log phi: the event term sum_j c_j log S'(t_j)
+#: and its gradient in psi, and S on the grid with its derivative in each psi
+_SHAPE_TERMS = {"hpp": _hpp_terms, "power_law": _power_law_terms,
+                "weibull_growth": _weibull_growth_terms, "gompertz": _gompertz_terms,
+                "musa_okumoto": _musa_okumoto_terms}
+
+
+class _Profile:
+    """Negative profile log-likelihood of ``family`` with unit scales
+    exp(X beta), at z = (log phi, beta), and its exact gradient.
+
+    Calling the object gives the value through ``_Packed.terms`` at A = 1.
+    ``value_and_score`` gives the value and the gradient together from
+    ``_SHAPE_TERMS``, on logs of the event times and the grid taken once;
+    the two values agree to rounding.
+    """
+
+    def __init__(self, packed: _Packed, family: str, X):
+        self.packed, self.family, self.X = packed, family, X
+        self.k = len(FAMILY_PARAMS[family]) - 1
+        n = packed.n_events
+        self.log_n = math.log(n)
+        self.const = packed.log_exposure_sum + n * self.log_n - n
+        self.times, self.counts = packed.event_times, packed.event_counts.astype(float)
+        self.log_t = np.log(self.times)
+        self.c_log_t, self.c_t = self.counts * self.log_t, self.counts * self.times
+        self.sum_log_t, self.sum_t = float(self.c_log_t.sum()), float(self.c_t.sum())
+        # S(0) = 0 in every family, so a breakpoint at 0 adds nothing and is left out
+        self.skip = int(packed.grid[0] == 0)
+        self.grid = packed.grid[self.skip:]
+        self.log_grid = np.log(self.grid)
+        self.net = self._net(packed.interval_rate)
+        if X.shape[1]:
+            self.columns = [np.ascontiguousarray(col) for col in X.T]
+            self.events_x = (X.T @ packed.events_per_unit.astype(float)).tolist()
+            self.seg_hi = packed.interval_hi[packed.seg_interval]
+            self.seg_lo = packed.interval_lo[packed.seg_interval]
+
+    def _net(self, interval_weight):
+        """The compensator at A = 1 is ``net @ S(grid)``: each interval's weight
+        enters at its right end and leaves at its left."""
+        n_grid = len(self.packed.grid)
+        net = (np.bincount(self.packed.interval_hi, interval_weight, n_grid)
+               - np.bincount(self.packed.interval_lo, interval_weight, n_grid))
+        return net[self.skip:]
+
+    def _outside(self, z, compensator) -> bool:
+        """Whether the amplitude parameter at z leaves |log| <= 300, or the
+        compensator at A = 1 is not positive and finite."""
+        if not 0.0 < compensator < np.inf:
+            return True
+        log_a = self.log_n - math.log(compensator)
+        return abs(-log_a / math.exp(z[0]) if self.family == "power_law" else log_a) > 300
+
+    def _terms(self, z):
+        """The event term and the compensator at A = 1, or None outside the search region."""
+        if np.maximum.reduce(abs(z), initial=0.0) > 300:
+            return None
+        phi = np.exp(z[:self.k]).tolist()
+        unit_theta = [phi[0], 1.0] if self.family == "power_law" else [1.0, *phi]
+        scale = np.exp(self.X @ z[self.k:]) if self.X.shape[1] else None
+        terms = self.packed.terms(self.family, unit_theta, scale)
+        return None if terms is None or self._outside(z, terms[1]) else terms
+
+    def __call__(self, z) -> float:
+        terms = self._terms(z)
+        if terms is None:
             return np.inf
-        scale = np.exp(X @ z[k:]) if X.shape[1] else None
-        return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
+        n = self.packed.n_events
+        value = n * math.log(terms[1]) - terms[0] - (n * self.log_n - n)
+        return value if np.isfinite(value) else np.inf
 
-    return negloglik_z
+    def theta(self, z) -> tuple[float, ...]:
+        """The family's parameters at z, with the amplitude at its maximum."""
+        compensator, n = self._terms(z)[1], self.packed.n_events
+        phi = np.exp(z[:self.k]).tolist()
+        if self.family == "power_law":
+            return phi[0], (compensator / n) ** (1.0 / phi[0])
+        return n / compensator, *phi
+
+    def value_and_score(self, z):
+        """The value and its gradient in z; (inf, 0) outside the search region."""
+        fail = np.inf, np.zeros(len(z))
+        if np.maximum.reduce(abs(z), initial=0.0) > 300:
+            return fail
+        event, d_event, cum, d_cum = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())
+        packed, covariates = self.packed, bool(self.X.shape[1])
+        if covariates:
+            beta = z[self.k:]
+            scale = np.exp(self.X @ beta)
+            net = self._net(np.bincount(packed.seg_interval,
+                                        packed.seg_rate * scale[packed.seg_unit],
+                                        len(packed.interval_rate)))
+            event += float(np.dot(self.events_x, beta))
+        else:
+            net = self.net
+        compensator = float(np.dot(net, cum))
+        if self._outside(z, compensator):
+            return fail
+        n = packed.n_events
+        value = n * math.log(compensator) - event - self.const
+        if not np.isfinite(value):
+            return fail
+        ratio = n / compensator
+        grad = [ratio * float(np.dot(net, d)) - de for d, de in zip(d_cum, d_event)]
+        if covariates:
+            # d compensator / d beta_j = sum_i x_ij s_i C_i, with C_i unit i's compensator at A = 1
+            full = np.concatenate([np.zeros(self.skip), cum])
+            per_unit = np.bincount(packed.seg_unit,
+                                   packed.seg_rate * (full[self.seg_hi] - full[self.seg_lo]),
+                                   packed.n_units) * scale
+            grad += [ratio * float(np.dot(col, per_unit)) - ex
+                     for col, ex in zip(self.columns, self.events_x)]
+        return value, np.array(grad)
 
 
 def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
-    """Multistart search from the moment seed with zero effects; returns
-    the model, log-likelihood, beta, convergence flag and iterations."""
+    """Multistart search of the profile likelihood from the moment seed with
+    zero effects; returns the model, log-likelihood, beta, convergence flag
+    and iterations.
+
+    The starts are those of the full parameters, with the amplitude
+    coordinate dropped.  The reported log-likelihood is ``_Packed.log_lik``
+    at the returned parameters.
+    """
     k, q = len(FAMILY_PARAMS[family]), X.shape[1]
     seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q)])
     spread = np.repeat([0.5, 0.25], [k, q])
-    fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X),
-                                     starts(seed, multistarts, spread, key=12345),
-                                     TOLERANCE, max_iter)
-    return BaselineIntensityModel(family, tuple(np.exp(z_hat[:k]))), -fun, z_hat[k:], ok, iters
+    profile = _Profile(packed, family, X)
+    z0s = [np.delete(z0, _AMPLITUDE[family]) for z0 in starts(seed, multistarts, spread, key=12345)]
+    if len(z0s[0]):
+        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter,
+                                       score=profile.value_and_score)
+    else:  # hpp without effects: nothing to search, the rate is the amplitude
+        z_hat, ok, iters = z0s[0], True, 0
+    model = BaselineIntensityModel(family, profile.theta(z_hat))
+    beta = z_hat[k - 1:]
+    ll = packed.log_lik(model, np.exp(X @ beta) if q else None)
+    return model, ll, beta, ok, iters
 
 
 def fit_mle(units, family: str, *, multistarts: int = 5,
@@ -352,9 +544,10 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     """Maximum-likelihood fit of a baseline family to exposure-adjusted units.
 
     Parameters are log-reparameterized to enforce positivity; the search
-    runs ``multistarts`` times from jittered moment-based seeds.  The HPP
-    rate has the closed form (total events / total exposure) and is
-    returned exactly.
+    runs on the profile likelihood, with the amplitude parameter in closed
+    form, from ``multistarts`` jittered moment-based seeds.  The HPP rate
+    has the closed form (total events / total exposure) and is returned
+    exactly.
 
     Parameters
     ----------

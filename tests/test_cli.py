@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -761,6 +763,26 @@ def test_non_finite_or_out_of_range_numbers_are_named(tmp_path, capsys, argv, me
     code, out, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("k", ["600", "100000"])
+def test_design_lhd_rejects_a_criterion_power_that_would_overflow(tmp_path, capsys, k):
+    # every distance in a 5-run design of 2 factors is at least sqrt(2) / 5, so
+    # the criterion's 10 terms d**-k stay finite up to k = 560
+    code, out, err = run_cli(["design-lhd", "--n", "5", "--p", "2", "--k", k,
+                              "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: criterion power k = {k} is too large for n = 5, p = 2")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_design_lhd_searches_just_below_the_overflow_bound(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["design-lhd", "--n", "5", "--p", "2", "--k", "500",
+                                  "--out", str(tmp_path)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert math.isfinite(json.loads((tmp_path / "design.json").read_text())["criterion"])
 
 
 @pytest.mark.parametrize("argv, output", [

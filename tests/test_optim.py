@@ -8,6 +8,12 @@ for bit, so every fit keeps its starts.
 search.  Its oracle is the ``maximize`` that searched from every start;
 on the bundled stepwise srgm fits both must give the same fitted numbers,
 bit for bit, while the dropped starts no longer reach the simplex.
+
+With a score, ``maximize`` runs L-BFGS-B on it from each finite start and
+sends only a start that ends abnormally on through the simplex and polish.
+The tests check each branch on bowls with known gradients (and with a
+gradient that points uphill), and that without a score ``maximize`` makes
+the very calls of the version that took none.
 """
 
 import numpy as np
@@ -298,3 +304,148 @@ def test_bundled_stepwise_fits_match_the_oracle(monkeypatch):
         assert _fit_bits(fit) == _fit_bits(want), family
         assert fit.iterations <= want.iterations, family
     assert non_finite_f0 == []
+
+
+# ---------------------------------------------------------------------------
+# maximize with an exact score
+
+
+@quiet()
+def unscored_maximize(negloglik_z, z0_list, tol, max_iter):
+    """``maximize`` as it was before it took a score: each finite start runs
+    the simplex and the finite-difference polish."""
+    best, iterations = None, 0
+    for z0 in z0_list:
+        f0 = negloglik_z(np.asarray(z0, dtype=float))
+        if not np.isfinite(f0):
+            continue
+        fatol = tol * (1.0 + abs(f0))
+        nm_iter = min(max_iter, 250 * len(z0))
+        x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol, nm_iter, 2 * nm_iter)
+        polish = minimize(negloglik_z, x, method="L-BFGS-B",
+                          options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10})
+        iterations += nit + polish.nit
+        if polish.fun <= fun:
+            x, fun = polish.x, polish.fun
+        if np.isfinite(fun) and (best is None or fun < best[0]):
+            best = (fun, x, bool(ok or polish.success))
+    if best is None:
+        raise RuntimeError("likelihood evaluation failed for every start")
+    return best[0], best[1], best[2], iterations
+
+
+def scored_bowl(centre, weights, wall=np.inf, bad=np.inf, sign=1.0):
+    """``walled_bowl`` and a score giving its value with ``sign`` times its gradient."""
+    f = walled_bowl(centre, weights, wall, bad)
+    centre, weights = np.array(centre), np.array(weights)
+
+    def score(x):
+        return f(x), sign * 2.0 * weights * (x - centre)
+    return f, score
+
+
+@pytest.fixture
+def scipy_runs(monkeypatch):
+    """The x0 of every simplex run, of every L-BFGS-B run on a score, and of
+    every finite-difference polish inside ``maximize``, and each score run's result."""
+    runs = {"simplex": [], "score": [], "polish": [], "results": []}
+    real_nelder_mead, real_minimize = _optim._nelder_mead, scipy.optimize.minimize
+
+    def nelder_mead(f, x0, *args):
+        runs["simplex"].append(np.asarray(x0, dtype=float))
+        return real_nelder_mead(f, x0, *args)
+
+    def recorded(f, x0, **kwargs):
+        result = real_minimize(f, x0, **kwargs)
+        if kwargs.get("jac") is True:
+            runs["score"].append(np.asarray(x0, dtype=float))
+            runs["results"].append(result)
+        else:
+            runs["polish"].append(np.asarray(x0, dtype=float))
+        return result
+
+    monkeypatch.setattr(_optim, "_nelder_mead", nelder_mead)
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    return runs
+
+
+def counting(fn, calls):
+    def counted(x):
+        calls.append(np.array(x))
+        return fn(x)
+    return counted
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_with_a_score_a_non_finite_start_costs_one_call_and_no_search(scipy_runs, bad):
+    f, score = scored_bowl([0.5, -1.0], [1.0, 3.0], 2.0, bad)
+    values, scores = [], []
+    bad_start, finite_start = np.array([4.0, 1.0]), np.array([1.0, 1.0])
+    fun, x, ok, iterations = maximize(counting(f, values), [bad_start, finite_start], 1e-10,
+                                      400, score=counting(score, scores))
+    # the dropped start is scored once; the finite start's first score is not repeated
+    assert values == []
+    assert scores[0].tobytes() == bad_start.tobytes()
+    assert scores[1].tobytes() == finite_start.tobytes()
+    assert sum(s.tobytes() == bad_start.tobytes() for s in scores) == 1
+    assert sum(s.tobytes() == finite_start.tobytes() for s in scores) == 1
+    assert [r.tobytes() for r in scipy_runs["score"]] == [finite_start.tobytes()]
+    assert scipy_runs["simplex"] == [] and scipy_runs["polish"] == []
+    assert ok and iterations == scipy_runs["results"][0].nit
+    assert np.allclose(x, [0.5, -1.0], atol=1e-7)
+
+
+def test_with_a_score_every_start_non_finite_raises_without_search(scipy_runs):
+    f, score = scored_bowl([0.0], [1.0], 1.0, np.inf)
+    with pytest.raises(RuntimeError, match="likelihood evaluation failed for every start"):
+        maximize(f, [np.array([2.0]), np.array([3.0])], 1e-10, 400, score=score)
+    assert scipy_runs == {"simplex": [], "score": [], "polish": [], "results": []}
+
+
+def test_an_abnormal_lbfgsb_end_falls_back_to_the_simplex(scipy_runs):
+    # the score's gradient points uphill, so L-BFGS-B's line search finds no
+    # lower point and ends abnormally; the simplex and polish find the minimum
+    f, uphill = scored_bowl([0.5, -1.0], [1.0, 3.0], sign=-1.0)
+    values = []
+    start = np.array([1.0, 1.0])
+    fun, x, ok, iterations = maximize(counting(f, values), [start], 1e-10, 400, score=uphill)
+    (lbfgsb,) = scipy_runs["results"]
+    assert not lbfgsb.success and "ABNORMAL" in lbfgsb.message
+    assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
+    assert len(scipy_runs["polish"]) == 1
+    # the simplex is handed the start's value and does not compute it again
+    assert all(v.tobytes() != start.tobytes() for v in values)
+    assert ok and fun < lbfgsb.fun and np.allclose(x, [0.5, -1.0], atol=1e-5)
+    assert iterations > lbfgsb.nit
+
+
+def test_a_start_that_ends_normally_has_no_fallback(scipy_runs):
+    f, score = scored_bowl([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
+    starts_ = [np.array([1.0, 1.0, 1.0]), np.array([-2.0, 0.0, 4.0])]
+    fun, x, ok, iterations = maximize(f, starts_, 1e-10, 400, score=score)
+    assert [r.tobytes() for r in scipy_runs["score"]] == [s.tobytes() for s in starts_]
+    assert scipy_runs["simplex"] == [] and scipy_runs["polish"] == []
+    assert all(r.success for r in scipy_runs["results"])
+    assert iterations == sum(r.nit for r in scipy_runs["results"])
+    assert ok and fun < 1e-12
+
+
+@PROPERTY
+@given(mixed_starts())
+def test_without_a_score_maximize_makes_the_calls_it_made_before(problem):
+    f, z0s = problem
+    z0s = [z0 for _, z0 in z0s]
+    ours, before = [], []
+    try:
+        got = maximize(counting(f, ours), z0s, 1e-8, 200)
+    except RuntimeError as exc:
+        got = str(exc)
+    try:
+        want = unscored_maximize(counting(f, before), z0s, 1e-8, 200)
+    except RuntimeError as exc:
+        want = str(exc)
+    assert [c.tobytes() for c in ours] == [c.tobytes() for c in before]
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got[0], got[1].tobytes(), got[2:]) == (want[0], want[1].tobytes(), want[2:])

@@ -12,18 +12,20 @@ days (within and across units), zero-event units, zero-rate segments,
 events at t = tau, and per-unit breakpoints: constant, month-derived and
 arbitrary schedules side by side, and ``sum_schedules`` unions of them.
 
-The search objectives of ``fit_mle``, ``fit_manufacturer_level`` and
-``fit_proportional`` evaluate the per-family formulas on raw parameters.
-They are held exactly equal to the path that came before, which built a
-validated ``BaselineIntensityModel`` per call and went through the
-validating ``baseline_intensity`` and ``cumulative_baseline``.
+The search objective of ``fit_mle``, ``fit_manufacturer_level`` and
+``fit_proportional`` is the profile likelihood (``recurrent._Profile``):
+the per-family formulas on raw parameters at amplitude 1, with the
+amplitude at its closed-form maximum.  It is held exactly equal to a
+reference that builds a validated ``BaselineIntensityModel`` per call and
+goes through the validating ``baseline_intensity`` and
+``cumulative_baseline``, as the search did before it was prepared once.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from aireliab.datasets import (
@@ -48,8 +50,9 @@ from aireliab.recurrent import (
     fit_proportional,
     log_likelihood,
     proportional_log_likelihood,
+    _AMPLITUDE,
     _Packed,
-    _proportional_objective,
+    _Profile,
 )
 from aireliab.simulate import simulate_fleet
 
@@ -288,12 +291,12 @@ def test_fits_report_the_reference_log_likelihood(family):
 # search objectives against the model-building path
 
 
-def reference_log_lik(packed, model, unit_scale=None):
-    """``_Packed.log_lik`` through the validating public functions."""
+def reference_terms(packed, model, unit_scale=None):
+    """``_Packed.terms`` through the validating public functions."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lam0 = baseline_intensity(model, packed.event_times)
         if (lam0 <= 0).any():
-            return -np.inf
+            return None
         event_term = float(np.dot(packed.event_counts, np.log(lam0))) + packed.log_exposure_sum
         if unit_scale is None:
             weights = packed.interval_rate
@@ -303,28 +306,35 @@ def reference_log_lik(packed, model, unit_scale=None):
                                   packed.seg_rate * unit_scale[packed.seg_unit],
                                   minlength=len(packed.interval_rate))
         cum = cumulative_baseline(model, packed.grid)
-        total = event_term - float(weights @ (cum[packed.interval_hi] - cum[packed.interval_lo]))
-    return total if np.isfinite(total) else -np.inf
+        return event_term, float(weights @ (cum[packed.interval_hi] - cum[packed.interval_lo]))
 
 
-def reference_mle_objective(packed, family):
-    def negloglik_z(z):
-        if np.any(np.abs(z) > 300):
-            return np.inf
-        return -reference_log_lik(packed, BaselineIntensityModel(family, tuple(np.exp(z))))
-
-    return negloglik_z
-
-
-def reference_proportional_objective(packed, family, X):
-    k = len(FAMILY_PARAMS[family])
+def reference_profile_objective(packed, family, X):
+    """The negative log-likelihood at z = (log phi, beta), maximized over the
+    amplitude A in closed form: a validated model at A = 1 per call, and
+    A = N / C with C its compensator, refused where log theta1 (log scale
+    for power_law) leaves [-300, 300]."""
+    k = len(FAMILY_PARAMS[family]) - 1
+    n = packed.n_events
 
     def negloglik_z(z):
         if np.any(np.abs(z) > 300):
             return np.inf
-        model = BaselineIntensityModel(family, tuple(np.exp(z[:k])))
-        scale = np.exp(X @ z[k:]) if X.shape[1] else np.ones(packed.n_units)
-        return -reference_log_lik(packed, model, unit_scale=scale)
+        phi = tuple(np.exp(z[:k]))
+        model = BaselineIntensityModel(family, (phi[0], 1.0) if family == "power_law"
+                                       else (1.0, *phi))
+        scale = np.exp(X @ z[k:]) if X.shape[1] else None
+        terms = reference_terms(packed, model, unit_scale=scale)
+        if terms is None or not 0.0 < terms[1] < np.inf:
+            return np.inf
+        event_term, compensator = terms
+        log_amplitude = math.log(n) - math.log(compensator)
+        if family == "power_law":
+            log_amplitude = -log_amplitude / phi[0]
+        if abs(log_amplitude) > 300:
+            return np.inf
+        value = n * math.log(compensator) - event_term - (n * math.log(n) - n)
+        return value if np.isfinite(value) else np.inf
 
     return negloglik_z
 
@@ -343,10 +353,12 @@ Z = st.floats(-300.0, 300.0) | st.floats(-6.0, 6.0) | st.sampled_from(
 @given(data=st.data(), family=st.sampled_from(FAMILIES))
 def test_search_objectives_equal_model_building_path(data, family):
     units = data.draw(unit_lists())
-    k = len(FAMILY_PARAMS[family])
+    assume(any(u.n_events for u in units))  # the fitters refuse units without events
+    k = len(FAMILY_PARAMS[family]) - 1
     for packed in (_Packed(units), _Packed(fleet_of(units))):
-        objective = _proportional_objective(packed, family, np.zeros((packed.n_units, 0)))
-        reference = reference_mle_objective(packed, family)
+        no_columns = np.zeros((packed.n_units, 0))
+        objective = _Profile(packed, family, no_columns)
+        reference = reference_profile_objective(packed, family, no_columns)
         for _ in range(3):
             z = np.array(data.draw(st.lists(Z, min_size=k, max_size=k)))
             assert objective(z) == reference(z)
@@ -355,8 +367,8 @@ def test_search_objectives_equal_model_building_path(data, family):
     X = np.array(data.draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q),
                                     min_size=len(units), max_size=len(units))))
     X = X.reshape(len(units), q)
-    objective = _proportional_objective(packed, family, X)
-    reference = reference_proportional_objective(packed, family, X)
+    objective = _Profile(packed, family, X)
+    reference = reference_profile_objective(packed, family, X)
     for _ in range(3):
         z = np.array(data.draw(st.lists(Z, min_size=k + q, max_size=k + q)))
         assert objective(z) == reference(z)
@@ -368,10 +380,10 @@ def test_search_path_equals_model_building_path(family):
     model = BaselineIntensityModel("power_law", (1.3, 30.0))
     exposures = [u.exposure for u in mixed_units()[:4]]
     packed = _Packed(simulate_fleet(model, exposures, exposures[0].tau, seed=4))
-    start = [np.log(FIXED_THETA[family])]
-    got = maximize(_proportional_objective(packed, family, np.zeros((packed.n_units, 0))),
-                   start, 1e-8, 300)
-    want = maximize(reference_mle_objective(packed, family), start, 1e-8, 300)
+    no_columns = np.zeros((packed.n_units, 0))
+    start = [np.delete(np.log(FIXED_THETA[family]), _AMPLITUDE[family])]
+    got = maximize(_Profile(packed, family, no_columns), start, 1e-8, 300)
+    want = maximize(reference_profile_objective(packed, family, no_columns), start, 1e-8, 300)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
     assert got[2:] == want[2:]

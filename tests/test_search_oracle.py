@@ -5,9 +5,16 @@
 ``recurrent.fit_mle`` and ``recurrent.fit_proportional`` run one search
 objective and one multistart path (``recurrent._search``).  The oracles
 below are the code that came before, each with its own loop, objective
-and search, and the shared paths must reproduce them exactly: the same
-traces, selections and coefficients, and the same theta, beta,
-log-likelihood, standard errors and iteration counts, bit for bit.
+and search.  The stepwise paths must reproduce them exactly: the same
+traces, selections and coefficients, bit for bit.
+
+The recurrent oracles search the full parameters with the simplex; the
+shared path searches the profile likelihood, with the amplitude at its
+closed-form maximum, on an exact score.  So it must reach at least the
+oracle's log-likelihood less 1e-9 relative, at the same theta and beta
+to 1e-5 relative (gompertz, whose fits run along a ridge, is held to the
+log-likelihood only).  The closed-form hpp fit of ``fit_mle`` stays
+equal to its oracle in every field.
 
 The stepwise loop is exercised on generated AIC tables through a stand-in
 for ``fit_srgm`` (ties, improvements at the 1e-9 threshold, sets that
@@ -388,11 +395,33 @@ COVARIATES = np.array([[0.0, 0.0, 0.4], [1.0, 0.0, -0.2], [0.0, 0.0, 1.1],
                        [1.0, 0.0, 0.0], [0.0, 0.0, -0.7], [1.0, 0.0, 0.3]])
 
 
+#: how far short of the oracle's log-likelihood a profile search may end, relative
+LOGLIK_RTOL = 1e-9
+#: how far the fitted parameters may move from the oracle's, relative
+PARAM_RTOL = 1e-5
+
+
+def assert_reaches_the_oracle(ours, oracle, family):
+    """At least the oracle's log-likelihood, at the oracle's optimum: the same
+    theta and beta to ``PARAM_RTOL``, except for gompertz, whose fits ride a
+    ridge where theta1 * theta2 is all the data fix."""
+    assert ours.model.family == oracle.model.family
+    assert ours.covariate_names == oracle.covariate_names
+    assert ours.log_lik >= oracle.log_lik - LOGLIK_RTOL * abs(oracle.log_lik)
+    if family != "gompertz":
+        assert np.allclose(ours.model.theta, oracle.model.theta, rtol=PARAM_RTOL, atol=0.0)
+        assert np.allclose(ours.beta or (), oracle.beta or (), rtol=PARAM_RTOL, atol=0.0)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fit_mle_matches_the_oracle(family, seed):
     units = fleet(seed)
-    assert fit_mle(units, family) == oracle_fit_mle(units, family)
+    ours, oracle = fit_mle(units, family), oracle_fit_mle(units, family)
+    if family == "hpp":  # the closed form, not a search
+        assert ours == oracle
+    else:
+        assert_reaches_the_oracle(ours, oracle, family)
 
 
 @pytest.mark.parametrize("columns", [[0, 1, 2], [1], []], ids=["mixed", "all-zero", "none"])
@@ -401,4 +430,5 @@ def test_fit_proportional_matches_the_oracle(family, columns):
     units = fleet(3)
     X = COVARIATES[:, columns]
     ours = fit_proportional(units, X, family, multistarts=3)
-    assert ours == oracle_fit_proportional(units, X, family, multistarts=3)
+    assert_reaches_the_oracle(ours, oracle_fit_proportional(units, X, family, multistarts=3),
+                              family)

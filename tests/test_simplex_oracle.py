@@ -9,7 +9,10 @@ cover smooth bowls, flat (clipped) coordinates and integer values that
 tie, ``inf`` walls and NaN regions, starts with zero coordinates, budgets
 that run out in the middle of an iteration or of a shrink, and the real
 search objectives of the EP, srgm and recurrent fitters from their own
-starts.
+starts.  The recurrent fits search on an exact score and keep the simplex
+as a fallback; the objective held here is the profile likelihood that
+the fallback searches.  Each of these cases must record a search, so
+that none passes without running the loop.
 
 A second test keeps every fitter on this one simplex: with scipy's
 Nelder–Mead made to raise, each fitter must still run.
@@ -27,7 +30,13 @@ from hypothesis import strategies as st
 from aireliab import _optim, datasets, propagation, recurrent, regression, srgm
 from aireliab._optim import _nelder_mead, quiet
 from aireliab.propagation import DEFAULT_SOURCES, EPModel, fit_ep
-from aireliab.recurrent import FAMILIES, BaselineIntensityModel, fit_mle, fit_proportional
+from aireliab.recurrent import (
+    FAMILIES,
+    FAMILY_PARAMS,
+    BaselineIntensityModel,
+    fit_mle,
+    fit_proportional,
+)
 from aireliab.simulate import (
     interval_series_from_adversarial,
     module_event_log,
@@ -164,11 +173,12 @@ def test_loop_matches_scipy_for_every_evaluation_budget(kind, n):
 
 def searches(fit, monkeypatch):
     """The (objective, starts, tol, max_iter) of every ``maximize`` call of
-    ``fit()``; each call returns its first start, which the fitter takes as
-    its optimum."""
+    ``fit()``, at least one; each call returns its first start, which the
+    fitter takes as its optimum.  A fitter that passes a score still hands
+    ``maximize`` the value objective, which its simplex fallback searches."""
     calls = []
 
-    def record(negloglik, z0_list, tol, max_iter):
+    def record(negloglik, z0_list, tol, max_iter, score=None):
         calls.append((negloglik, list(z0_list), tol, max_iter))
         with quiet():
             return negloglik(np.asarray(z0_list[0], dtype=float)), z0_list[0], True, 0
@@ -176,6 +186,7 @@ def searches(fit, monkeypatch):
     for module in (propagation, recurrent, srgm, regression):
         monkeypatch.setattr(module, "maximize", record)
     fit()
+    assert calls, "the fit made no search"
     return calls
 
 
@@ -212,6 +223,9 @@ def test_loop_matches_scipy_on_recurrent_families(family, monkeypatch):
     truth = BaselineIntensityModel("weibull_growth", (30.0, 0.02, 1.0))
     units = simulate_fleet(truth, unit_exposures(5, 120.0), 120.0, 4)
     calls = searches(lambda: fit_mle(units, family, multistarts=2), monkeypatch)
+    # the profile objective: the amplitude is not a search coordinate
+    assert [len(z0) for _, z0_list, _, _ in calls for z0 in z0_list] == \
+        [len(FAMILY_PARAMS[family]) - 1] * 2
     assert_searches_match(calls)
 
 

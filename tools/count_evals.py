@@ -1,18 +1,33 @@
-"""Count the search work of one pass of the bundled-cli benchmark jobs.
+"""Count the search work of one pass of a benchmark workload's jobs.
 
-Runs each job of ``bench.workloads.BundledCLI.job_specs`` once, in order
-and in process, through ``aireliab.cli.main`` on the bundled ``data/``
-tree, and prints for each fitter (the module that calls
-``_optim.maximize``) the number of searches, the starts they were given,
-the simplex runs, the starts dropped before any search, the simplex
-evaluations (each run's ``nfev``, its start's value included) and every
-objective evaluation made inside ``maximize`` (start values, simplex and
-L-BFGS-B polish).  These counts do not depend on the clock, so they can
-back a claim of less search work where wall time on a busy host cannot.
+Runs each job of one pass once, in order and in process, through
+``aireliab.cli.main``, and prints for each fitter (the module that calls
+``_optim.maximize``) these counts:
 
-    python3 tools/count_evals.py
+- ``searches``: calls of ``maximize``.
+- ``starts``: the starts they were given.
+- ``dropped``: starts whose first value is not finite, which get no search.
+- ``gradient``: L-BFGS-B runs on an exact score, one per searched start
+  of a fitter that passes ``score``.
+- ``fallbacks``: those of them that went on through the simplex.
+- ``simplex``: simplex runs, fallbacks included.
+- ``simplex_evals``: the simplex runs' evaluations (each run's ``nfev``,
+  its start's value included).
+- ``score_evals``: calls of ``score``, each giving a value and a gradient.
+- ``evals``: every evaluation inside ``maximize``: start values, simplex,
+  finite-difference polish and score calls.
+
+The workloads are ``bundled-cli`` (the 46 jobs of
+``bench.workloads.BundledCLI.job_specs`` on the bundled ``data/`` tree) and
+``dmv-fleet`` (the jobs of ``bench.workloads.DMVFleet`` on the fleets that
+its ``setup`` builds for seed 5, in a temporary directory).  These counts
+do not depend on the clock, so they can back a claim of less search work
+where wall time on a busy host cannot.
+
+    python3 tools/count_evals.py [--workload {bundled-cli,dmv-fleet}]
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -23,61 +38,100 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import scipy.optimize  # noqa: E402
+
 from aireliab import _optim, cli, propagation, recurrent, regression, srgm  # noqa: E402
-from bench.workloads import BundledCLI  # noqa: E402
+from bench.workloads import BundledCLI, Context, DMVFleet  # noqa: E402
 
 FITTERS = {"propagation": propagation, "recurrent": recurrent, "srgm": srgm,
            "regression": regression}
-COLUMNS = ("searches", "starts", "simplex", "dropped", "simplex_evals", "evals")
+COLUMNS = ("searches", "starts", "dropped", "gradient", "fallbacks", "simplex", "simplex_evals",
+           "score_evals", "evals")
+DMV_SEED = 5
 
 
-def count_pass(data_root: Path, out: Path) -> tuple[dict, list[str]]:
-    """The per-fitter counts of one pass, and the names of jobs that exited non-zero."""
+def bundled_cli_jobs(tmp: Path) -> list[tuple[str, list[str]]]:
+    return [(name, [*argv, "--out", str(tmp / name)])
+            for name, argv, _ in BundledCLI().job_specs(ROOT / "data")]
+
+
+def dmv_fleet_jobs(tmp: Path) -> list[tuple[str, list[str]]]:
+    ctx = Context(tmp / "inputs", DMV_SEED, 1, ROOT / "data")
+    workload = DMVFleet()
+    workload.setup(ctx)
+    return [(job.name, job.argv) for job in workload.jobs(ctx, tmp / "pass")]
+
+
+WORKLOADS = {"bundled-cli": bundled_cli_jobs, "dmv-fleet": dmv_fleet_jobs}
+
+
+def count_pass(jobs) -> tuple[dict, list[str]]:
+    """The per-fitter counts of one pass over ``jobs``, and the jobs that exited non-zero."""
     counts = {name: dict.fromkeys(COLUMNS, 0) for name in FITTERS}
-    running = []  # the tally of the search in progress
+    running = []  # the tally of the search in progress, and whether it has a score
     real_maximize, real_nelder_mead = _optim.maximize, _optim._nelder_mead
+    real_minimize = scipy.optimize.minimize
 
     def nelder_mead(*args):
         result = real_nelder_mead(*args)
-        running[-1]["simplex"] += 1
-        running[-1]["simplex_evals"] += result[3]
+        tally, scored = running[-1]
+        tally["simplex"] += 1
+        tally["fallbacks"] += scored
+        tally["simplex_evals"] += result[3]
         return result
 
+    def minimize(*args, **kwargs):
+        if kwargs.get("jac") is True:
+            running[-1][0]["gradient"] += 1
+        return real_minimize(*args, **kwargs)
+
     def counted(tally):
-        def maximize(negloglik_z, z0_list, tol, max_iter):
+        def maximize(negloglik_z, z0_list, tol, max_iter, score=None):
             def objective(z):
                 tally["evals"] += 1
                 return negloglik_z(z)
 
+            def value_and_score(z):
+                tally["evals"] += 1
+                tally["score_evals"] += 1
+                return score(z)
+
             z0_list = list(z0_list)
             tally["searches"] += 1
             tally["starts"] += len(z0_list)
-            runs = tally["simplex"]
-            running.append(tally)
+            searched = tally["gradient"] if score else tally["simplex"]
+            running.append((tally, score is not None))
             try:
-                return real_maximize(objective, z0_list, tol, max_iter)
+                return real_maximize(objective, z0_list, tol, max_iter,
+                                     score=value_and_score if score else None)
             finally:
                 running.pop()
-                tally["dropped"] += len(z0_list) - (tally["simplex"] - runs)
+                now = tally["gradient"] if score else tally["simplex"]
+                tally["dropped"] += len(z0_list) - (now - searched)
         return maximize
 
     failed = []
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(_optim, "_nelder_mead", nelder_mead))
+        # ``maximize`` imports ``minimize`` from ``scipy.optimize`` when it is called
+        stack.enter_context(mock.patch.object(scipy.optimize, "minimize", minimize))
         for name, module in FITTERS.items():
             stack.enter_context(mock.patch.object(module, "maximize", counted(counts[name])))
-        for name, argv, _ in BundledCLI().job_specs(data_root):
+        for name, argv in jobs:
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                code = cli.main([*argv, "--out", str(out / name)])
+                code = cli.main(argv)
             if code != 0:
                 failed.append(name)
     return counts, failed
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="bundled-cli")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        counts, failed = count_pass(ROOT / "data", Path(tmp))
+        counts, failed = count_pass(WORKLOADS[args.workload](Path(tmp)))
     rows = [[name, *tally.values()] for name, tally in counts.items()]
     rows.append(["total", *(sum(col) for col in zip(*(row[1:] for row in rows)))])
     widths = [max(len(str(v)) for v in col) for col in zip(["fitter", *COLUMNS], *rows)]
