@@ -172,8 +172,6 @@ def search_mmlhd(n: int, p: int, *, k: int = 15, m: float = 2.0, seed: int = 0,
         raise ValueError("need n >= 2 runs and p >= 1 factors")
     if budget <= 0:
         raise ValueError("search budget must be positive")
-    # two rows differ by at least 1/n in every column, so every distance is
-    # at least p**(1/m) / n, and phi's sum is at most n(n-1)/2 (n / p**(1/m))**k
     if m >= 1 and k * (math.log(n) - math.log(p) / m) + math.log(n * (n - 1) / 2) > _LOG_MAX:
         raise ValueError(f"criterion power k = {k} is too large for n = {n}, p = {p} and "
                          f"m = {m:g}: the criterion's sum of distances to the power -k "

@@ -28,6 +28,9 @@ shape parameters and covariate effects the amplitude has a closed-form
 maximum, so the search runs over (log phi, beta) alone, with an exact
 score (``_Profile``), and maps its optimum back to the family's
 parameters.  The reported log-likelihood is the one at those parameters.
+The HPP has no shape to search: ``fit_mle`` returns its closed-form rate,
+and ``fit_proportional`` searches its log rate and effects together with
+the simplex (``_proportional_objective``).
 """
 
 from __future__ import annotations
@@ -336,23 +339,38 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-# The searches run on the profile likelihood.  Every family splits its
-# baseline into an amplitude and a shape, Lambda0(t) = A * S(t; phi):
-# A = scale**-shape for power_law and A = theta1 for the others (the rate
-# for hpp, whose shape S(t) = t has no parameter).  For fixed phi and beta
-# the log-likelihood is N log A - A C plus terms free of A, where C is the
-# compensator at A = 1, so A has the closed-form maximum N / C.  The
-# search coordinates are z = (log phi, beta).  For |z| <= 300 every exp(z)
-# is positive and finite, so the shape parameters need no check inside the
-# search; a z whose amplitude parameter (theta1, or the power-law scale)
-# leaves that range on the log scale is refused too.
+# The HPP search objective takes z = (log rate, beta).  For |z| <= 300
+# every exp(z) is positive and finite, so the rate needs no check inside
+# the search.
+
+
+def _proportional_objective(packed: _Packed, family: str, X):
+    """Negative log-likelihood of ``family`` with unit scales exp(X beta) at
+    z = (log theta, beta); with no columns in ``X`` no scale is applied."""
+    k = len(FAMILY_PARAMS[family])
+
+    def negloglik_z(z):
+        if np.maximum.reduce(abs(z)) > 300:
+            return np.inf
+        scale = np.exp(X @ z[k:]) if X.shape[1] else None
+        return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
+
+    return negloglik_z
+
+
+# The other searches run on the profile likelihood.  Each of those
+# families splits its baseline into an amplitude and a shape,
+# Lambda0(t) = A * S(t; phi): A = scale**-shape for power_law and
+# A = theta1 for the others.  For fixed phi and beta the log-likelihood
+# is N log A - A C plus terms free of A, where C is the compensator at
+# A = 1, so A has the closed-form maximum N / C.  The search coordinates
+# are z = (log phi, beta).  For |z| <= 300 every exp(z) is positive and
+# finite, so the shape parameters need no check inside the search; a z
+# whose amplitude parameter (theta1, or the power-law scale) leaves that
+# range on the log scale is refused too.
 
 #: the index of the amplitude parameter among each family's parameters
-_AMPLITUDE = {"hpp": 0, "power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
-
-
-def _hpp_terms(p, psi):
-    return 0.0, [], p.grid, []
+_AMPLITUDE = {"power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
 
 
 def _power_law_terms(p, psi):
@@ -400,7 +418,7 @@ def _musa_okumoto_terms(p, psi):
 
 #: per family, at psi = log phi: the event term sum_j c_j log S'(t_j)
 #: and its gradient in psi, and S on the grid with its derivative in each psi
-_SHAPE_TERMS = {"hpp": _hpp_terms, "power_law": _power_law_terms,
+_SHAPE_TERMS = {"power_law": _power_law_terms,
                 "weibull_growth": _weibull_growth_terms, "gompertz": _gompertz_terms,
                 "musa_okumoto": _musa_okumoto_terms}
 
@@ -452,48 +470,52 @@ class _Profile:
         log_a = self.log_n - math.log(compensator)
         return abs(-log_a / math.exp(z[0]) if self.family == "power_law" else log_a) > 300
 
-    def _terms(self, z):
-        """The event term and the compensator at A = 1, or None outside the search region."""
-        if np.maximum.reduce(abs(z), initial=0.0) > 300:
-            return None
+    def __call__(self, z) -> float:
+        if np.maximum.reduce(abs(z)) > 300:
+            return np.inf
         phi = np.exp(z[:self.k]).tolist()
         unit_theta = [phi[0], 1.0] if self.family == "power_law" else [1.0, *phi]
         scale = np.exp(self.X @ z[self.k:]) if self.X.shape[1] else None
         terms = self.packed.terms(self.family, unit_theta, scale)
-        return None if terms is None or self._outside(z, terms[1]) else terms
-
-    def __call__(self, z) -> float:
-        terms = self._terms(z)
-        if terms is None:
+        if terms is None or self._outside(z, terms[1]):
             return np.inf
         n = self.packed.n_events
         value = n * math.log(terms[1]) - terms[0] - (n * self.log_n - n)
         return value if np.isfinite(value) else np.inf
 
+    def _net_and_scale(self, beta):
+        """The per-breakpoint net weights and the unit scales exp(X beta)."""
+        if not self.X.shape[1]:
+            return self.net, None
+        packed = self.packed
+        scale = np.exp(self.X @ beta)
+        return self._net(np.bincount(packed.seg_interval, packed.seg_rate * scale[packed.seg_unit],
+                                     len(packed.interval_rate))), scale
+
     def theta(self, z) -> tuple[float, ...]:
-        """The family's parameters at z, with the amplitude at its maximum."""
-        compensator, n = self._terms(z)[1], self.packed.n_events
-        phi = np.exp(z[:self.k]).tolist()
-        if self.family == "power_law":
-            return phi[0], (compensator / n) ** (1.0 / phi[0])
-        return n / compensator, *phi
+        """The family's parameters at z, with the amplitude at its maximum for
+        the compensator that ``value_and_score`` takes."""
+        if np.maximum.reduce(abs(z)) <= 300:
+            cum = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())[2]
+            compensator = float(np.dot(self._net_and_scale(z[self.k:])[0], cum))
+            if not self._outside(z, compensator):
+                n, phi = self.packed.n_events, np.exp(z[:self.k]).tolist()
+                if self.family == "power_law":
+                    return phi[0], (compensator / n) ** (1.0 / phi[0])
+                return n / compensator, *phi
+        raise ValueError(f"the {self.family} amplitude has no finite maximum at the "
+                         "optimum the search returned")
 
     def value_and_score(self, z):
         """The value and its gradient in z; (inf, 0) outside the search region."""
         fail = np.inf, np.zeros(len(z))
-        if np.maximum.reduce(abs(z), initial=0.0) > 300:
+        if np.maximum.reduce(abs(z)) > 300:
             return fail
         event, d_event, cum, d_cum = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())
         packed, covariates = self.packed, bool(self.X.shape[1])
+        net, scale = self._net_and_scale(z[self.k:])
         if covariates:
-            beta = z[self.k:]
-            scale = np.exp(self.X @ beta)
-            net = self._net(np.bincount(packed.seg_interval,
-                                        packed.seg_rate * scale[packed.seg_unit],
-                                        len(packed.interval_rate)))
-            event += float(np.dot(self.events_x, beta))
-        else:
-            net = self.net
+            event += float(np.dot(self.events_x, z[self.k:]))
         compensator = float(np.dot(net, cum))
         if self._outside(z, compensator):
             return fail
@@ -521,18 +543,20 @@ def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
 
     The starts are those of the full parameters, with the amplitude
     coordinate dropped.  The reported log-likelihood is ``_Packed.log_lik``
-    at the returned parameters.
+    at the returned parameters.  The HPP searches its log rate and the
+    effects together with the simplex, from the full starts.
     """
     k, q = len(FAMILY_PARAMS[family]), X.shape[1]
     seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q)])
     spread = np.repeat([0.5, 0.25], [k, q])
+    z0s = starts(seed, multistarts, spread, key=12345)
+    if family == "hpp":
+        fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X), z0s,
+                                         TOLERANCE, max_iter)
+        return BaselineIntensityModel(family, tuple(np.exp(z_hat[:k]))), -fun, z_hat[k:], ok, iters
     profile = _Profile(packed, family, X)
-    z0s = [np.delete(z0, _AMPLITUDE[family]) for z0 in starts(seed, multistarts, spread, key=12345)]
-    if len(z0s[0]):
-        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter,
-                                       score=profile.value_and_score)
-    else:  # hpp without effects: nothing to search, the rate is the amplitude
-        z_hat, ok, iters = z0s[0], True, 0
+    _, z_hat, ok, iters = maximize(profile, [np.delete(z0, _AMPLITUDE[family]) for z0 in z0s],
+                                   TOLERANCE, max_iter, score=profile.value_and_score)
     model = BaselineIntensityModel(family, profile.theta(z_hat))
     beta = z_hat[k - 1:]
     ll = packed.log_lik(model, np.exp(X @ beta) if q else None)

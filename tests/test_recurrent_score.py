@@ -4,8 +4,8 @@
 gives the negative profile log-likelihood in z = (log phi, beta) with its
 gradient, from the family's derivatives of log S' at the event times and
 of S on the breakpoint grid.  A property holds that gradient to a central
-difference of the same value, for every family with and without covariate
-columns, and holds the value to the one the fallback simplex searches.
+difference of the same value, for every profiled family (all but the
+hpp) with and without covariate columns, and holds the value to the one the fallback simplex searches.
 At every bundled ``air fit-recurrent`` optimum the full-parameter score of
 ``_Packed.log_lik`` vanishes: the expected count equals the observed count
 to rounding, which the closed-form amplitude gives exactly, and each
@@ -48,7 +48,7 @@ OPTIMUM_SCORE_TOL = 1e-6
 def profiles(draw):
     """A family's profile on 1-5 simulated units with cut, partly unexposed
     schedules, 0-2 covariate columns, and a z within reach of the truth."""
-    family = draw(st.sampled_from(FAMILIES))
+    family = draw(st.sampled_from(FAMILIES[1:]))
     exposures = []
     for i in range(draw(st.integers(1, 5))):
         cuts = sorted(draw(st.sets(st.integers(1, 2 * int(TAU) - 1), max_size=4)))

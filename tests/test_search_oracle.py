@@ -13,8 +13,9 @@ shared path searches the profile likelihood, with the amplitude at its
 closed-form maximum, on an exact score.  So it must reach at least the
 oracle's log-likelihood less 1e-9 relative, at the same theta and beta
 to 1e-5 relative (gompertz, whose fits run along a ridge, is held to the
-log-likelihood only).  The closed-form hpp fit of ``fit_mle`` stays
-equal to its oracle in every field.
+log-likelihood only).  The hpp fits, the closed form of ``fit_mle`` and
+the full-parameter simplex of ``fit_proportional``, stay equal to their
+oracles in every field.
 
 The stepwise loop is exercised on generated AIC tables through a stand-in
 for ``fit_srgm`` (ties, improvements at the 1e-9 threshold, sets that
@@ -404,7 +405,11 @@ PARAM_RTOL = 1e-5
 def assert_reaches_the_oracle(ours, oracle, family):
     """At least the oracle's log-likelihood, at the oracle's optimum: the same
     theta and beta to ``PARAM_RTOL``, except for gompertz, whose fits ride a
-    ridge where theta1 * theta2 is all the data fix."""
+    ridge where theta1 * theta2 is all the data fix.  hpp is not profiled,
+    and its fits equal the oracle's in every field."""
+    if family == "hpp":
+        assert ours == oracle
+        return
     assert ours.model.family == oracle.model.family
     assert ours.covariate_names == oracle.covariate_names
     assert ours.log_lik >= oracle.log_lik - LOGLIK_RTOL * abs(oracle.log_lik)
@@ -417,11 +422,7 @@ def assert_reaches_the_oracle(ours, oracle, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fit_mle_matches_the_oracle(family, seed):
     units = fleet(seed)
-    ours, oracle = fit_mle(units, family), oracle_fit_mle(units, family)
-    if family == "hpp":  # the closed form, not a search
-        assert ours == oracle
-    else:
-        assert_reaches_the_oracle(ours, oracle, family)
+    assert_reaches_the_oracle(fit_mle(units, family), oracle_fit_mle(units, family), family)
 
 
 @pytest.mark.parametrize("columns", [[0, 1, 2], [1], []], ids=["mixed", "all-zero", "none"])
