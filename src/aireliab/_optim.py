@@ -3,9 +3,10 @@
 Fitters minimise a negative log-likelihood over an unconstrained
 (usually log-scale) parameter vector from a list of starts; standard
 errors come from a finite-difference Hessian at the optimum.  A fitter
-with an exact score (the recurrent profile likelihood) runs L-BFGS-B on
-it from each start and keeps the simplex as a fallback for a start where
-that ends abnormally; the others run the simplex and a finite-difference
+whose objective returns its exact gradient with the value (the recurrent
+profile likelihood) runs L-BFGS-B on it from each start and keeps the
+simplex as a fallback for a start where that ends abnormally or never
+leaves the start; the others run the simplex and a finite-difference
 polish from every start.  The simplex is scipy's Nelder–Mead run
 in-house; scipy supplies only L-BFGS-B.  A start whose objective is not
 finite is dropped before any search, so a fit's iteration count covers
@@ -90,6 +91,8 @@ def numeric_stderr(negloglik, theta, step) -> tuple[float, ...] | None:
 #: the Goel–Okumoto limit end about 6e-9 relative short); at this value
 #: every bundled recurrent fit ends within 1e-12 of the simplex route
 SCORE_FTOL = 1e-12
+#: the projected-gradient stop of every L-BFGS-B run
+_GTOL = 1e-10
 
 
 class _Spent(Exception):
@@ -153,63 +156,70 @@ def _nelder_mead(f, x0, f0, xatol, fatol, maxiter, maxfev):
     return np.array(sim[0]), np.min(fsim), nit, nfev, nfev < maxfev and nit < maxiter
 
 
-def _replaying(score, z0, first):
-    """``score`` that answers a call at ``z0`` once from ``first``, its known value there."""
+def _replaying(objective, z0, first):
+    """``objective`` that answers a call at ``z0`` once from ``first``, its known result there."""
     pending = [first]
 
-    def value_and_score(z):
+    def replayed(z):
         if pending and np.array_equal(z, z0):
             return pending.pop()
-        return score(z)
+        return objective(z)
 
-    return value_and_score
+    return replayed
 
 
 @quiet()
-def maximize(negloglik_z, z0_list, tol, max_iter, score=None):
-    """Minimise ``negloglik_z`` from each start and keep the best end point.
+def maximize(objective, z0_list, tol, max_iter, jac=False):
+    """Minimise ``objective`` from each start and keep the best end point.
 
     Returns ``(fun, x, converged, iterations)``.  A start where the
     objective is +inf or NaN costs that one evaluation and is dropped: it
     gets no search and adds nothing to ``iterations``.
 
-    Without ``score``, each start runs a Nelder–Mead simplex to ``tol``
+    Without ``jac``, each start runs a Nelder–Mead simplex to ``tol``
     relative in the objective and then an L-BFGS-B polish on
-    finite-difference gradients.  ``score(z)`` returns the objective and its
-    exact gradient together; with it, each start runs L-BFGS-B on that
-    gradient, and only a start where it ends abnormally or not finite goes
-    on through the simplex and polish as well (the fallback), whose value
-    calls are ``negloglik_z``.  The start's value is computed once either way.
+    finite-difference gradients.  With ``jac``, ``objective(z)`` returns
+    the value and its exact gradient together, as scipy's ``jac=True``
+    does; each start runs L-BFGS-B on that gradient, and only a start where
+    it ends abnormally, not finite, or at the start itself while the start's
+    gradient exceeds ``gtol`` (its first step left the finite region and
+    nothing was searched) goes on through the simplex and polish as well
+    (the fallback), which search ``objective(z)[0]``.  The start's value is
+    computed once either way.
     """
     from scipy.optimize import minimize
 
+    value = (lambda z: objective(z)[0]) if jac else objective
     best, iterations = None, 0
     for z0 in z0_list:
         z0 = np.asarray(z0, dtype=float)
-        first = negloglik_z(z0) if score is None else score(z0)
-        f0 = first if score is None else first[0]
+        first = objective(z0)
+        f0 = first[0] if jac else first
         if not np.isfinite(f0):
             continue
         ends = []
-        if score is not None:
-            run = minimize(_replaying(score, z0, first), z0, jac=True, method="L-BFGS-B",
-                           options={"maxiter": max_iter, "ftol": SCORE_FTOL, "gtol": 1e-10})
+        if jac:
+            run = minimize(_replaying(objective, z0, first), z0, jac=True, method="L-BFGS-B",
+                           options={"maxiter": max_iter, "ftol": SCORE_FTOL, "gtol": _GTOL})
             iterations += run.nit
-            ends.append((run.x, run.fun, bool(run.success)))
-        if score is None or not (run.success and np.isfinite(run.fun)):
+            stalled = (np.array_equal(run.x, z0)
+                       and np.maximum.reduce(abs(first[1]), initial=0.0) > _GTOL)
+            ok = bool(run.success and not stalled and np.isfinite(run.fun))
+            ends.append((run.x, run.fun, ok))
+        if not jac or not ok:
             fatol = tol * (1.0 + abs(f0))
             nm_iter = min(max_iter, 250 * len(z0))
-            x, fun, nit, _, ok = _nelder_mead(negloglik_z, z0, f0, 1e-6, fatol, nm_iter,
-                                              2 * nm_iter)
-            polish = minimize(negloglik_z, x, method="L-BFGS-B",
-                              options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10})
+            x, fun, nit, _, nm_ok = _nelder_mead(value, z0, f0, 1e-6, fatol, nm_iter,
+                                                 2 * nm_iter)
+            polish = minimize(value, x, method="L-BFGS-B",
+                              options={"maxiter": max_iter, "ftol": tol, "gtol": _GTOL})
             iterations += nit + polish.nit
             if polish.fun <= fun:
                 x, fun = polish.x, polish.fun
-            ends.append((x, fun, bool(ok or polish.success)))
-        for x, fun, ok in ends:
+            ends.append((x, fun, bool(nm_ok or polish.success)))
+        for x, fun, end_ok in ends:
             if np.isfinite(fun) and (best is None or fun < best[0]):
-                best = (fun, x, ok)
+                best = (fun, x, end_ok)
     if best is None:
         raise RuntimeError("likelihood evaluation failed for every start")
     return best[0], best[1], best[2], iterations

@@ -28,9 +28,9 @@ shape parameters and covariate effects the amplitude has a closed-form
 maximum, so the search runs over (log phi, beta) alone, with an exact
 score (``_Profile``), and maps its optimum back to the family's
 parameters.  The reported log-likelihood is the one at those parameters.
-The HPP has no shape to search: ``fit_mle`` returns its closed-form rate,
-and ``fit_proportional`` searches its log rate and effects together with
-the simplex (``_proportional_objective``).
+The HPP has no shape (S(t) = t): ``fit_mle`` returns its closed-form rate,
+and ``fit_proportional`` searches the effects alone, or nothing when no
+covariate column varies.
 """
 
 from __future__ import annotations
@@ -288,18 +288,9 @@ class _Packed:
         construction, so the formulas run without the checks of
         ``baseline_intensity`` and ``cumulative_baseline``.
         """
-        terms = self.terms(family, theta, unit_scale)
-        if terms is None:
-            return -np.inf
-        total = terms[0] - terms[1]
-        return total if np.isfinite(total) else -np.inf
-
-    def terms(self, family: str, theta, unit_scale=None):
-        """The event term and the compensator of ``log_lik_theta``, or None
-        where the intensity is not positive at some event."""
         lam0 = _intensity(family, theta, self.event_times)
         if (lam0 <= 0).any():
-            return None
+            return -np.inf
         event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
         if unit_scale is None:
             weights = self.interval_rate
@@ -308,7 +299,8 @@ class _Packed:
             weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
                                   minlength=len(self.interval_rate))
         cum = _cumulative(family, theta, self.grid)
-        return event_term, float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
+        total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
+        return total if np.isfinite(total) else -np.inf
 
 
 def log_likelihood(units, model: BaselineIntensityModel) -> float:
@@ -339,30 +331,11 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-# The HPP search objective takes z = (log rate, beta).  For |z| <= 300
-# every exp(z) is positive and finite, so the rate needs no check inside
-# the search.
-
-
-def _proportional_objective(packed: _Packed, family: str, X):
-    """Negative log-likelihood of ``family`` with unit scales exp(X beta) at
-    z = (log theta, beta); with no columns in ``X`` no scale is applied."""
-    k = len(FAMILY_PARAMS[family])
-
-    def negloglik_z(z):
-        if np.maximum.reduce(abs(z)) > 300:
-            return np.inf
-        scale = np.exp(X @ z[k:]) if X.shape[1] else None
-        return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
-
-    return negloglik_z
-
-
-# The other searches run on the profile likelihood.  Each of those
-# families splits its baseline into an amplitude and a shape,
-# Lambda0(t) = A * S(t; phi): A = scale**-shape for power_law and
-# A = theta1 for the others.  For fixed phi and beta the log-likelihood
-# is N log A - A C plus terms free of A, where C is the compensator at
+# The searches run on the profile likelihood.  Each family splits its
+# baseline into an amplitude and a shape, Lambda0(t) = A * S(t; phi):
+# A = scale**-shape for power_law and A = theta1 (the rate for the hpp)
+# for the others.  For fixed phi and beta the log-likelihood is
+# N log A - A C plus terms free of A, where C is the compensator at
 # A = 1, so A has the closed-form maximum N / C.  The search coordinates
 # are z = (log phi, beta).  For |z| <= 300 every exp(z) is positive and
 # finite, so the shape parameters need no check inside the search; a z
@@ -370,7 +343,11 @@ def _proportional_objective(packed: _Packed, family: str, X):
 # range on the log scale is refused too.
 
 #: the index of the amplitude parameter among each family's parameters
-_AMPLITUDE = {"power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
+_AMPLITUDE = {"hpp": 0, "power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
+
+
+def _hpp_terms(p, psi):
+    return 0.0, [], p.grid, []
 
 
 def _power_law_terms(p, psi):
@@ -418,7 +395,7 @@ def _musa_okumoto_terms(p, psi):
 
 #: per family, at psi = log phi: the event term sum_j c_j log S'(t_j)
 #: and its gradient in psi, and S on the grid with its derivative in each psi
-_SHAPE_TERMS = {"power_law": _power_law_terms,
+_SHAPE_TERMS = {"hpp": _hpp_terms, "power_law": _power_law_terms,
                 "weibull_growth": _weibull_growth_terms, "gompertz": _gompertz_terms,
                 "musa_okumoto": _musa_okumoto_terms}
 
@@ -427,10 +404,8 @@ class _Profile:
     """Negative profile log-likelihood of ``family`` with unit scales
     exp(X beta), at z = (log phi, beta), and its exact gradient.
 
-    Calling the object gives the value through ``_Packed.terms`` at A = 1.
-    ``value_and_score`` gives the value and the gradient together from
-    ``_SHAPE_TERMS``, on logs of the event times and the grid taken once;
-    the two values agree to rounding.
+    Calling the object gives the value and the gradient together from
+    ``_SHAPE_TERMS``, on logs of the event times and the grid taken once.
     """
 
     def __init__(self, packed: _Packed, family: str, X):
@@ -443,9 +418,11 @@ class _Profile:
         self.log_t = np.log(self.times)
         self.c_log_t, self.c_t = self.counts * self.log_t, self.counts * self.times
         self.sum_log_t, self.sum_t = float(self.c_log_t.sum()), float(self.c_t.sum())
-        # S(0) = 0 in every family, so a breakpoint at 0 adds nothing and is left out
-        self.skip = int(packed.grid[0] == 0)
-        self.grid = packed.grid[self.skip:]
+        # S(0) = 0 in every family, so a breakpoint at 0 adds nothing and is
+        # left out, and so are those after the last exposed interval, where S
+        # may overflow although the likelihood does not see it
+        self.skip, self.stop = int(packed.grid[0] == 0), int(packed.interval_hi.max()) + 1
+        self.grid = packed.grid[self.skip:self.stop]
         self.log_grid = np.log(self.grid)
         self.net = self._net(packed.interval_rate)
         if X.shape[1]:
@@ -460,7 +437,7 @@ class _Profile:
         n_grid = len(self.packed.grid)
         net = (np.bincount(self.packed.interval_hi, interval_weight, n_grid)
                - np.bincount(self.packed.interval_lo, interval_weight, n_grid))
-        return net[self.skip:]
+        return net[self.skip:self.stop]
 
     def _outside(self, z, compensator) -> bool:
         """Whether the amplitude parameter at z leaves |log| <= 300, or the
@@ -470,34 +447,23 @@ class _Profile:
         log_a = self.log_n - math.log(compensator)
         return abs(-log_a / math.exp(z[0]) if self.family == "power_law" else log_a) > 300
 
-    def __call__(self, z) -> float:
-        if np.maximum.reduce(abs(z)) > 300:
-            return np.inf
-        phi = np.exp(z[:self.k]).tolist()
-        unit_theta = [phi[0], 1.0] if self.family == "power_law" else [1.0, *phi]
-        scale = np.exp(self.X @ z[self.k:]) if self.X.shape[1] else None
-        terms = self.packed.terms(self.family, unit_theta, scale)
-        if terms is None or self._outside(z, terms[1]):
-            return np.inf
-        n = self.packed.n_events
-        value = n * math.log(terms[1]) - terms[0] - (n * self.log_n - n)
-        return value if np.isfinite(value) else np.inf
-
-    def _net_and_scale(self, beta):
-        """The per-breakpoint net weights and the unit scales exp(X beta)."""
-        if not self.X.shape[1]:
-            return self.net, None
-        packed = self.packed
-        scale = np.exp(self.X @ beta)
-        return self._net(np.bincount(packed.seg_interval, packed.seg_rate * scale[packed.seg_unit],
-                                     len(packed.interval_rate))), scale
+    def _at(self, z):
+        """The shape terms at z, the per-breakpoint net weights, the unit
+        scales exp(X beta) and the compensator at A = 1."""
+        terms = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())
+        net, scale = self.net, None
+        if self.X.shape[1]:
+            packed = self.packed
+            scale = np.exp(self.X @ z[self.k:])
+            net = self._net(np.bincount(packed.seg_interval, packed.seg_rate * scale[packed.seg_unit],
+                                        len(packed.interval_rate)))
+        return terms, net, scale, float(np.dot(net, terms[2]))
 
     def theta(self, z) -> tuple[float, ...]:
         """The family's parameters at z, with the amplitude at its maximum for
-        the compensator that ``value_and_score`` takes."""
-        if np.maximum.reduce(abs(z)) <= 300:
-            cum = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())[2]
-            compensator = float(np.dot(self._net_and_scale(z[self.k:])[0], cum))
+        the compensator that calling the object takes."""
+        if np.maximum.reduce(abs(z), initial=0.0) <= 300:
+            compensator = self._at(z)[3]
             if not self._outside(z, compensator):
                 n, phi = self.packed.n_events, np.exp(z[:self.k]).tolist()
                 if self.family == "power_law":
@@ -506,17 +472,15 @@ class _Profile:
         raise ValueError(f"the {self.family} amplitude has no finite maximum at the "
                          "optimum the search returned")
 
-    def value_and_score(self, z):
+    def __call__(self, z):
         """The value and its gradient in z; (inf, 0) outside the search region."""
         fail = np.inf, np.zeros(len(z))
-        if np.maximum.reduce(abs(z)) > 300:
+        if np.maximum.reduce(abs(z), initial=0.0) > 300:
             return fail
-        event, d_event, cum, d_cum = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())
+        (event, d_event, cum, d_cum), net, scale, compensator = self._at(z)
         packed, covariates = self.packed, bool(self.X.shape[1])
-        net, scale = self._net_and_scale(z[self.k:])
         if covariates:
             event += float(np.dot(self.events_x, z[self.k:]))
-        compensator = float(np.dot(net, cum))
         if self._outside(z, compensator):
             return fail
         n = packed.n_events
@@ -542,21 +506,19 @@ def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
     and iterations.
 
     The starts are those of the full parameters, with the amplitude
-    coordinate dropped.  The reported log-likelihood is ``_Packed.log_lik``
-    at the returned parameters.  The HPP searches its log rate and the
-    effects together with the simplex, from the full starts.
+    coordinate dropped.  With no coordinates left (the HPP without an
+    effect to fit) nothing is searched.  The reported log-likelihood is
+    ``_Packed.log_lik`` at the returned parameters.
     """
     k, q = len(FAMILY_PARAMS[family]), X.shape[1]
     seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q)])
     spread = np.repeat([0.5, 0.25], [k, q])
-    z0s = starts(seed, multistarts, spread, key=12345)
-    if family == "hpp":
-        fun, z_hat, ok, iters = maximize(_proportional_objective(packed, family, X), z0s,
-                                         TOLERANCE, max_iter)
-        return BaselineIntensityModel(family, tuple(np.exp(z_hat[:k]))), -fun, z_hat[k:], ok, iters
+    z0s = [np.delete(z0, _AMPLITUDE[family]) for z0 in starts(seed, multistarts, spread, key=12345)]
     profile = _Profile(packed, family, X)
-    _, z_hat, ok, iters = maximize(profile, [np.delete(z0, _AMPLITUDE[family]) for z0 in z0s],
-                                   TOLERANCE, max_iter, score=profile.value_and_score)
+    if z0s[0].size:
+        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter, jac=True)
+    else:
+        z_hat, ok, iters = z0s[0], True, 0
     model = BaselineIntensityModel(family, profile.theta(z_hat))
     beta = z_hat[k - 1:]
     ll = packed.log_lik(model, np.exp(X @ beta) if q else None)
@@ -632,15 +594,26 @@ def fit_manufacturer_level(event_times, fleet_exposure, family: str, **options) 
     return fit_mle([series], family, **options)
 
 
+def _covariate_matrix(covariates, packed: _Packed) -> np.ndarray:
+    """``covariates`` as a float matrix with one finite row per unit."""
+    X = np.atleast_2d(np.asarray(covariates, dtype=float))
+    if X.shape[0] != packed.n_units:
+        raise ValueError("one covariate row per unit is required")
+    if not np.isfinite(X).all():
+        raise ValueError("covariates must be finite")
+    return X
+
+
 def proportional_log_likelihood(units, covariates, model: BaselineIntensityModel,
                                 beta) -> float:
     """Log-likelihood of lambda_i(t) = lambda0(t) exp(x_i' beta) x_i(t)."""
     packed = _Packed(units)
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if covariates.shape[0] != packed.n_units:
-        raise ValueError("one covariate row per unit is required")
-    scale = np.exp(covariates @ np.asarray(beta, dtype=float))
-    return packed.log_lik(model, unit_scale=scale)
+    X = _covariate_matrix(covariates, packed)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (X.shape[1],):
+        raise ValueError(f"beta must hold one effect per covariate column: got shape "
+                         f"{beta.shape} for {X.shape[1]} columns")
+    return packed.log_lik(model, unit_scale=np.exp(X @ beta))
 
 
 def fit_proportional(units, covariates, family: str, *, names=None,
@@ -654,12 +627,11 @@ def fit_proportional(units, covariates, family: str, *, names=None,
     ``fit_mle``, with zero effects in the seed and ``_MAX_ITER`` per stage.
     """
     packed = _Packed(units)
-    X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if X.shape[0] != packed.n_units:
-        raise ValueError("one covariate row per unit is required")
+    X = _covariate_matrix(covariates, packed)
     q = X.shape[1]
-    if names is None:
-        names = tuple(f"x{j + 1}" for j in range(q))
+    names = tuple(f"x{j + 1}" for j in range(q)) if names is None else tuple(names)
+    if len(names) != q:
+        raise ValueError(f"{len(names)} names given for {q} covariate columns")
     # all-zero columns contribute exp(0) = 1 regardless of beta: pin them at 0.
     # any other collinearity (with the implicit baseline-scale intercept) is a
     # genuine identifiability failure and is rejected.
@@ -679,7 +651,7 @@ def fit_proportional(units, covariates, family: str, *, names=None,
     beta = np.zeros(q)
     beta[active] = beta_act
     k = len(model.theta) + len(active)
-    return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, None, tuple(beta), tuple(names))
+    return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, None, tuple(beta), names)
 
 
 def curve_table(model: BaselineIntensityModel, t_grid):

@@ -9,11 +9,14 @@ search.  Its oracle is the ``maximize`` that searched from every start;
 on the bundled stepwise srgm fits both must give the same fitted numbers,
 bit for bit, while the dropped starts no longer reach the simplex.
 
-With a score, ``maximize`` runs L-BFGS-B on it from each finite start and
-sends only a start that ends abnormally on through the simplex and polish.
-The tests check each branch on bowls with known gradients (and with a
-gradient that points uphill), and that without a score ``maximize`` makes
-the very calls of the version that took none.
+With ``jac``, the objective returns its value and exact gradient
+together, and ``maximize`` runs L-BFGS-B on them from each finite start.
+Only a start that ends abnormally, or that never leaves a start that is
+not stationary (its first step met an inf wall), goes on through the
+simplex and polish.  The tests check each branch on bowls with known
+gradients (and with a gradient that points uphill), and that without
+``jac`` ``maximize`` makes the very calls of the version that took no
+gradient.
 """
 
 import numpy as np
@@ -335,13 +338,13 @@ def unscored_maximize(negloglik_z, z0_list, tol, max_iter):
 
 
 def scored_bowl(centre, weights, wall=np.inf, bad=np.inf, sign=1.0):
-    """``walled_bowl`` and a score giving its value with ``sign`` times its gradient."""
+    """``walled_bowl``'s value with ``sign`` times its gradient."""
     f = walled_bowl(centre, weights, wall, bad)
     centre, weights = np.array(centre), np.array(weights)
 
     def score(x):
         return f(x), sign * 2.0 * weights * (x - centre)
-    return f, score
+    return score
 
 
 @pytest.fixture
@@ -378,13 +381,12 @@ def counting(fn, calls):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
 def test_with_a_score_a_non_finite_start_costs_one_call_and_no_search(scipy_runs, bad):
-    f, score = scored_bowl([0.5, -1.0], [1.0, 3.0], 2.0, bad)
-    values, scores = [], []
+    score = scored_bowl([0.5, -1.0], [1.0, 3.0], 2.0, bad)
+    scores = []
     bad_start, finite_start = np.array([4.0, 1.0]), np.array([1.0, 1.0])
-    fun, x, ok, iterations = maximize(counting(f, values), [bad_start, finite_start], 1e-10,
-                                      400, score=counting(score, scores))
+    fun, x, ok, iterations = maximize(counting(score, scores), [bad_start, finite_start], 1e-10,
+                                      400, jac=True)
     # the dropped start is scored once; the finite start's first score is not repeated
-    assert values == []
     assert scores[0].tobytes() == bad_start.tobytes()
     assert scores[1].tobytes() == finite_start.tobytes()
     assert sum(s.tobytes() == bad_start.tobytes() for s in scores) == 1
@@ -396,33 +398,47 @@ def test_with_a_score_a_non_finite_start_costs_one_call_and_no_search(scipy_runs
 
 
 def test_with_a_score_every_start_non_finite_raises_without_search(scipy_runs):
-    f, score = scored_bowl([0.0], [1.0], 1.0, np.inf)
+    score = scored_bowl([0.0], [1.0], 1.0, np.inf)
     with pytest.raises(RuntimeError, match="likelihood evaluation failed for every start"):
-        maximize(f, [np.array([2.0]), np.array([3.0])], 1e-10, 400, score=score)
+        maximize(score, [np.array([2.0]), np.array([3.0])], 1e-10, 400, jac=True)
     assert scipy_runs == {"simplex": [], "score": [], "polish": [], "results": []}
 
 
 def test_an_abnormal_lbfgsb_end_falls_back_to_the_simplex(scipy_runs):
     # the score's gradient points uphill, so L-BFGS-B's line search finds no
     # lower point and ends abnormally; the simplex and polish find the minimum
-    f, uphill = scored_bowl([0.5, -1.0], [1.0, 3.0], sign=-1.0)
-    values = []
+    uphill = scored_bowl([0.5, -1.0], [1.0, 3.0], sign=-1.0)
+    calls = []
     start = np.array([1.0, 1.0])
-    fun, x, ok, iterations = maximize(counting(f, values), [start], 1e-10, 400, score=uphill)
+    fun, x, ok, iterations = maximize(counting(uphill, calls), [start], 1e-10, 400, jac=True)
     (lbfgsb,) = scipy_runs["results"]
     assert not lbfgsb.success and "ABNORMAL" in lbfgsb.message
     assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
     assert len(scipy_runs["polish"]) == 1
     # the simplex is handed the start's value and does not compute it again
-    assert all(v.tobytes() != start.tobytes() for v in values)
+    assert sum(c.tobytes() == start.tobytes() for c in calls) == 1
     assert ok and fun < lbfgsb.fun and np.allclose(x, [0.5, -1.0], atol=1e-5)
     assert iterations > lbfgsb.nit
 
 
+def test_a_run_that_never_leaves_its_start_falls_back_to_the_simplex(scipy_runs):
+    # L-BFGS-B's first step has unit length; here it lands past the inf wall,
+    # and scipy returns the start as converged although its gradient is not 0
+    score = scored_bowl([3.0, 0.0], [1.0, 1.0], wall=0.5)
+    start = np.array([0.0, 0.5])
+    fun, x, ok, iterations = maximize(score, [start], 1e-10, 400, jac=True)
+    (lbfgsb,) = scipy_runs["results"]
+    assert lbfgsb.success and lbfgsb.x.tobytes() == start.tobytes()
+    assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
+    # the bowl's lowest finite point is (0.5, 0), where the value is 6.25
+    assert fun < 6.25 + 1e-6 < score(start)[0]
+    assert x[0] <= 0.5 and abs(x[1]) < 1e-3
+
+
 def test_a_start_that_ends_normally_has_no_fallback(scipy_runs):
-    f, score = scored_bowl([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
+    score = scored_bowl([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
     starts_ = [np.array([1.0, 1.0, 1.0]), np.array([-2.0, 0.0, 4.0])]
-    fun, x, ok, iterations = maximize(f, starts_, 1e-10, 400, score=score)
+    fun, x, ok, iterations = maximize(score, starts_, 1e-10, 400, jac=True)
     assert [r.tobytes() for r in scipy_runs["score"]] == [s.tobytes() for s in starts_]
     assert scipy_runs["simplex"] == [] and scipy_runs["polish"] == []
     assert all(r.success for r in scipy_runs["results"])

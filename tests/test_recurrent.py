@@ -236,6 +236,37 @@ def test_proportional_collinear_covariates_reported():
         fit_proportional(units, X, "hpp")
 
 
+def proportional_fleet():
+    units = simulate_fleet(BaselineIntensityModel("power_law", (1.3, 8.0)),
+                           unit_exposures(6, 15.0), 15.0, seed=3)
+    return units, np.random.default_rng(4).normal(size=(6, 2))
+
+
+def test_proportional_names_must_match_the_columns():
+    units, X = proportional_fleet()
+    with pytest.raises(ValueError, match="1 names given for 2 covariate columns"):
+        fit_proportional(units, X, "hpp", names=("a",))
+    fit = fit_proportional(units, X, "hpp", names=["a", "b"])
+    assert fit.covariate_names == ("a", "b")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_proportional_rejects_non_finite_covariates(bad):
+    units, X = proportional_fleet()
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="covariates must be finite"):
+        fit_proportional(units, X, "power_law")
+    with pytest.raises(ValueError, match="covariates must be finite"):
+        proportional_log_likelihood(units, X, BaselineIntensityModel("hpp", (0.5,)), [0.1, 0.2])
+
+
+@pytest.mark.parametrize("beta", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_proportional_log_likelihood_rejects_a_beta_of_the_wrong_shape(beta):
+    units, X = proportional_fleet()
+    with pytest.raises(ValueError, match="one effect per covariate column"):
+        proportional_log_likelihood(units, X, BaselineIntensityModel("hpp", (0.5,)), beta)
+
+
 def test_proportional_binary_covariate_recovery():
     # simulated rate ratio exp(0.7); median recovery over 20 reps within 10%
     tau, n = 20.0, 120

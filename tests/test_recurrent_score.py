@@ -4,12 +4,12 @@
 gives the negative profile log-likelihood in z = (log phi, beta) with its
 gradient, from the family's derivatives of log S' at the event times and
 of S on the breakpoint grid.  A property holds that gradient to a central
-difference of the same value, for every profiled family (all but the
-hpp) with and without covariate columns, and holds the value to the one the fallback simplex searches.
-At every bundled ``air fit-recurrent`` optimum the full-parameter score of
-``_Packed.log_lik`` vanishes: the expected count equals the observed count
-to rounding, which the closed-form amplitude gives exactly, and each
-partial derivative in log theta is at most 1e-6 per event.
+difference of the same value, for the four shaped families with and
+without covariate columns.  At every bundled ``air fit-recurrent``
+optimum the full-parameter score of ``_Packed.log_lik`` vanishes: the
+expected count equals the observed count to rounding, which the
+closed-form amplitude gives exactly, and each partial derivative in log
+theta is at most 1e-6 per event.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from aireliab.recurrent import (
     _AMPLITUDE,
     _Packed,
     _Profile,
+    cumulative_baseline,
     fit_mle,
 )
 
@@ -73,15 +74,12 @@ def profiles(draw):
 @given(profiles())
 def test_profile_score_matches_a_central_difference(problem):
     profile, z = problem
-    value, score = profile.value_and_score(z)
+    value, score = profile(z)
     assert np.isfinite(value) and score.shape == z.shape
-    # the value the fallback simplex searches, through _Packed.terms
-    assert value == pytest.approx(profile(z), rel=1e-12, abs=0.0)
     for i in range(len(z)):
         step = np.zeros(len(z))
         step[i] = STEP
-        central = (profile.value_and_score(z + step)[0]
-                   - profile.value_and_score(z - step)[0]) / (2 * STEP)
+        central = (profile(z + step)[0] - profile(z - step)[0]) / (2 * STEP)
         assert abs(score[i] - central) <= SCORE_RTOL * (abs(value) + np.abs(score).sum() + 1.0)
 
 
@@ -90,8 +88,8 @@ def test_the_score_is_zero_where_the_search_region_ends():
                                     [datasets.constant_exposure(1.0, TAU)], TAU, 3)
     profile = _Profile(_Packed(units), "weibull_growth", np.zeros((1, 0)))
     for z in (np.array([301.0, 0.0]), np.array([0.0, -300.5])):
-        value, score = profile.value_and_score(z)
-        assert value == np.inf and profile(z) == np.inf
+        value, score = profile(z)
+        assert value == np.inf
         assert np.array_equal(score, np.zeros(2))
 
 
@@ -120,7 +118,9 @@ def test_the_full_score_vanishes_at_every_bundled_optimum(family):
         packed = _Packed(units)
         n = packed.n_events
         # the amplitude's score is N - (expected count), zero at its closed form
-        assert packed.terms(family, fit.model.theta)[1] == pytest.approx(n, rel=1e-12), case
+        cum = cumulative_baseline(fit.model, packed.grid)
+        expected = packed.interval_rate @ (cum[packed.interval_hi] - cum[packed.interval_lo])
+        assert expected == pytest.approx(n, rel=1e-12), case
         log_theta = np.log(fit.model.theta)
         for i in range(len(log_theta)):
             step = np.zeros(len(log_theta))

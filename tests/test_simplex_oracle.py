@@ -172,13 +172,15 @@ def test_loop_matches_scipy_for_every_evaluation_budget(kind, n):
 
 
 def searches(fit, monkeypatch):
-    """The (objective, starts, tol, max_iter) of every ``maximize`` call of
-    ``fit()``, at least one; each call returns its first start, which the
-    fitter takes as its optimum.  A fitter that passes a score still hands
-    ``maximize`` the value objective, which its simplex fallback searches."""
+    """The (value objective, starts, tol, max_iter) of every ``maximize``
+    call of ``fit()``, at least one; each call returns its first start,
+    which the fitter takes as its optimum.  For an objective that returns
+    its gradient too (``jac``), the value is its first component, which
+    the simplex fallback searches."""
     calls = []
 
-    def record(negloglik, z0_list, tol, max_iter, score=None):
+    def record(objective, z0_list, tol, max_iter, jac=False):
+        negloglik = (lambda z: objective(z)[0]) if jac else objective
         calls.append((negloglik, list(z0_list), tol, max_iter))
         with quiet():
             return negloglik(np.asarray(z0_list[0], dtype=float)), z0_list[0], True, 0

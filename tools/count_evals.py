@@ -8,12 +8,14 @@ Runs each job of one pass once, in order and in process, through
 - ``starts``: the starts they were given.
 - ``dropped``: starts whose first value is not finite, which get no search.
 - ``gradient``: L-BFGS-B runs on an exact score, one per searched start
-  of a fitter that passes ``score``.
+  of a fitter whose objective returns its gradient (``jac=True``).
 - ``fallbacks``: those of them that went on through the simplex.
 - ``simplex``: simplex runs, fallbacks included.
 - ``simplex_evals``: the simplex runs' evaluations (each run's ``nfev``,
   its start's value included).
-- ``score_evals``: calls of ``score``, each giving a value and a gradient.
+- ``score_evals``: calls of an objective that returns its gradient, each
+  giving a value and a gradient (a fallback's simplex and polish calls
+  included).
 - ``evals``: every evaluation inside ``maximize``: start values, simplex,
   finite-difference polish and score calls.
 
@@ -86,27 +88,22 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
         return real_minimize(*args, **kwargs)
 
     def counted(tally):
-        def maximize(negloglik_z, z0_list, tol, max_iter, score=None):
-            def objective(z):
+        def maximize(objective, z0_list, tol, max_iter, jac=False):
+            def counted_objective(z):
                 tally["evals"] += 1
-                return negloglik_z(z)
-
-            def value_and_score(z):
-                tally["evals"] += 1
-                tally["score_evals"] += 1
-                return score(z)
+                tally["score_evals"] += jac
+                return objective(z)
 
             z0_list = list(z0_list)
             tally["searches"] += 1
             tally["starts"] += len(z0_list)
-            searched = tally["gradient"] if score else tally["simplex"]
-            running.append((tally, score is not None))
+            searched = tally["gradient"] if jac else tally["simplex"]
+            running.append((tally, jac))
             try:
-                return real_maximize(objective, z0_list, tol, max_iter,
-                                     score=value_and_score if score else None)
+                return real_maximize(counted_objective, z0_list, tol, max_iter, jac=jac)
             finally:
                 running.pop()
-                now = tally["gradient"] if score else tally["simplex"]
+                now = tally["gradient"] if jac else tally["simplex"]
                 tally["dropped"] += len(z0_list) - (now - searched)
         return maximize
 
