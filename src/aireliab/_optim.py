@@ -5,9 +5,9 @@ Fitters minimise a negative log-likelihood over an unconstrained
 errors come from a finite-difference Hessian at the optimum.  A fitter
 whose objective returns its exact gradient with the value (the recurrent
 profile likelihood) runs L-BFGS-B on it from each start and keeps the
-simplex as a fallback for a start where that ends abnormally or never
-leaves the start; the others run the simplex and a finite-difference
-polish from every start.  The simplex is scipy's Nelder–Mead run
+simplex and a scaled polish on that gradient as a fallback for a start
+where that ends abnormally or never leaves the start; the others run the
+simplex and a finite-difference polish from every start.  The simplex is scipy's Nelder–Mead run
 in-house; scipy supplies only L-BFGS-B.  A start whose objective is not
 finite is dropped before any search, so a fit's iteration count covers
 the searched starts only.
@@ -93,6 +93,8 @@ def numeric_stderr(negloglik, theta, step) -> tuple[float, ...] | None:
 SCORE_FTOL = 1e-12
 #: the projected-gradient stop of every L-BFGS-B run
 _GTOL = 1e-10
+#: the largest first step of the fallback's scored polish, relative to 1 + |z|
+POLISH_STEP = 1e-3
 
 
 class _Spent(Exception):
@@ -168,6 +170,24 @@ def _replaying(objective, z0, first):
     return replayed
 
 
+def _scaled_polish(objective, x, max_iter):
+    """L-BFGS-B on the exact gradient from ``x``, in coordinates scaled so that
+    its first step moves each z_i by at most ``POLISH_STEP`` (1 + |x_i|): the
+    unit first step of the unscaled run can leave the finite region."""
+    from scipy.optimize import minimize
+
+    h = POLISH_STEP * (1.0 + np.abs(x))
+
+    def scaled(y):
+        fun, grad = objective(x + h * y)
+        return fun, h * grad
+
+    run = minimize(scaled, np.zeros(len(x)), jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "ftol": SCORE_FTOL, "gtol": _GTOL})
+    run.x = x + h * run.x
+    return run
+
+
 @quiet()
 def maximize(objective, z0_list, tol, max_iter, jac=False):
     """Minimise ``objective`` from each start and keep the best end point.
@@ -183,9 +203,10 @@ def maximize(objective, z0_list, tol, max_iter, jac=False):
     does; each start runs L-BFGS-B on that gradient, and only a start where
     it ends abnormally, not finite, or at the start itself while the start's
     gradient exceeds ``gtol`` (its first step left the finite region and
-    nothing was searched) goes on through the simplex and polish as well
-    (the fallback), which search ``objective(z)[0]``.  The start's value is
-    computed once either way.
+    nothing was searched) goes on through the fallback: the simplex on
+    ``objective(z)[0]`` and ``_scaled_polish``.  Where the fallback converges
+    to within the simplex's tolerance of that L-BFGS-B end's value, the end
+    counts as converged.  The start's value is computed once either way.
     """
     from scipy.optimize import minimize
 
@@ -211,12 +232,18 @@ def maximize(objective, z0_list, tol, max_iter, jac=False):
             nm_iter = min(max_iter, 250 * len(z0))
             x, fun, nit, _, nm_ok = _nelder_mead(value, z0, f0, 1e-6, fatol, nm_iter,
                                                  2 * nm_iter)
-            polish = minimize(value, x, method="L-BFGS-B",
-                              options={"maxiter": max_iter, "ftol": tol, "gtol": _GTOL})
+            if jac:
+                polish = _scaled_polish(objective, x, max_iter)
+            else:
+                polish = minimize(value, x, method="L-BFGS-B",
+                                  options={"maxiter": max_iter, "ftol": tol, "gtol": _GTOL})
             iterations += nit + polish.nit
             if polish.fun <= fun:
                 x, fun = polish.x, polish.fun
-            ends.append((x, fun, bool(nm_ok or polish.success)))
+            fallback_ok = bool(nm_ok or polish.success)
+            if jac and fallback_ok and abs(fun - ends[0][1]) <= fatol:
+                ends[0] = (*ends[0][:2], True)  # the fallback confirms the scored end
+            ends.append((x, fun, fallback_ok))
         for x, fun, end_ok in ends:
             if np.isfinite(fun) and (best is None or fun < best[0]):
                 best = (fun, x, end_ok)

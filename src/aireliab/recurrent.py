@@ -27,7 +27,9 @@ baseline is an amplitude times a shape, A * S(t; phi), and for given
 shape parameters and covariate effects the amplitude has a closed-form
 maximum, so the search runs over (log phi, beta) alone, with an exact
 score (``_Profile``), and maps its optimum back to the family's
-parameters.  The reported log-likelihood is the one at those parameters.
+parameters.  Its compensator at A = 1 is the reported log-likelihood's,
+from the same cumulative baseline; the reported log-likelihood is the
+one at the returned parameters.
 The HPP has no shape (S(t) = t): ``fit_mle`` returns its closed-form rate,
 and ``fit_proportional`` searches the effects alone, or nothing when no
 covariate column varies.
@@ -292,15 +294,21 @@ class _Packed:
         if (lam0 <= 0).any():
             return -np.inf
         event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
-        if unit_scale is None:
-            weights = self.interval_rate
-        else:
+        if unit_scale is not None:
             event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
-            weights = np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
-                                  minlength=len(self.interval_rate))
         cum = _cumulative(family, theta, self.grid)
-        total = event_term - float(weights @ (cum[self.interval_hi] - cum[self.interval_lo]))
+        total = event_term - float(self.weights(unit_scale)
+                                   @ (cum[self.interval_hi] - cum[self.interval_lo]))
         return total if np.isfinite(total) else -np.inf
+
+    def weights(self, unit_scale=None):
+        """The summed rate on each distinct interval, each unit's scaled by
+        ``unit_scale``: the compensator is their dot with the increments of
+        the cumulative baseline."""
+        if unit_scale is None:
+            return self.interval_rate
+        return np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
+                           minlength=len(self.interval_rate))
 
 
 def log_likelihood(units, model: BaselineIntensityModel) -> float:
@@ -346,55 +354,47 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
 _AMPLITUDE = {"hpp": 0, "power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
 
 
-def _hpp_terms(p, psi):
-    return 0.0, [], p.grid, []
+def _hpp_terms(p, psi, phi, cum):
+    return 0.0, [], []
 
 
-def _power_law_terms(p, psi):
-    (log_b,) = psi
-    b, n = math.exp(log_b), p.packed.n_events
-    b_log_grid = b * p.log_grid
-    cum = np.exp(b_log_grid)
-    return n * log_b + (b - 1.0) * p.sum_log_t, [n + b * p.sum_log_t], cum, [b_log_grid * cum]
+def _power_law_terms(p, psi, phi, cum):
+    (log_b,), (b,), n = psi, phi, p.packed.n_events
+    return n * log_b + (b - 1.0) * p.sum_log_t, [n + b * p.sum_log_t], [b * p.log_grid * cum]
 
 
-def _weibull_growth_terms(p, psi):
-    log_t2, log_t3 = psi
-    t3, n = math.exp(log_t3), p.packed.n_events
+def _weibull_growth_terms(p, psi, phi, cum):
+    (log_t2, log_t3), t3, n = psi, phi[1], p.packed.n_events
     v = np.exp(log_t2 + t3 * p.log_t)
     cv, clv = float(np.dot(p.counts, v)), float(np.dot(p.c_log_t, v))
     event = n * (log_t2 + log_t3) + (t3 - 1.0) * p.sum_log_t - cv
-    neg_v = -np.exp(log_t2 + t3 * p.log_grid)
-    d_t2 = -neg_v * np.exp(neg_v)
-    return (event, [n - cv, n + t3 * (p.sum_log_t - clv)],
-            -np.expm1(neg_v), [d_t2, t3 * p.log_grid * d_t2])
+    v_grid = np.exp(log_t2 + t3 * p.log_grid)
+    d_t2 = v_grid * np.exp(-v_grid)
+    return (event, [n - cv, n + t3 * (p.sum_log_t - clv)], [d_t2, t3 * p.log_grid * d_t2])
 
 
-def _gompertz_terms(p, psi):
-    log_t2, log_t3 = psi
-    t2, t3, n = math.exp(log_t2), math.exp(log_t3), p.packed.n_events
+def _gompertz_terms(p, psi, phi, cum):
+    (log_t2, log_t3), (t2, t3), n = psi, phi, p.packed.n_events
     u = np.exp(-t3 * p.times)
     cu, ctu = float(np.dot(p.counts, u)), float(np.dot(p.c_t, u))
     event = n * (log_t2 + log_t3) - t3 * p.sum_t - t2 * cu
-    x = -t3 * p.grid
-    u_grid, e_t2 = np.exp(x), math.exp(-t2)
+    u_grid = np.exp(-t3 * p.grid)
     uh = u_grid * np.exp(-t2 * u_grid)
     return (event, [n - t2 * cu, n - t3 * p.sum_t + t2 * t3 * ctu],
-            e_t2 * np.expm1(-t2 * np.expm1(x)), [t2 * (e_t2 - uh), (t2 * t3) * p.grid * uh])
+            [t2 * (math.exp(-t2) - uh), (t2 * t3) * p.grid * uh])
 
 
-def _musa_okumoto_terms(p, psi):
-    (log_t2,) = psi
-    t2, n = math.exp(log_t2), p.packed.n_events
+def _musa_okumoto_terms(p, psi, phi, cum):
+    (log_t2,), (t2,) = psi, phi
     r = t2 * p.times
-    event = n * log_t2 - float(np.dot(p.counts, np.log1p(r)))
+    event = p.packed.n_events * log_t2 - float(np.dot(p.counts, np.log1p(r)))
     r_grid = t2 * p.grid
-    return (event, [float(np.dot(p.counts, 1.0 / (1.0 + r)))],
-            np.log1p(r_grid), [r_grid / (1.0 + r_grid)])
+    return event, [float(np.dot(p.counts, 1.0 / (1.0 + r)))], [r_grid / (1.0 + r_grid)]
 
 
-#: per family, at psi = log phi: the event term sum_j c_j log S'(t_j)
-#: and its gradient in psi, and S on the grid with its derivative in each psi
+#: per family, at psi = log phi and phi, with S = ``_cumulative`` at A = 1 on
+#: the grid: the event term sum_j c_j log S'(t_j) and its gradient in psi,
+#: and the derivative of S on the grid in each psi
 _SHAPE_TERMS = {"hpp": _hpp_terms, "power_law": _power_law_terms,
                 "weibull_growth": _weibull_growth_terms, "gompertz": _gompertz_terms,
                 "musa_okumoto": _musa_okumoto_terms}
@@ -404,8 +404,10 @@ class _Profile:
     """Negative profile log-likelihood of ``family`` with unit scales
     exp(X beta), at z = (log phi, beta), and its exact gradient.
 
-    Calling the object gives the value and the gradient together from
-    ``_SHAPE_TERMS``, on logs of the event times and the grid taken once.
+    Calling the object gives the value and the gradient together: the event
+    term from ``_SHAPE_TERMS``, on logs of the event times and the grid
+    taken once, and the compensator as ``_Packed.log_lik_theta`` forms it,
+    from ``_cumulative`` at A = 1.
     """
 
     def __init__(self, packed: _Packed, family: str, X):
@@ -418,26 +420,20 @@ class _Profile:
         self.log_t = np.log(self.times)
         self.c_log_t, self.c_t = self.counts * self.log_t, self.counts * self.times
         self.sum_log_t, self.sum_t = float(self.c_log_t.sum()), float(self.c_t.sum())
-        # S(0) = 0 in every family, so a breakpoint at 0 adds nothing and is
-        # left out, and so are those after the last exposed interval, where S
-        # may overflow although the likelihood does not see it
+        # S(0) = 0 in every family, so a breakpoint at 0 is not evaluated, and
+        # neither are those after the last exposed interval, which no
+        # interval reaches
         self.skip, self.stop = int(packed.grid[0] == 0), int(packed.interval_hi.max()) + 1
         self.grid = packed.grid[self.skip:self.stop]
         self.log_grid = np.log(self.grid)
-        self.net = self._net(packed.interval_rate)
         if X.shape[1]:
             self.columns = [np.ascontiguousarray(col) for col in X.T]
             self.events_x = (X.T @ packed.events_per_unit.astype(float)).tolist()
-            self.seg_hi = packed.interval_hi[packed.seg_interval]
-            self.seg_lo = packed.interval_lo[packed.seg_interval]
 
-    def _net(self, interval_weight):
-        """The compensator at A = 1 is ``net @ S(grid)``: each interval's weight
-        enters at its right end and leaves at its left."""
-        n_grid = len(self.packed.grid)
-        net = (np.bincount(self.packed.interval_hi, interval_weight, n_grid)
-               - np.bincount(self.packed.interval_lo, interval_weight, n_grid))
-        return net[self.skip:self.stop]
+    def _increments(self, values):
+        """``values`` on the grid as their increments over each distinct interval."""
+        full = np.concatenate([np.zeros(self.skip), values])
+        return full[self.packed.interval_hi] - full[self.packed.interval_lo]
 
     def _outside(self, z, compensator) -> bool:
         """Whether the amplitude parameter at z leaves |log| <= 300, or the
@@ -448,24 +444,25 @@ class _Profile:
         return abs(-log_a / math.exp(z[0]) if self.family == "power_law" else log_a) > 300
 
     def _at(self, z):
-        """The shape terms at z, the per-breakpoint net weights, the unit
-        scales exp(X beta) and the compensator at A = 1."""
-        terms = _SHAPE_TERMS[self.family](self, z[:self.k].tolist())
-        net, scale = self.net, None
-        if self.X.shape[1]:
-            packed = self.packed
-            scale = np.exp(self.X @ z[self.k:])
-            net = self._net(np.bincount(packed.seg_interval, packed.seg_rate * scale[packed.seg_unit],
-                                        len(packed.interval_rate)))
-        return terms, net, scale, float(np.dot(net, terms[2]))
+        """The shape parameters phi at z, the shape terms, the unit scales
+        exp(X beta), the interval weights and increments of S, and the
+        compensator at A = 1."""
+        phi = np.exp(z[:self.k]).tolist()
+        theta = phi.copy()
+        theta.insert(_AMPLITUDE[self.family], 1.0)
+        cum = _cumulative(self.family, theta, self.grid)
+        terms = _SHAPE_TERMS[self.family](self, z[:self.k].tolist(), phi, cum)
+        scale = np.exp(self.X @ z[self.k:]) if self.X.shape[1] else None
+        weights, increments = self.packed.weights(scale), self._increments(cum)
+        return phi, terms, scale, weights, increments, float(weights @ increments)
 
     def theta(self, z) -> tuple[float, ...]:
         """The family's parameters at z, with the amplitude at its maximum for
         the compensator that calling the object takes."""
         if np.maximum.reduce(abs(z), initial=0.0) <= 300:
-            compensator = self._at(z)[3]
+            phi, *_, compensator = self._at(z)
             if not self._outside(z, compensator):
-                n, phi = self.packed.n_events, np.exp(z[:self.k]).tolist()
+                n = self.packed.n_events
                 if self.family == "power_law":
                     return phi[0], (compensator / n) ** (1.0 / phi[0])
                 return n / compensator, *phi
@@ -477,7 +474,7 @@ class _Profile:
         fail = np.inf, np.zeros(len(z))
         if np.maximum.reduce(abs(z), initial=0.0) > 300:
             return fail
-        (event, d_event, cum, d_cum), net, scale, compensator = self._at(z)
+        _, (event, d_event, d_cum), scale, weights, increments, compensator = self._at(z)
         packed, covariates = self.packed, bool(self.X.shape[1])
         if covariates:
             event += float(np.dot(self.events_x, z[self.k:]))
@@ -488,12 +485,12 @@ class _Profile:
         if not np.isfinite(value):
             return fail
         ratio = n / compensator
-        grad = [ratio * float(np.dot(net, d)) - de for d, de in zip(d_cum, d_event)]
+        grad = [ratio * float(weights @ self._increments(d)) - de
+                for d, de in zip(d_cum, d_event)]
         if covariates:
             # d compensator / d beta_j = sum_i x_ij s_i C_i, with C_i unit i's compensator at A = 1
-            full = np.concatenate([np.zeros(self.skip), cum])
             per_unit = np.bincount(packed.seg_unit,
-                                   packed.seg_rate * (full[self.seg_hi] - full[self.seg_lo]),
+                                   packed.seg_rate * increments[packed.seg_interval],
                                    packed.n_units) * scale
             grad += [ratio * float(np.dot(col, per_unit)) - ex
                      for col, ex in zip(self.columns, self.events_x)]

@@ -349,25 +349,42 @@ def scored_bowl(centre, weights, wall=np.inf, bad=np.inf, sign=1.0):
 
 @pytest.fixture
 def scipy_runs(monkeypatch):
-    """The x0 of every simplex run, of every L-BFGS-B run on a score, and of
-    every finite-difference polish inside ``maximize``, and each score run's result."""
-    runs = {"simplex": [], "score": [], "polish": [], "results": []}
+    """The x0 of every simplex run, of every L-BFGS-B run on a score from a
+    start, and of every polish after a simplex inside ``maximize``, and each
+    of those score runs' and polishes' results."""
+    runs = {"simplex": [], "score": [], "polish": [], "results": [], "polished": []}
     real_nelder_mead, real_minimize = _optim._nelder_mead, scipy.optimize.minimize
+    real_scaled_polish = _optim._scaled_polish
+    polishing = []
 
     def nelder_mead(f, x0, *args):
         runs["simplex"].append(np.asarray(x0, dtype=float))
         return real_nelder_mead(f, x0, *args)
 
+    def scaled_polish(objective, x, max_iter):
+        polishing.append(True)
+        try:
+            result = real_scaled_polish(objective, x, max_iter)
+        finally:
+            polishing.pop()
+        runs["polish"].append(np.asarray(x, dtype=float))
+        runs["polished"].append(result)
+        return result
+
     def recorded(f, x0, **kwargs):
         result = real_minimize(f, x0, **kwargs)
-        if kwargs.get("jac") is True:
+        if polishing:
+            pass
+        elif kwargs.get("jac") is True:
             runs["score"].append(np.asarray(x0, dtype=float))
             runs["results"].append(result)
         else:
             runs["polish"].append(np.asarray(x0, dtype=float))
+            runs["polished"].append(result)
         return result
 
     monkeypatch.setattr(_optim, "_nelder_mead", nelder_mead)
+    monkeypatch.setattr(_optim, "_scaled_polish", scaled_polish)
     monkeypatch.setattr(scipy.optimize, "minimize", recorded)
     return runs
 
@@ -401,7 +418,7 @@ def test_with_a_score_every_start_non_finite_raises_without_search(scipy_runs):
     score = scored_bowl([0.0], [1.0], 1.0, np.inf)
     with pytest.raises(RuntimeError, match="likelihood evaluation failed for every start"):
         maximize(score, [np.array([2.0]), np.array([3.0])], 1e-10, 400, jac=True)
-    assert scipy_runs == {"simplex": [], "score": [], "polish": [], "results": []}
+    assert scipy_runs == {"simplex": [], "score": [], "polish": [], "results": [], "polished": []}
 
 
 def test_an_abnormal_lbfgsb_end_falls_back_to_the_simplex(scipy_runs):
@@ -433,6 +450,26 @@ def test_a_run_that_never_leaves_its_start_falls_back_to_the_simplex(scipy_runs)
     # the bowl's lowest finite point is (0.5, 0), where the value is 6.25
     assert fun < 6.25 + 1e-6 < score(start)[0]
     assert x[0] <= 0.5 and abs(x[1]) < 1e-3
+
+
+def test_an_abnormal_end_that_the_fallback_confirms_counts_as_converged(monkeypatch):
+    # as on a profile whose value is noisy at the optimum: L-BFGS-B's line
+    # search ends abnormally there, a rounding error below where the fallback
+    # ends, and the fallback converges within its tolerance of it
+    real_minimize, scored = scipy.optimize.minimize, []
+
+    def abnormal_first(f, x0, **kwargs):
+        result = real_minimize(f, x0, **kwargs)
+        if kwargs.get("jac") is True and not scored:
+            result.success, result.message, result.fun = False, "ABNORMAL: ", result.fun - 1e-12
+            scored.append(result)
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "minimize", abnormal_first)
+    fun, x, ok, _ = maximize(scored_bowl([0.5, -1.0], [1.0, 3.0]), [np.array([1.0, 1.0])],
+                             1e-10, 400, jac=True)
+    assert fun == scored[0].fun and x.tobytes() == scored[0].x.tobytes()
+    assert ok
 
 
 def test_a_start_that_ends_normally_has_no_fallback(scipy_runs):

@@ -14,18 +14,16 @@ arbitrary schedules side by side, and ``sum_schedules`` unions of them.
 
 The search objective of ``fit_mle``, ``fit_manufacturer_level`` and
 ``fit_proportional`` is the profile likelihood (``recurrent._Profile``),
-for every family, the hpp included: the log-form shape terms of each
-family, with the amplitude at its closed-form maximum.  It is held to a
-reference that builds a validated ``BaselineIntensityModel`` at amplitude
-1 per call and goes through the validating ``baseline_intensity`` and
+for every family, the hpp included: the log-form event terms of each
+family and the compensator of ``_Packed.log_lik_theta``, with the
+amplitude at its closed-form maximum.  It is held to a reference that
+builds a validated ``BaselineIntensityModel`` at amplitude 1 per call and
+goes through the validating ``baseline_intensity`` and
 ``cumulative_baseline``, as the search did before it was prepared once.
 Where the reference is finite the two agree within ``PROFILE_RTOL``
-relative, plus what rounding alone can put between two forms of one value
-(``rounding_allowance``: a difference of large terms, a compensator that
-is a small difference of large ones, subnormal intermediates).  Where the
-reference's product form overflows to inf, or rounding can move the value
-by more than its size, the log form may be any value but NaN.  Searches
-of the two reach the same optimum.
+relative; where the reference's product form overflows to inf, the log
+form may be any value but NaN.  Searches of the two reach the same
+optimum, at the same point where it is not on a ridge.
 """
 
 import math
@@ -68,10 +66,10 @@ from conftest import PROPERTY, build_months
 RTOL = 1e-12
 #: how far the profile objective may be from its reference, relative
 PROFILE_RTOL = 1e-13
-#: the ulps of each amplified term in ``rounding_allowance``
-ROUNDING_ULPS = 8
 #: how far a profile search's optimum may be from the reference search's, relative
 OPTIMUM_RTOL = 1e-9
+#: how far its point may be from the reference search's, relative
+POINT_RTOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -337,57 +335,6 @@ def at_unit_amplitude(family, X, z):
     return model, (np.exp(X @ z[k:]) if X.shape[1] else None)
 
 
-def rounding_allowance(packed, family, X, z):
-    """How far apart rounding alone can bring the two forms of the value at z,
-    beyond ``PROFILE_RTOL``: ``ROUNDING_ULPS`` ulps of each rounded quantity
-    that the value amplifies.
-
-    - The value n log C - (event term) - (n log n - n) is a difference of
-      terms that can be far larger than it (the power law at a large shape).
-    - The event term adds log S'(t_j) and the reference adds log s_i of the
-      unit scales: an ulp of each is relative ``eps``, more where it is
-      subnormal, as is the reference's gompertz intermediate
-      u = t2 exp(-t3 t) at a steep decay.
-    - n log C amplifies the rounding of C by n / C.  C sums w (S(hi) - S(lo))
-      over the intervals, so where S nears its plateau at both ends
-      (weibull_growth and gompertz at late breakpoints), at a shape that
-      hardly moves S, or where unit scales apart by many orders meet at a
-      breakpoint, C is a small difference of far larger numbers.  The log
-      form takes S = exp(log S), so an ulp of S counts |log S| times, and
-      each weight w carries the ulps of its scaled rates.
-    - The gompertz product form takes 1 - u for u = exp(-t3 t), so an ulp
-      of u moves S by t2 exp(-t2 u) ulps of u: where t3 t falls near an ulp
-      the reference's S is mostly rounding (and 0 below it, where the
-      reference is inf)."""
-    model, scale = at_unit_amplitude(family, X, z)
-    event_term, compensator = reference_terms(packed, model, scale)
-    n, times, grid = packed.n_events, packed.event_times, packed.grid
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lam0 = baseline_intensity(model, times)
-        event_ulps = np.spacing(lam0) / lam0
-        cum = cumulative_baseline(model, grid)
-        cum_ulps = np.spacing(cum) * (1.0 + np.abs(np.log(np.maximum(cum, np.finfo(float).tiny))))
-        if family == "gompertz":
-            t2, t3 = model.theta[1:]
-            u = t2 * np.exp(-t3 * times)
-            event_ulps = event_ulps + np.spacing(u) / u
-            u = np.exp(-t3 * grid)
-            cum_ulps = cum_ulps + t2 * np.exp(-t2 * u) * np.spacing(u)
-        lo, hi = packed.interval_lo, packed.interval_hi
-        c_ulps = float(interval_weights(packed, scale) @ (cum_ulps[hi] + cum_ulps[lo]))
-        event_ulps = float(packed.event_counts @ event_ulps)
-        if scale is not None:
-            seen = packed.events_per_unit > 0
-            event_ulps += float(packed.events_per_unit[seen]
-                                @ (np.spacing(scale[seen]) / scale[seen]))
-            weight_ulps = np.bincount(packed.seg_interval,
-                                      np.spacing(packed.seg_rate * scale[packed.seg_unit]),
-                                      minlength=len(packed.interval_rate))
-            c_ulps += float(weight_ulps @ np.abs(cum[hi] - cum[lo]))
-    terms = abs(event_term) + n * abs(math.log(compensator)) + abs(n * math.log(n) - n)
-    return ROUNDING_ULPS * (float(np.spacing(terms)) + event_ulps + n * c_ulps / compensator)
-
-
 def reference_profile_objective(packed, family, X):
     """The negative log-likelihood at z = (log phi, beta), maximized over the
     amplitude A in closed form: a validated model at A = 1 per call, and
@@ -433,18 +380,15 @@ def draw_columns(data, n_units):
 
 def assert_profile_matches_reference(packed, family, X, draws):
     """``_Profile``'s value at each drawn z against the reference's: within
-    ``PROFILE_RTOL`` relative and ``rounding_allowance`` on top.  Where the
-    reference overflowed to inf, or rounding can move the value by more than
-    its own size, the value may be anything but NaN."""
+    ``PROFILE_RTOL`` relative where the reference is finite, and anything
+    but NaN where it overflowed to inf."""
     objective = _Profile(packed, family, X)
     reference = reference_profile_objective(packed, family, X)
     for z in draws:
         want, got = reference(z), objective(z)[0]
         assert not np.isnan(got), z
         if np.isfinite(want):
-            allowance = rounding_allowance(packed, family, X, z)
-            if not allowance >= abs(want):  # a NaN allowance fails below
-                assert abs(got - want) <= PROFILE_RTOL * abs(want) + allowance, z
+            assert abs(got - want) <= PROFILE_RTOL * abs(want), z
 
 
 def draw_zs(data, n):
@@ -494,3 +438,8 @@ def test_search_path_equals_model_building_path(family):
     got = maximize(_Profile(packed, family, no_columns), start, 1e-8, 300, jac=True)
     want = maximize(reference_profile_objective(packed, family, no_columns), start, 1e-8, 300)
     assert got[0] == pytest.approx(want[0], rel=OPTIMUM_RTOL, abs=0.0)
+    assert got[2] and want[2]
+    # on this fleet the gompertz and musa_okumoto fits run along a ridge, the
+    # second to its theta2 -> 0 limit, where theta1 * theta2 is all the data fix
+    if family not in ("gompertz", "musa_okumoto"):
+        assert np.allclose(np.exp(got[1]), np.exp(want[1]), rtol=POINT_RTOL, atol=0.0)

@@ -5,11 +5,11 @@ gives the negative profile log-likelihood in z = (log phi, beta) with its
 gradient, from the family's derivatives of log S' at the event times and
 of S on the breakpoint grid.  A property holds that gradient to a central
 difference of the same value, for the four shaped families with and
-without covariate columns.  At every bundled ``air fit-recurrent``
-optimum the full-parameter score of ``_Packed.log_lik`` vanishes: the
-expected count equals the observed count to rounding, which the
-closed-form amplitude gives exactly, and each partial derivative in log
-theta is at most 1e-6 per event.
+without covariate columns, and another for the hpp with one or two.  At
+every bundled ``air fit-recurrent`` optimum the full-parameter score of
+``_Packed.log_lik`` vanishes: the expected count equals the observed
+count to rounding, which the closed-form amplitude gives exactly, and
+each partial derivative in log theta is at most 1e-6 per event.
 """
 
 import numpy as np
@@ -46,10 +46,11 @@ OPTIMUM_SCORE_TOL = 1e-6
 
 
 @st.composite
-def profiles(draw):
+def profiles(draw, families=FAMILIES[1:], min_columns=0):
     """A family's profile on 1-5 simulated units with cut, partly unexposed
-    schedules, 0-2 covariate columns, and a z within reach of the truth."""
-    family = draw(st.sampled_from(FAMILIES[1:]))
+    schedules, ``min_columns`` to 2 covariate columns, and a z within reach
+    of the truth."""
+    family = draw(st.sampled_from(families))
     exposures = []
     for i in range(draw(st.integers(1, 5))):
         cuts = sorted(draw(st.sets(st.integers(1, 2 * int(TAU) - 1), max_size=4)))
@@ -60,7 +61,7 @@ def profiles(draw):
     units = simulate.simulate_fleet(BaselineIntensityModel(family, TRUTH[family]), exposures, TAU,
                                     draw(st.integers(0, 2**16)))
     assume(any(u.n_events for u in units))
-    q = draw(st.integers(0, 2))
+    q = draw(st.integers(min_columns, 2))
     X = np.array(draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q),
                                min_size=len(units), max_size=len(units)))).reshape(len(units), q)
     shape = np.delete(np.log(TRUTH[family]), _AMPLITUDE[family])
@@ -70,10 +71,7 @@ def profiles(draw):
     return _Profile(_Packed(units), family, X), z
 
 
-@PROPERTY
-@given(profiles())
-def test_profile_score_matches_a_central_difference(problem):
-    profile, z = problem
+def assert_score_matches_a_central_difference(profile, z):
     value, score = profile(z)
     assert np.isfinite(value) and score.shape == z.shape
     for i in range(len(z)):
@@ -81,6 +79,19 @@ def test_profile_score_matches_a_central_difference(problem):
         step[i] = STEP
         central = (profile(z + step)[0] - profile(z - step)[0]) / (2 * STEP)
         assert abs(score[i] - central) <= SCORE_RTOL * (abs(value) + np.abs(score).sum() + 1.0)
+
+
+@PROPERTY
+@given(profiles())
+def test_profile_score_matches_a_central_difference(problem):
+    assert_score_matches_a_central_difference(*problem)
+
+
+@PROPERTY
+@given(profiles(families=("hpp",), min_columns=1))
+def test_hpp_score_matches_a_central_difference(problem):
+    # the hpp has no shape coordinate: its score is the effects' alone
+    assert_score_matches_a_central_difference(*problem)
 
 
 def test_the_score_is_zero_where_the_search_region_ends():

@@ -436,10 +436,12 @@ def test_fit_proportional_matches_the_oracle(family, columns):
                               family)
 
 
-def test_a_search_whose_first_step_overflows_reaches_the_oracle():
+@pytest.mark.parametrize("family", ["hpp", "power_law"])
+def test_a_search_whose_first_step_overflows_reaches_the_oracle(family):
     units = simulate_fleet(BaselineIntensityModel("power_law", (1.3, 8.0)),
                            unit_exposures(30, 15.0), 15.0, 5)
     X = 400.0 * np.random.default_rng(7).normal(size=(30, 2))
-    ours = fit_proportional(units, X, "power_law")
-    oracle = oracle_fit_proportional(units, X, "power_law")
+    ours = fit_proportional(units, X, family)
+    oracle = oracle_fit_proportional(units, X, family)
+    assert ours.converged
     assert ours.log_lik >= oracle.log_lik - LOGLIK_RTOL * abs(oracle.log_lik)

@@ -8,7 +8,8 @@ Runs each job of one pass once, in order and in process, through
 - ``starts``: the starts they were given.
 - ``dropped``: starts whose first value is not finite, which get no search.
 - ``gradient``: L-BFGS-B runs on an exact score, one per searched start
-  of a fitter whose objective returns its gradient (``jac=True``).
+  of a fitter whose objective returns its gradient (``jac=True``); a
+  fallback's scored polish is not one of them.
 - ``fallbacks``: those of them that went on through the simplex.
 - ``simplex``: simplex runs, fallbacks included.
 - ``simplex_evals``: the simplex runs' evaluations (each run's ``nfev``,
@@ -71,8 +72,9 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
     """The per-fitter counts of one pass over ``jobs``, and the jobs that exited non-zero."""
     counts = {name: dict.fromkeys(COLUMNS, 0) for name in FITTERS}
     running = []  # the tally of the search in progress, and whether it has a score
+    polishing = []  # set while a fallback's scored polish runs
     real_maximize, real_nelder_mead = _optim.maximize, _optim._nelder_mead
-    real_minimize = scipy.optimize.minimize
+    real_minimize, real_scaled_polish = scipy.optimize.minimize, _optim._scaled_polish
 
     def nelder_mead(*args):
         result = real_nelder_mead(*args)
@@ -83,9 +85,16 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
         return result
 
     def minimize(*args, **kwargs):
-        if kwargs.get("jac") is True:
+        if kwargs.get("jac") is True and not polishing:
             running[-1][0]["gradient"] += 1
         return real_minimize(*args, **kwargs)
+
+    def scaled_polish(*args):
+        polishing.append(True)
+        try:
+            return real_scaled_polish(*args)
+        finally:
+            polishing.pop()
 
     def counted(tally):
         def maximize(objective, z0_list, tol, max_iter, jac=False):
@@ -110,6 +119,7 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
     failed = []
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(_optim, "_nelder_mead", nelder_mead))
+        stack.enter_context(mock.patch.object(_optim, "_scaled_polish", scaled_polish))
         # ``maximize`` imports ``minimize`` from ``scipy.optimize`` when it is called
         stack.enter_context(mock.patch.object(scipy.optimize, "minimize", minimize))
         for name, module in FITTERS.items():
