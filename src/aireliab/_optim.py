@@ -2,13 +2,15 @@
 
 Fitters minimise a negative log-likelihood over an unconstrained
 (usually log-scale) parameter vector from a list of starts; standard
-errors come from a finite-difference Hessian at the optimum.  A fitter
-whose objective returns its exact gradient with the value (the recurrent
-profile likelihood) runs L-BFGS-B on it from each start and keeps the
-simplex and a scaled polish on that gradient as a fallback for a start
-where that ends abnormally or never leaves the start; the others run the
-simplex and a finite-difference polish from every start.  The simplex is scipy's Nelder–Mead run
-in-house; scipy supplies only L-BFGS-B.  A start whose objective is not
+errors come from a finite-difference Hessian at the optimum.  The
+objective's value picks the route.  One that returns its exact gradient
+with the value, as a tuple (the recurrent profile likelihood, which also
+fits the EP modules without in-edges), runs L-BFGS-B from each start and
+keeps the simplex and a scaled polish on that gradient as a fallback for
+a start where that ends abnormally or never leaves the start; one that
+returns a plain value runs the simplex and a finite-difference polish
+from every start.  The simplex is scipy's Nelder–Mead run in-house;
+scipy supplies only L-BFGS-B.  A start whose objective is not
 finite is dropped before any search, so a fit's iteration count covers
 the searched starts only.
 
@@ -189,19 +191,19 @@ def _scaled_polish(objective, x, max_iter):
 
 
 @quiet()
-def maximize(objective, z0_list, tol, max_iter, jac=False):
+def maximize(objective, z0_list, tol, max_iter):
     """Minimise ``objective`` from each start and keep the best end point.
 
     Returns ``(fun, x, converged, iterations)``.  A start where the
     objective is +inf or NaN costs that one evaluation and is dropped: it
     gets no search and adds nothing to ``iterations``.
 
-    Without ``jac``, each start runs a Nelder–Mead simplex to ``tol``
-    relative in the objective and then an L-BFGS-B polish on
-    finite-difference gradients.  With ``jac``, ``objective(z)`` returns
-    the value and its exact gradient together, as scipy's ``jac=True``
-    does; each start runs L-BFGS-B on that gradient, and only a start where
-    it ends abnormally, not finite, or at the start itself while the start's
+    The objective's value at a start picks that start's route.  A plain
+    value runs a Nelder–Mead simplex to ``tol`` relative in the objective
+    and then an L-BFGS-B polish on finite-difference gradients.  A
+    ``(value, gradient)`` tuple, as scipy's ``jac=True`` takes it, runs
+    L-BFGS-B on that exact gradient, and only a start where it ends
+    abnormally, not finite, or at the start itself while the start's
     gradient exceeds ``gtol`` (its first step left the finite region and
     nothing was searched) goes on through the fallback: the simplex on
     ``objective(z)[0]`` and ``_scaled_polish``.  Where the fallback converges
@@ -210,16 +212,16 @@ def maximize(objective, z0_list, tol, max_iter, jac=False):
     """
     from scipy.optimize import minimize
 
-    value = (lambda z: objective(z)[0]) if jac else objective
     best, iterations = None, 0
     for z0 in z0_list:
         z0 = np.asarray(z0, dtype=float)
         first = objective(z0)
-        f0 = first[0] if jac else first
+        scored = isinstance(first, tuple)
+        f0 = first[0] if scored else first
         if not np.isfinite(f0):
             continue
         ends = []
-        if jac:
+        if scored:
             run = minimize(_replaying(objective, z0, first), z0, jac=True, method="L-BFGS-B",
                            options={"maxiter": max_iter, "ftol": SCORE_FTOL, "gtol": _GTOL})
             iterations += run.nit
@@ -227,12 +229,13 @@ def maximize(objective, z0_list, tol, max_iter, jac=False):
                        and np.maximum.reduce(abs(first[1]), initial=0.0) > _GTOL)
             ok = bool(run.success and not stalled and np.isfinite(run.fun))
             ends.append((run.x, run.fun, ok))
-        if not jac or not ok:
+        if not scored or not ok:
             fatol = tol * (1.0 + abs(f0))
             nm_iter = min(max_iter, 250 * len(z0))
+            value = (lambda z: objective(z)[0]) if scored else objective
             x, fun, nit, _, nm_ok = _nelder_mead(value, z0, f0, 1e-6, fatol, nm_iter,
                                                  2 * nm_iter)
-            if jac:
+            if scored:
                 polish = _scaled_polish(objective, x, max_iter)
             else:
                 polish = minimize(value, x, method="L-BFGS-B",
@@ -241,7 +244,7 @@ def maximize(objective, z0_list, tol, max_iter, jac=False):
             if polish.fun <= fun:
                 x, fun = polish.x, polish.fun
             fallback_ok = bool(nm_ok or polish.success)
-            if jac and fallback_ok and abs(fun - ends[0][1]) <= fatol:
+            if scored and fallback_ok and abs(fun - ends[0][1]) <= fatol:
                 ends[0] = (*ends[0][:2], True)  # the fallback confirms the scored end
             ends.append((x, fun, fallback_ok))
         for x, fun, end_ok in ends:

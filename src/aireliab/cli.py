@@ -258,7 +258,7 @@ def cmd_fit_ep(args, run: Run) -> int:
         grid = np.linspace(window / args.mae_grid, window, args.mae_grid)
         competitors = {
             "hpp": propagation.fit_independent_hpp(logs).model,
-            "nhpp": propagation.fit_independent_nhpp(logs, ep_fit=fit).model,
+            "nhpp": propagation.fit_independent_nhpp(logs).model,
             "ep": fit.model,
         }
         rows = [["model", *grid, "overall"]]
@@ -271,10 +271,17 @@ def cmd_fit_ep(args, run: Run) -> int:
     return EXIT_OK
 
 
+def _covariates(value, default):
+    """The names of ``--covariates``: ``default`` when it is absent, none
+    when it is empty, else its comma-separated names."""
+    if value is None:
+        return default
+    return tuple(value.split(",")) if value else ()
+
+
 def cmd_fit_srgm(args, run: Run) -> int:
     records = datasets.load(run.track_input(args.input), "adversarial")
-    covariates = tuple(args.covariates.split(",")) if args.covariates else \
-        ("Alpha", "F1", "Epsilon", "FGSM")
+    covariates = _covariates(args.covariates, ("Alpha", "F1", "Epsilon", "FGSM"))
     series = simulate.interval_series_from_adversarial(records, args.scenario, covariates)
     if args.stepwise:
         fit = srgm.forward_stepwise(series, args.hazard, covariates, split=args.split)
@@ -300,8 +307,7 @@ def cmd_fit_srgm(args, run: Run) -> int:
 
 def cmd_fit_resilience(args, run: Run) -> int:
     records = datasets.load(run.track_input(args.input), "adversarial")
-    covariates = tuple(args.covariates.split(",")) if args.covariates else \
-        ("Alpha", "Epsilon", "FGSM")
+    covariates = _covariates(args.covariates, ("Alpha", "Epsilon", "FGSM"))
     series = simulate.interval_series_from_adversarial(
         records, args.scenario, covariates, performance_column=args.response
     )
@@ -327,8 +333,7 @@ def cmd_fit_resilience(args, run: Run) -> int:
 
 def cmd_fit_mixture(args, run: Run) -> int:
     records = datasets.load(run.track_input(args.input), "mixture")
-    fit = regression.fit_mixture(records, args.response,
-                                 scenario=None if args.pooled else args.scenario,
+    fit = regression.fit_mixture(records, args.response, scenario=args.scenario,
                                  pooled=args.pooled)
     payload = {
         "response": args.response,

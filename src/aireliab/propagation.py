@@ -10,6 +10,11 @@ feeding m.  The exponential kernel gives a closed-form compensator, so
 log-likelihoods are exact, and a recursion over sorted event times, so
 each evaluation costs O(N) in the number of events.  Scenario logs are
 treated as independent replicates: likelihoods sum across them.
+
+A module without in-edges is a power-law (or, in ``fit_independent_hpp``,
+constant-rate) NHPP, and ``recurrent.fit_mle`` fits it: one unit per log,
+holding the module's events at exposure 1 over the log's window.  The
+search here is the one for modules with in-edges.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import maximize, quiet, starts
-from .recurrent import BaselineIntensityModel
+from .datasets.exposure import constant_exposure
+from .recurrent import BaselineIntensityModel, EventSeries, fit_mle
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
 
@@ -412,11 +418,27 @@ def _module_objective(module, logs, source_names, decay_bounds):
     return negloglik, unpack
 
 
-def _fit_module(module, logs, source_names, *, multistarts, max_iter):
-    """Fit one module's baseline and in-edges, as ``_assemble`` takes them."""
+def _fit_module(module, logs, source_names, family="power_law", *, multistarts=3,
+                max_iter=4000):
+    """Fit one module's baseline and in-edges, as ``_assemble`` takes them.
+
+    A module without in-edges is fitted by ``recurrent.fit_mle`` of
+    ``family`` ("power_law" or "hpp"), with one unit per log that holds the
+    module's events at exposure 1 over the log's window.  Its baseline is
+    the power law's theta, or (1, 1 / rate) for the hpp, and its
+    log-likelihood is ``_module_loglik`` at that baseline.
+    """
     n_own = sum(len(log.events.get(module, ())) for log in logs)
     if n_own == 0:
         raise ValueError(f"module {module}: no events to fit")
+    if not source_names:
+        units = [EventSeries(str(k), log.events[module], log.window,
+                             constant_exposure(1.0, log.window)) for k, log in enumerate(logs)]
+        fit = fit_mle(units, family, multistarts=multistarts, max_iter=max_iter)
+        theta = fit.model.theta
+        baseline = theta if family == "power_law" else (1.0, 1.0 / theta[0])
+        return (baseline, (), _module_loglik(module, logs, ())(np.array(baseline)),
+                fit.converged, fit.iterations)
     n_src = sum(len(log.events.get(src, ())) for log in logs for src in source_names)
     total_window = float(sum(log.window for log in logs))
     negloglik, unpack = _module_objective(module, logs, source_names, DECAY_BOUNDS)
@@ -472,47 +494,22 @@ def fit_ep(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
         multistarts=multistarts, max_iter=max_iter))
 
 
-def fit_independent_nhpp(logs, *, ep_fit: EPFit | None = None, multistarts: int = 3,
-                         max_iter: int = 4000) -> EPFit:
+def fit_independent_nhpp(logs, *, multistarts: int = 3, max_iter: int = 4000) -> EPFit:
     """Independent power-law fit per module (no triggering edges).
 
-    A module without in-edges is fitted here exactly as in ``fit_ep``: same
-    objective, starts and search, hence the same result.  Given ``ep_fit``,
-    which must be ``fit_ep(logs, multistarts=multistarts, max_iter=max_iter)``,
-    those modules take their baseline and log-likelihood from it and only
-    the modules with in-edges are refitted; ``iterations`` then counts the
-    refits alone and ``converged`` also requires ``ep_fit.converged``.
+    Each module is fitted as ``fit_ep`` fits a module without in-edges,
+    with the same search options, hence the same result.
     """
     logs, modules, _ = _fit_layout(logs)
-    reused = set()
-    if ep_fit is not None:
-        if set(ep_fit.model.baseline) != set(modules):
-            raise ValueError("ep_fit was fitted to other modules than the logs hold")
-        reused = set(modules) - {tgt for tgt, _ in ep_fit.model.edges}
-
-    def fit_module(m):
-        if m in reused:
-            return ep_fit.model.baseline[m], (), ep_fit.per_module[m], ep_fit.converged, 0
-        return _fit_module(m, logs, (), multistarts=multistarts, max_iter=max_iter)
-
-    return _assemble(modules, fit_module)
+    return _assemble(modules, lambda m: _fit_module(m, logs, (), multistarts=multistarts,
+                                                    max_iter=max_iter))
 
 
 @quiet()
 def fit_independent_hpp(logs) -> EPFit:
     """Constant-rate fit per module: a power law with shape fixed at 1."""
     logs, modules, _ = _fit_layout(logs)
-    total_window = float(sum(log.window for log in logs))
-
-    def fit_module(m):
-        n = sum(log.n_events(m) for log in logs)
-        if n == 0:
-            raise ValueError(f"module {m}: no events to fit")
-        rate = n / total_window
-        baseline = (1.0, 1.0 / rate)
-        return baseline, (), _module_loglik(m, logs, ())(np.array(baseline)), True, 0
-
-    return _assemble(modules, fit_module, n_baseline=1)
+    return _assemble(modules, lambda m: _fit_module(m, logs, (), "hpp"), n_baseline=1)
 
 
 def evaluate_mae(model, logs, grid) -> float:

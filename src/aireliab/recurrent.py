@@ -33,6 +33,11 @@ one at the returned parameters.
 The HPP has no shape (S(t) = t): ``fit_mle`` returns its closed-form rate,
 and ``fit_proportional`` searches the effects alone, or nothing when no
 covariate column varies.
+
+Each unit is observed over its own horizon, so units may differ in
+``tau``.  ``propagation`` fits an error-propagation module without
+in-edges here, as one unit per scenario log at exposure 1 over the log's
+window.
 """
 
 from __future__ import annotations
@@ -221,16 +226,15 @@ class _Packed:
     Both are small for DMV data: events fall on whole days and every
     vehicle shares the month breakpoints.  The interval and the unit of
     every positive-rate segment are kept for per-unit intensity scales.
+    Units may differ in horizon; ``tau``, which only the moment seed
+    reads, is the longest.
     """
 
     def __init__(self, units):
         units = list(units)
         if not units:
             raise ValueError("no units supplied")
-        tau = units[0].tau
-        if any(abs(u.tau - tau) > 1e-9 for u in units):
-            raise ValueError("all units must share the same tau")
-        self.tau = tau
+        self.tau = max(u.tau for u in units)
         self.n_units = len(units)
         self.events_per_unit = np.array([u.n_events for u in units])
         times = np.concatenate([u.event_times for u in units])
@@ -251,8 +255,9 @@ class _Packed:
         seg_unit = np.repeat(np.arange(self.n_units), n_seg)
 
         # exposure at each event: the unit's segment holding the grid cell
-        # (grid[g], grid[g+1]] that contains the event (t = 0 and t > tau
-        # fall in the first and last segments, as in ExposureSchedule.rate_at)
+        # (grid[g], grid[g+1]] that contains the event (t = 0 and t past the
+        # unit's own tau fall in its first and last segments, as in
+        # ExposureSchedule.rate_at)
         cell = np.clip(np.searchsorted(self.grid, times) - 1, 0, n_grid - 2)
         event_key = np.repeat(np.arange(self.n_units), self.events_per_unit) * n_grid + cell
         xs = seg_rate[np.searchsorted(seg_unit * n_grid + lo_idx, event_key, side="right") - 1]
@@ -314,9 +319,10 @@ class _Packed:
 def log_likelihood(units, model: BaselineIntensityModel) -> float:
     """Exposure-adjusted Poisson-process log-likelihood over all units.
 
-    Equals ``sum_i [ sum_j log(lambda0(t_ij) x_i(t_ij)) - integral_0^tau
+    Equals ``sum_i [ sum_j log(lambda0(t_ij) x_i(t_ij)) - integral_0^tau_i
     lambda0(s) x_i(s) ds ]``, with the integral computed exactly from the
     piecewise-constant exposure and the closed-form cumulative baseline.
+    Each unit is observed over its own horizon ``tau_i``.
     """
     return _Packed(units).log_lik(model)
 
@@ -513,7 +519,7 @@ def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
     z0s = [np.delete(z0, _AMPLITUDE[family]) for z0 in starts(seed, multistarts, spread, key=12345)]
     profile = _Profile(packed, family, X)
     if z0s[0].size:
-        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter, jac=True)
+        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter)
     else:
         z_hat, ok, iters = z0s[0], True, 0
     model = BaselineIntensityModel(family, profile.theta(z_hat))
@@ -535,7 +541,7 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     Parameters
     ----------
     units : sequence of EventSeries
-        All units must share the same ``tau``.
+        Each unit is observed over its own ``tau``; units may differ in it.
     family : str
         One of ``FAMILIES``.
     multistarts, max_iter :

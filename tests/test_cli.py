@@ -228,8 +228,8 @@ def test_fit_ep_with_mae_table(tmp_path, capsys, data_dir):
 
 
 def test_fit_ep_nhpp_row_is_a_fresh_nhpp_fit(tmp_path, capsys, data_dir):
-    # the nhpp competitor reuses the EP fit's source-free modules; its MAE
-    # row must equal that of an independent fit made from scratch
+    # the nhpp competitor's MAE row must equal that of an independent fit
+    # made from scratch
     from aireliab import datasets, propagation, simulate
 
     log = data_dir / "module-errors" / "module_errors.csv"
@@ -719,6 +719,8 @@ def test_printed_json_is_the_written_json(tmp_path, capsys, data_dir, argv, name
       "--holdout", "{tmp}/empty.csv"], "empty.csv holds no module error rows"),
     (["fit-mixture", "--input", "{data}/mixture-robustness/mixture.csv", "--response", "y1",
       "--scenario", "c1", "--grid", "1"], "grid resolution must be at least 2"),
+    (["fit-mixture", "--input", "{data}/mixture-robustness/mixture.csv", "--response", "y1",
+      "--pooled", "--scenario", "c1"], "scenario filter and pooled fit are mutually exclusive"),
 ])
 def test_bad_flags_fail_before_any_result_is_written(tmp_path, capsys, data_dir, argv, message):
     header = (data_dir / "module-errors" / "module_errors.csv").read_text().splitlines()[0]
@@ -728,6 +730,22 @@ def test_bad_flags_fail_before_any_result_is_written(tmp_path, capsys, data_dir,
     assert code == 1
     assert message in err
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, output, effects", [
+    (["fit-srgm", "--hazard", "gm"], "srgm.json", "beta"),
+    (["fit-resilience"], "resilience.json", "coef"),
+])
+def test_empty_covariates_select_none(tmp_path, capsys, data_dir, command, output, effects):
+    # an empty --covariates is no covariate, not the default set: the
+    # hazard-only srgm fit and the intercept-only resilience fit
+    code, _, _ = run_cli([*command, "--input",
+                          str(data_dir / "adversarial-attacks" / "adversarial.csv"),
+                          "--covariates", "", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    payload = json.loads((tmp_path / output).read_text())
+    assert payload[effects] == {}
+    assert [name for name, _ in payload.get("trace", [])] in ([], [""])
 
 
 @pytest.mark.parametrize("command, output", [(["fit-srgm", "--hazard", "gm"], "srgm.json"),

@@ -9,14 +9,13 @@ search.  Its oracle is the ``maximize`` that searched from every start;
 on the bundled stepwise srgm fits both must give the same fitted numbers,
 bit for bit, while the dropped starts no longer reach the simplex.
 
-With ``jac``, the objective returns its value and exact gradient
-together, and ``maximize`` runs L-BFGS-B on them from each finite start.
-Only a start that ends abnormally, or that never leaves a start that is
-not stationary (its first step met an inf wall), goes on through the
-simplex and polish.  The tests check each branch on bowls with known
-gradients (and with a gradient that points uphill), and that without
-``jac`` ``maximize`` makes the very calls of the version that took no
-gradient.
+An objective that returns its value and exact gradient together makes
+``maximize`` run L-BFGS-B on them from each finite start.  Only a start
+that ends abnormally, or that never leaves a start that is not
+stationary (its first step met an inf wall), goes on through the simplex
+and polish.  The tests check each branch on bowls with known gradients
+(and with a gradient that points uphill), and that with a plain value
+``maximize`` makes the very calls of the version that took no gradient.
 """
 
 import numpy as np
@@ -402,7 +401,7 @@ def test_with_a_score_a_non_finite_start_costs_one_call_and_no_search(scipy_runs
     scores = []
     bad_start, finite_start = np.array([4.0, 1.0]), np.array([1.0, 1.0])
     fun, x, ok, iterations = maximize(counting(score, scores), [bad_start, finite_start], 1e-10,
-                                      400, jac=True)
+                                      400)
     # the dropped start is scored once; the finite start's first score is not repeated
     assert scores[0].tobytes() == bad_start.tobytes()
     assert scores[1].tobytes() == finite_start.tobytes()
@@ -417,7 +416,7 @@ def test_with_a_score_a_non_finite_start_costs_one_call_and_no_search(scipy_runs
 def test_with_a_score_every_start_non_finite_raises_without_search(scipy_runs):
     score = scored_bowl([0.0], [1.0], 1.0, np.inf)
     with pytest.raises(RuntimeError, match="likelihood evaluation failed for every start"):
-        maximize(score, [np.array([2.0]), np.array([3.0])], 1e-10, 400, jac=True)
+        maximize(score, [np.array([2.0]), np.array([3.0])], 1e-10, 400)
     assert scipy_runs == {"simplex": [], "score": [], "polish": [], "results": [], "polished": []}
 
 
@@ -427,7 +426,7 @@ def test_an_abnormal_lbfgsb_end_falls_back_to_the_simplex(scipy_runs):
     uphill = scored_bowl([0.5, -1.0], [1.0, 3.0], sign=-1.0)
     calls = []
     start = np.array([1.0, 1.0])
-    fun, x, ok, iterations = maximize(counting(uphill, calls), [start], 1e-10, 400, jac=True)
+    fun, x, ok, iterations = maximize(counting(uphill, calls), [start], 1e-10, 400)
     (lbfgsb,) = scipy_runs["results"]
     assert not lbfgsb.success and "ABNORMAL" in lbfgsb.message
     assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
@@ -443,7 +442,7 @@ def test_a_run_that_never_leaves_its_start_falls_back_to_the_simplex(scipy_runs)
     # and scipy returns the start as converged although its gradient is not 0
     score = scored_bowl([3.0, 0.0], [1.0, 1.0], wall=0.5)
     start = np.array([0.0, 0.5])
-    fun, x, ok, iterations = maximize(score, [start], 1e-10, 400, jac=True)
+    fun, x, ok, iterations = maximize(score, [start], 1e-10, 400)
     (lbfgsb,) = scipy_runs["results"]
     assert lbfgsb.success and lbfgsb.x.tobytes() == start.tobytes()
     assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
@@ -467,7 +466,7 @@ def test_an_abnormal_end_that_the_fallback_confirms_counts_as_converged(monkeypa
 
     monkeypatch.setattr(scipy.optimize, "minimize", abnormal_first)
     fun, x, ok, _ = maximize(scored_bowl([0.5, -1.0], [1.0, 3.0]), [np.array([1.0, 1.0])],
-                             1e-10, 400, jac=True)
+                             1e-10, 400)
     assert fun == scored[0].fun and x.tobytes() == scored[0].x.tobytes()
     assert ok
 
@@ -475,7 +474,7 @@ def test_an_abnormal_end_that_the_fallback_confirms_counts_as_converged(monkeypa
 def test_a_start_that_ends_normally_has_no_fallback(scipy_runs):
     score = scored_bowl([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
     starts_ = [np.array([1.0, 1.0, 1.0]), np.array([-2.0, 0.0, 4.0])]
-    fun, x, ok, iterations = maximize(score, starts_, 1e-10, 400, jac=True)
+    fun, x, ok, iterations = maximize(score, starts_, 1e-10, 400)
     assert [r.tobytes() for r in scipy_runs["score"]] == [s.tobytes() for s in starts_]
     assert scipy_runs["simplex"] == [] and scipy_runs["polish"] == []
     assert all(r.success for r in scipy_runs["results"])

@@ -11,6 +11,9 @@ hold ``log_likelihood`` and ``proportional_log_likelihood`` to it within
 days (within and across units), zero-event units, zero-rate segments,
 events at t = tau, and per-unit breakpoints: constant, month-derived and
 arbitrary schedules side by side, and ``sum_schedules`` unions of them.
+Units over their own horizons give the likelihood and the fit of the
+same units padded with a zero-rate segment to the longest horizon, bit
+for bit.
 
 The search objective of ``fit_mle``, ``fit_manufacturer_level`` and
 ``fit_proportional`` is the profile likelihood (``recurrent._Profile``),
@@ -231,6 +234,55 @@ def test_event_in_zero_rate_segment_raises_as_reference(units):
         assert_close(log_likelihood(units, model), reference)
 
 
+@st.composite
+def own_horizon_units(draw):
+    """2-5 units, each over its own horizon of 1-40 days, with arbitrary
+    half-day cuts in its exposure and event days inside its horizon that
+    avoid its zero-rate segments."""
+    units = []
+    for k in range(draw(st.integers(2, 5))):
+        tau = float(draw(st.integers(1, 40)))
+        cuts = sorted(draw(st.sets(st.integers(1, 2 * int(tau) - 1), max_size=3)))
+        rates = draw(st.lists(RATES, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        exposure = ExposureSchedule(f"u{k}", np.array([0.0, *(c / 2 for c in cuts), tau]),
+                                    np.array(rates), tau)
+        days = np.sort(np.array(draw(st.lists(st.integers(1, int(tau)), max_size=8)), dtype=float))
+        units.append(EventSeries(f"u{k}", days[np.atleast_1d(exposure.rate_at(days)) > 0], tau,
+                                 exposure))
+    return units
+
+
+def padded(units):
+    """``units`` observed to the longest horizon, at rate 0 past their own."""
+    tau = max(u.tau for u in units)
+    out = []
+    for u in units:
+        breakpoints, rates = u.exposure.breakpoints, u.exposure.daily_rate
+        if u.tau < tau:
+            breakpoints, rates = np.append(breakpoints, tau), np.append(rates, 0.0)
+        out.append(EventSeries(u.unit_id, u.event_times, tau,
+                               ExposureSchedule(u.unit_id, breakpoints, rates, tau)))
+    return out
+
+
+def outcome(call):
+    """``call()``'s result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+@PROPERTY
+@given(units=own_horizon_units(), model=models(), family=st.sampled_from(FAMILIES))
+def test_own_horizons_equal_zero_rate_padding_to_the_longest(units, model, family):
+    assume(len({u.tau for u in units}) > 1)
+    longest = padded(units)
+    assert log_likelihood(units, model) == log_likelihood(longest, model)
+    assert (outcome(lambda: fit_mle(units, family, multistarts=2))
+            == outcome(lambda: fit_mle(longest, family, multistarts=2)))
+
+
 # ---------------------------------------------------------------------------
 # fixed cases
 
@@ -435,7 +487,7 @@ def test_search_path_equals_model_building_path(family):
     packed = _Packed(simulate_fleet(model, exposures, exposures[0].tau, seed=4))
     no_columns = np.zeros((packed.n_units, 0))
     start = [np.delete(np.log(FIXED_THETA[family]), _AMPLITUDE[family])]
-    got = maximize(_Profile(packed, family, no_columns), start, 1e-8, 300, jac=True)
+    got = maximize(_Profile(packed, family, no_columns), start, 1e-8, 300)
     want = maximize(reference_profile_objective(packed, family, no_columns), start, 1e-8, 300)
     assert got[0] == pytest.approx(want[0], rel=OPTIMUM_RTOL, abs=0.0)
     assert got[2] and want[2]

@@ -67,7 +67,6 @@ def ep_case(request, data_dir):
 EP_FITTERS = {
     "fit_ep": lambda logs, ep: ep,
     "fit_independent_nhpp": lambda logs, ep: fit_independent_nhpp(logs),
-    "fit_independent_nhpp(ep_fit)": lambda logs, ep: fit_independent_nhpp(logs, ep_fit=ep),
     "fit_independent_hpp": lambda logs, ep: fit_independent_hpp(logs),
 }
 

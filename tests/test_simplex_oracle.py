@@ -175,12 +175,14 @@ def searches(fit, monkeypatch):
     """The (value objective, starts, tol, max_iter) of every ``maximize``
     call of ``fit()``, at least one; each call returns its first start,
     which the fitter takes as its optimum.  For an objective that returns
-    its gradient too (``jac``), the value is its first component, which
-    the simplex fallback searches."""
+    its gradient too, a (value, gradient) tuple, the value is its first
+    component, which the simplex fallback searches."""
     calls = []
 
-    def record(objective, z0_list, tol, max_iter, jac=False):
-        negloglik = (lambda z: objective(z)[0]) if jac else objective
+    def record(objective, z0_list, tol, max_iter):
+        with quiet():
+            scored = isinstance(objective(np.asarray(z0_list[0], dtype=float)), tuple)
+        negloglik = (lambda z: objective(z)[0]) if scored else objective
         calls.append((negloglik, list(z0_list), tol, max_iter))
         with quiet():
             return negloglik(np.asarray(z0_list[0], dtype=float)), z0_list[0], True, 0

@@ -2,14 +2,16 @@
 
 Runs each job of one pass once, in order and in process, through
 ``aireliab.cli.main``, and prints for each fitter (the module that calls
-``_optim.maximize``) these counts:
+``_optim.maximize``) these counts.  An EP module without in-edges is
+fitted by ``recurrent.fit_mle``, so its search runs inside ``recurrent``
+and counts in that row.
 
 - ``searches``: calls of ``maximize``.
 - ``starts``: the starts they were given.
 - ``dropped``: starts whose first value is not finite, which get no search.
 - ``gradient``: L-BFGS-B runs on an exact score, one per searched start
-  of a fitter whose objective returns its gradient (``jac=True``); a
-  fallback's scored polish is not one of them.
+  of an objective that returns its gradient with its value; a fallback's
+  scored polish is not one of them.
 - ``fallbacks``: those of them that went on through the simplex.
 - ``simplex``: simplex runs, fallbacks included.
 - ``simplex_evals``: the simplex runs' evaluations (each run's ``nfev``,
@@ -71,7 +73,7 @@ WORKLOADS = {"bundled-cli": bundled_cli_jobs, "dmv-fleet": dmv_fleet_jobs}
 def count_pass(jobs) -> tuple[dict, list[str]]:
     """The per-fitter counts of one pass over ``jobs``, and the jobs that exited non-zero."""
     counts = {name: dict.fromkeys(COLUMNS, 0) for name in FITTERS}
-    running = []  # the tally of the search in progress, and whether it has a score
+    running = []  # the tally of the search in progress, and whether its objective is scored
     polishing = []  # set while a fallback's scored polish runs
     real_maximize, real_nelder_mead = _optim.maximize, _optim._nelder_mead
     real_minimize, real_scaled_polish = scipy.optimize.minimize, _optim._scaled_polish
@@ -80,7 +82,7 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
         result = real_nelder_mead(*args)
         tally, scored = running[-1]
         tally["simplex"] += 1
-        tally["fallbacks"] += scored
+        tally["fallbacks"] += scored[0]
         tally["simplex_evals"] += result[3]
         return result
 
@@ -97,23 +99,28 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
             polishing.pop()
 
     def counted(tally):
-        def maximize(objective, z0_list, tol, max_iter, jac=False):
+        def maximize(objective, z0_list, tol, max_iter):
+            scored = [False]  # set by the first value that comes with a gradient
+
             def counted_objective(z):
+                result = objective(z)
+                scored[0] = scored[0] or isinstance(result, tuple)
                 tally["evals"] += 1
-                tally["score_evals"] += jac
-                return objective(z)
+                tally["score_evals"] += isinstance(result, tuple)
+                return result
 
             z0_list = list(z0_list)
             tally["searches"] += 1
             tally["starts"] += len(z0_list)
-            searched = tally["gradient"] if jac else tally["simplex"]
-            running.append((tally, jac))
+            searched = tally["gradient"], tally["simplex"]
+            running.append((tally, scored))
             try:
-                return real_maximize(counted_objective, z0_list, tol, max_iter, jac=jac)
+                return real_maximize(counted_objective, z0_list, tol, max_iter)
             finally:
                 running.pop()
-                now = tally["gradient"] if jac else tally["simplex"]
-                tally["dropped"] += len(z0_list) - (now - searched)
+                now = tally["gradient"], tally["simplex"]
+                tally["dropped"] += len(z0_list) - (now[0] - searched[0] if scored[0]
+                                                    else now[1] - searched[1])
         return maximize
 
     failed = []
