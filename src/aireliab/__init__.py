@@ -6,7 +6,7 @@ Subpackages and modules:
 - ``recurrent``: exposure-adjusted recurrent-event models (vehicle and fleet)
 - ``propagation``: multi-module error-triggering point process
 - ``srgm``: covariate reliability-growth and resilience models
-- ``regression``: linear, GLM, censored AFT, and mixture-experiment fits
+- ``regression``: least-squares and mixture-experiment fits
 - ``design``: maximin Latin hypercube search and life-test transforms
 - ``simulate``: seeded generators and fixture factories
 - ``cli``: the ``air`` command-line entry point

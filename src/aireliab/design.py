@@ -258,11 +258,10 @@ def acceleration_factor(*, life_normal: float | None = None,
 
 def transform_cdf(stress_cdf, factor: float, grid) -> np.ndarray:
     """Normal-condition CDF values F0(t) = Fs(t / factor) on a time grid."""
+    _check_positive(factor=factor)
     grid = np.asarray(grid, dtype=float)
-    if factor <= 0:
-        raise ValueError("acceleration factor must be positive")
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be an ascending 1-D array")
+    if grid.ndim != 1 or np.any(np.diff(grid) < 0) or not np.isfinite(grid).all():
+        raise ValueError("grid must be an ascending 1-D array of finite times")
     scaled = grid / factor
     try:
         values = np.asarray(stress_cdf(scaled), dtype=float)

@@ -522,7 +522,8 @@ def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
         _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter)
     else:
         z_hat, ok, iters = z0s[0], True, 0
-    model = BaselineIntensityModel(family, profile.theta(z_hat))
+    with quiet():  # the search met this optimum under the same error state
+        model = BaselineIntensityModel(family, profile.theta(z_hat))
     beta = z_hat[k - 1:]
     ll = packed.log_lik(model, np.exp(X @ beta) if q else None)
     return model, ll, beta, ok, iters

@@ -1,5 +1,5 @@
-"""Covariate regression models: linear, GLM, censored AFT, and the
-simplex mixture model with covariate interactions.
+"""Covariate regression models: ordinary least squares and the simplex
+mixture model with covariate interactions.
 
 The mixture model is the no-intercept second-order form over proportions
 (x1, x2, x3) summing to one, with binary covariates z entering through
@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import maximize, numeric_stderr
 from .datasets.table import column, select
-
-_SQRT_2PI = np.sqrt(2 * np.pi)
-_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 class RankDeficiencyError(ValueError):
@@ -28,10 +24,6 @@ class RankDeficiencyError(ValueError):
     def __init__(self, columns):
         self.columns = tuple(columns)
         super().__init__(f"rank-deficient design; dependent columns: {list(columns)}")
-
-
-class SeparationError(RuntimeError):
-    """Bernoulli responses are completely separated by the covariates."""
 
 
 def _check_rank(X, names):
@@ -100,226 +92,6 @@ def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
         df_resid=df,
         add_intercept=add_intercept,
     )
-
-
-GLM_FAMILIES = ("bernoulli-logit", "bernoulli-probit", "poisson-log")
-# IRLS stops at a relative coefficient step below _GLM_TOL or after _GLM_MAX_ITER steps
-_GLM_TOL, _GLM_MAX_ITER = 1e-10, 100
-
-
-@dataclass(frozen=True)
-class GLMFit:
-    family: str
-    names: tuple[str, ...]
-    coef: np.ndarray
-    stderr: np.ndarray
-    log_lik: float
-    converged: bool
-    iterations: int
-    add_intercept: bool
-
-    def linear_predictor(self, X):
-        return _with_intercept(X, None, self.add_intercept)[0] @ self.coef
-
-
-def _glm_loglik(family, y, eta):
-    from scipy.special import gammaln, log_ndtr
-
-    if family == "bernoulli-logit":
-        return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    if family == "bernoulli-probit":
-        return float(np.sum(y * log_ndtr(eta) + (1 - y) * log_ndtr(-eta)))
-    mu = np.exp(eta)
-    return float(np.sum(y * eta - mu - gammaln(y + 1.0)))
-
-
-def _irls_step(family, eta, eps, ndtr):
-    """Mean, IRLS weight and d(mu)/d(eta) at linear predictor ``eta``.
-
-    The working response is ``eta + (y - mu) / dmu``; means and densities
-    are clipped at ``eps`` so no weight or divisor is zero.  ``ndtr`` is
-    scipy's standard normal CDF, which the probit mean needs.
-    """
-    if family == "bernoulli-logit":
-        mu = np.clip(1.0 / (1.0 + np.exp(-eta)), eps, 1 - eps)
-        w = mu * (1 - mu)
-        return mu, w, w
-    if family == "bernoulli-probit":
-        mu = np.clip(ndtr(eta), eps, 1 - eps)
-        phi = np.clip(np.exp(-eta**2 / 2.0) / _SQRT_2PI, eps, None)
-        return mu, phi**2 / (mu * (1 - mu)), phi
-    mu = np.clip(np.exp(eta), eps, None)
-    return mu, mu, mu
-
-
-def fit_glm(X, y, family: str, *, names=None, add_intercept=True) -> GLMFit:
-    """GLM fit via iteratively reweighted least squares (``_GLM_TOL``, ``_GLM_MAX_ITER``).
-
-    Bernoulli families detect complete separation (fitted probabilities
-    driven to 0/1 on the correct side for every row) and raise
-    SeparationError rather than report diverging coefficients.
-    """
-    if family not in GLM_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {GLM_FAMILIES}")
-    from scipy.special import ndtr
-
-    y = np.asarray(y, dtype=float)
-    bernoulli = family.startswith("bernoulli")
-    if bernoulli and not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("bernoulli responses must be 0/1")
-    if family == "poisson-log" and (np.any(y < 0) or np.any(y != np.round(y))):
-        raise ValueError("poisson responses must be non-negative counts")
-    D, cols = _with_intercept(X, names, add_intercept)
-    _check_rank(D, cols)
-    n, p = D.shape
-    coef = np.zeros(p)
-    if family == "poisson-log":
-        eta = np.full(n, np.log(max(float(np.mean(y)), 0.1)))
-    else:
-        eta = np.zeros(n)
-    converged = False
-    it = 0
-    eps = 1e-10
-    for it in range(1, _GLM_MAX_ITER + 1):
-        mu, w, dmu = _irls_step(family, eta, eps, ndtr)
-        z = eta + (y - mu) / dmu
-        WD = D * w[:, None]
-        try:
-            new_coef = np.linalg.solve(D.T @ WD, WD.T @ z)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(cols)
-        delta = np.max(np.abs(new_coef - coef)) / (1.0 + np.max(np.abs(new_coef)))
-        coef = new_coef
-        eta = D @ coef
-        if bernoulli and np.max(np.abs(eta)) > 30:
-            signed = (2 * y - 1) * eta
-            if np.all(signed > 0):
-                raise SeparationError(
-                    "complete separation: responses are perfectly classified, "
-                    "coefficients diverge"
-                )
-        if delta < _GLM_TOL:
-            converged = True
-            break
-    _, w, _ = _irls_step(family, eta, eps, ndtr)
-    cov = np.linalg.inv(D.T @ (D * w[:, None]))
-    return GLMFit(
-        family=family,
-        names=tuple(cols),
-        coef=coef,
-        stderr=np.sqrt(np.diag(cov)),
-        log_lik=_glm_loglik(family, y, eta),
-        converged=converged,
-        iterations=it,
-        add_intercept=add_intercept,
-    )
-
-
-AFT_DISTRIBUTIONS = ("lognormal", "weibull")
-_AFT_MAX_ITER = 500  # per optimizer stage of ``fit_aft``
-
-
-@dataclass(frozen=True)
-class AFTFit:
-    dist: str
-    names: tuple[str, ...]
-    coef: np.ndarray
-    sigma: float
-    log_lik: float
-    converged: bool
-    stderr: np.ndarray | None
-    add_intercept: bool
-
-
-def fit_aft(times, event, X, dist: str = "lognormal", *, names=None,
-            add_intercept=True) -> AFTFit:
-    """Censored accelerated-failure-time fit: log(t) = x' beta + sigma * eps.
-
-    ``event`` is 1 for an observed failure and 0 for right censoring; the
-    error is standard normal (lognormal) or standard smallest extreme
-    value (weibull).  With no censoring and the lognormal error the
-    coefficients equal the least-squares fit of log(t); sigma uses the
-    maximum-likelihood 1/n variance convention rather than OLS's 1/(n-p).
-    ``stderr`` holds the coefficients' standard errors from a
-    central-difference Hessian at the optimum, or None when that Hessian
-    is not positive definite.
-    """
-    if dist not in AFT_DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {dist!r}; expected one of {AFT_DISTRIBUTIONS}")
-    from scipy.special import log_ndtr
-
-    times = np.asarray(times, dtype=float)
-    event = np.asarray(event, dtype=int)
-    if np.any(times <= 0):
-        raise ValueError("lifetimes must be positive")
-    if not np.any(event == 1):
-        raise ValueError("all observations are censored; nothing to fit")
-    D, cols = _with_intercept(X, names, add_intercept)
-    _check_rank(D, cols)
-    logt = np.log(times)
-    # centering makes the search invariant to rescaling the time unit:
-    # the shift is restored on the intercept afterwards
-    shift = float(np.mean(logt)) if add_intercept else 0.0
-    logt = logt - shift
-    obs = event == 1
-
-    def negloglik(params):
-        beta, log_sigma = params[:-1], params[-1]
-        if abs(log_sigma) > 50:
-            return np.inf
-        sigma = np.exp(log_sigma)
-        z = (logt - D @ beta) / sigma
-        zo, zc = z[obs], z[~obs]
-        if dist == "lognormal":
-            ll = np.sum(-zo**2 / 2.0 - _LOG_SQRT_2PI - log_sigma) + np.sum(log_ndtr(-zc))
-        else:
-            ll = np.sum(zo - np.exp(zo) - log_sigma) - np.sum(np.exp(zc))
-        return -ll if np.isfinite(ll) else np.inf
-
-    beta0, *_ = np.linalg.lstsq(D[obs], logt[obs], rcond=None)
-    resid = logt[obs] - D[obs] @ beta0
-    sigma0 = max(float(np.sqrt(np.mean(resid**2))), 1e-3)
-    x0 = np.concatenate([beta0, [np.log(sigma0)]])
-    # the tolerance is relative to the objective, a sum over every
-    # observation, so near the optimum its relative changes are tiny
-    fun, z_hat, ok, _ = maximize(negloglik, [x0], 1e-14, _AFT_MAX_ITER)
-    coef = z_hat[:-1].copy()
-    if add_intercept:
-        coef[0] += shift
-    sigma = float(np.exp(z_hat[-1]))
-    # location and log-scale parameters: an absolute step, as the centred
-    # intercept sits near 0 where a relative step vanishes
-    stderr = numeric_stderr(negloglik, z_hat, 1e-5)
-    if stderr is not None:
-        stderr = np.array(stderr[:-1])
-    return AFTFit(
-        dist=dist,
-        names=tuple(cols),
-        coef=coef,
-        sigma=sigma,
-        log_lik=-float(fun),
-        converged=ok,
-        stderr=stderr,
-        add_intercept=add_intercept,
-    )
-
-
-def aggregate_auc(per_class_auc) -> tuple[float, float]:
-    """Mean of per-class AUC values and log of their sample SD.
-
-    Raises ValueError when fewer than two classes are given, values fall
-    outside [0, 1], or all values coincide ("zero dispersion": the log SD
-    is undefined).
-    """
-    eta = np.asarray(per_class_auc, dtype=float)
-    if eta.ndim != 1 or len(eta) < 2:
-        raise ValueError("need at least two per-class AUC values")
-    if np.any(eta < 0) or np.any(eta > 1):
-        raise ValueError("AUC values must lie in [0, 1]")
-    sd = float(np.std(eta, ddof=1))
-    if sd == 0:
-        raise ValueError("zero dispersion: all AUC values equal, log SD undefined")
-    return float(np.mean(eta)), float(np.log(sd))
 
 
 MIXTURE_COMPONENTS = ("x1", "x2", "x3")

@@ -5,10 +5,10 @@ The expected cumulative failure count after interval t is
     m(t) = omega * sum_{l<=t} (1 - (1-h(l))^g_l) * prod_{s<l} (1-h(s))^g_s
 
 with ``h`` a discrete hazard from a small family catalog and
-``g_l = exp(x_l' beta)`` the covariate link.  Interval counts are modeled
-as independent Poisson draws of the increments m(t) - m(t-1); fits use a
-chronological 90/10 split and report the held-out mean absolute error of
-predicted cumulative counts.
+``g_l = exp(x_l' beta)`` the covariate multiplier of the hazard exponent.
+Interval counts are modeled as independent Poisson draws of the
+increments m(t) - m(t-1); fits use a chronological 90/10 split and report
+the held-out mean absolute error of predicted cumulative counts.
 
 Only the geometric hazard has a canonical form; the remaining families
 (nb2, dw2, dw3, s, tl) follow common conventions from the covariate SRGM
@@ -136,17 +136,20 @@ class IntervalCountSeries:
     def n_steps(self) -> int:
         return len(self.counts)
 
+    def columns(self, names) -> list[int]:
+        """The covariate column of each of ``names``.
 
-def covariate_link(x, beta):
-    """exp(x' beta); the covariate multiplier applied to the hazard exponent."""
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if x.ndim == 1 and len(x) != len(beta):
-        raise ValueError(f"covariate row has {len(x)} entries but beta has {len(beta)}")
-    if x.ndim == 2 and x.shape[1] != len(beta):
-        raise ValueError(f"covariate matrix has {x.shape[1]} columns but beta has {len(beta)}")
-    out = np.exp(x @ beta)
-    return out if np.ndim(out) else float(out)
+        Raises ValueError naming any name that is not a covariate of the
+        series or that is given more than once.
+        """
+        names = tuple(names)
+        missing = [c for c in names if c not in self.covariate_names]
+        if missing:
+            raise ValueError(f"unknown covariates: {missing}")
+        repeated = list(dict.fromkeys(c for i, c in enumerate(names) if c in names[:i]))
+        if repeated:
+            raise ValueError(f"repeated covariates: {repeated}")
+        return [self.covariate_names.index(c) for c in names]
 
 
 def mean_value_increments(omega, hazard: DiscreteHazard, beta, covariates, t: int):
@@ -320,9 +323,10 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     ------
     ValueError
         If fewer than five steps are available, ``split`` is not finite
-        or lies outside (0, 1], the fitting window has no failures, or a
-        requested covariate column is constant (its effect is confounded
-        with the scale and not identifiable).
+        or lies outside (0, 1], the fitting window has no failures, a
+        requested covariate is unknown or repeated, or a requested
+        covariate column is constant (its effect is confounded with the
+        scale and not identifiable).
     """
     T = series.n_steps
     if T < 5:
@@ -333,11 +337,7 @@ def fit_srgm(series: IntervalCountSeries, hazard_family: str, *, covariates=None
     if covariates is None:
         covariates = series.covariate_names
     covariates = tuple(covariates)
-    missing = [c for c in covariates if c not in series.covariate_names]
-    if missing:
-        raise ValueError(f"unknown covariates: {missing}")
-    cols = [series.covariate_names.index(c) for c in covariates]
-    X = series.covariates[:, cols]
+    X = series.covariates[:, series.columns(covariates)]
     n_fit = int(np.floor(split * T))
     n_fit = max(2, min(T - 1 if split < 1 else T, n_fit))
     constant = [c for j, c in enumerate(covariates) if np.ptp(X[:n_fit, j]) == 0]
@@ -413,9 +413,11 @@ def forward_stepwise(series: IntervalCountSeries, hazard_family: str,
     Starting from the covariate-free fit, ``_forward_aic`` accepts the
     candidate whose addition most improves AIC, skipping sets whose fit
     raises ValueError or RuntimeError, until no addition improves.  Holdout
-    MAE is reported for the final model but never used for selection.
+    MAE is reported for the final model but never used for selection.  An
+    unknown or repeated candidate raises ValueError before any fit.
     """
     candidates = list(series.covariate_names if candidates is None else candidates)
+    series.columns(candidates)
 
     def fit(selected):
         try:
@@ -484,7 +486,8 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     are the chosen form's expansion of the covariates at step t, selected
     forward by AIC on the chronological fitting window (an intercept is
     always included).  The trajectory estimate anchors at r(1) and sums
-    fitted changes, so the reconstruction identity holds exactly.
+    fitted changes, so the reconstruction identity holds exactly.  An
+    unknown or repeated candidate raises ValueError.
     """
     if series.performance is None:
         raise ValueError("series has no performance column")
@@ -495,8 +498,7 @@ def fit_resilience(series: IntervalCountSeries, form: str = "linear",
     T = series.n_steps
     if candidates is None:
         candidates = series.covariate_names
-    cols = [series.covariate_names.index(c) for c in candidates]
-    X_raw = series.covariates[:, cols]
+    X_raw = series.covariates[:, series.columns(candidates)]
     features, feature_names = _expand_features(X_raw[1:], list(candidates), form, degree)
     dr = np.diff(r)
     n_rows = len(dr)

@@ -207,6 +207,21 @@ def test_transform_cdf_identity_and_scale_family():
     assert np.max(np.abs(doubled - weibull_min.cdf(grid, 2.0, scale=10.0))) < 1e-12
 
 
+@pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0, -2.0])
+def test_transform_cdf_rejects_a_factor_that_is_not_positive_and_finite(factor):
+    # a NaN factor gave all-NaN values and an infinite one all zeros
+    stress = lambda t: weibull_min.cdf(t, 2.0, scale=5.0)
+    with pytest.raises(ValueError, match="factor must be positive and finite"):
+        transform_cdf(stress, factor, np.linspace(0.0, 10.0, 5))
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [np.nan, 1.0], [0.0, np.nan, 2.0]])
+def test_transform_cdf_rejects_a_grid_that_is_not_finite(grid):
+    stress = lambda t: weibull_min.cdf(t, 2.0, scale=5.0)
+    with pytest.raises(ValueError, match="finite times"):
+        transform_cdf(stress, 2.0, grid)
+
+
 def test_transform_cdf_preserves_monotonicity():
     stress = lambda t: weibull_min.cdf(t, 1.3, scale=2.0)
     grid = np.linspace(0.0, 10.0, 50)

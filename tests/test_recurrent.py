@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -327,3 +329,15 @@ def test_all_families_fit_simulated_data():
         n = sum(u.n_events for u in units)
         fitted_total = 80 * cumulative_baseline(fit.model, 20.0)
         assert abs(fitted_total - n) / n < 0.25, family
+
+
+def test_an_optimum_where_the_shape_overflows_fits_without_warnings():
+    # one early event in a long window sends weibull_growth's shape to an
+    # optimum where t ** t3 overflows; mapping it back to theta must not warn
+    units = [EventSeries("u0", [3.0], 30.0, constant_exposure(1.0, 30.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_mle(units, "weibull_growth")
+    assert [float(v).hex() for v in fit.model.theta] == [
+        "0x1.0000000000000p+0", "0x1.c6b177a879bb1p-433", "0x1.10bb76dbe3e1dp+8"]
+    assert fit.log_lik.hex() == "0x1.40f470f83fd86p+1"

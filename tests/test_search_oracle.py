@@ -20,8 +20,9 @@ the finite region; the fit must still reach the oracle.
 
 The stepwise loop is exercised on generated AIC tables through a stand-in
 for ``fit_srgm`` (ties, improvements at the 1e-9 threshold, sets that
-raise ValueError or RuntimeError, repeated candidates), and on real fits
-with noise-only, tied and constant candidates and short series.
+raise ValueError or RuntimeError; a repeated candidate must be refused),
+and on real fits with noise-only, tied and constant candidates and short
+series.
 """
 
 from dataclasses import dataclass, replace
@@ -245,7 +246,7 @@ class TableFit:
 
 
 NAMES = ("a", "b", "c", "d", "e", "f")
-STUB_SERIES = IntervalCountSeries(np.arange(6.0), np.zeros((6, 0)), ())
+STUB_SERIES = IntervalCountSeries(np.arange(6.0), np.zeros((6, len(NAMES))), NAMES)
 # whole AIC steps with ties, steps either side of the 1e-9 threshold, and any step
 EFFECTS = st.sampled_from([-4.0, -2.0, -2.0, 0.0, 1.5]) \
     | st.sampled_from([-5e-10, -1e-9, -2e-9, -1e-8]) | st.floats(-5.0, 5.0)
@@ -279,9 +280,13 @@ def table_fitter(effects, crowding, fails):
 @given(aic_tables())
 def test_stepwise_matches_the_oracle_on_aic_tables(table):
     names, effects, crowding, fails = table
+    unique = list(dict.fromkeys(names))
     with mock.patch.object(srgm, "fit_srgm", table_fitter(effects, crowding, fails)):
-        ours = srgm.forward_stepwise(STUB_SERIES, "gm", names)
-        oracle = oracle_forward_stepwise(STUB_SERIES, "gm", names)
+        if unique != names:  # a repeated candidate is refused before any fit
+            with pytest.raises(ValueError, match="repeated covariates"):
+                srgm.forward_stepwise(STUB_SERIES, "gm", names)
+        ours = srgm.forward_stepwise(STUB_SERIES, "gm", unique)
+        oracle = oracle_forward_stepwise(STUB_SERIES, "gm", unique)
     assert ours == oracle
 
 

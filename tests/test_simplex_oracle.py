@@ -27,7 +27,7 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aireliab import _optim, datasets, propagation, recurrent, regression, srgm
+from aireliab import _optim, datasets, propagation, recurrent, srgm
 from aireliab._optim import _nelder_mead, quiet
 from aireliab.propagation import DEFAULT_SOURCES, EPModel, fit_ep
 from aireliab.recurrent import (
@@ -187,7 +187,7 @@ def searches(fit, monkeypatch):
         with quiet():
             return negloglik(np.asarray(z0_list[0], dtype=float)), z0_list[0], True, 0
 
-    for module in (propagation, recurrent, srgm, regression):
+    for module in (propagation, recurrent, srgm):
         monkeypatch.setattr(module, "maximize", record)
     fit()
     assert calls, "the fit made no search"
@@ -274,6 +274,4 @@ def test_no_fitter_calls_scipy_nelder_mead(monkeypatch):
                            unit_exposures(4, 30.0), 30.0, 5)
     fit_mle(units, "power_law", multistarts=1)
     fit_proportional(units, rng.normal(size=(4, 1)), "power_law", multistarts=1)
-    times = rng.lognormal(1.0, 0.5, size=20)
-    regression.fit_aft(times, np.ones(20, dtype=int), rng.normal(size=(20, 1)))
     assert methods.count("L-BFGS-B") >= 5 and "Nelder-Mead" not in methods

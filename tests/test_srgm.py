@@ -5,7 +5,6 @@ from aireliab.srgm import (
     HAZARD_FAMILIES,
     DiscreteHazard,
     IntervalCountSeries,
-    covariate_link,
     fit_resilience,
     fit_srgm,
     forward_stepwise,
@@ -14,25 +13,6 @@ from aireliab.srgm import (
 )
 from aireliab.simulate import simulate_srgm_counts
 from aireliab._rng import derive_seed
-
-
-def test_covariate_link_trivial_values():
-    assert covariate_link([1.0, 2.0], [0.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
-    assert covariate_link([1.0], [np.log(2.0)]) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_covariate_link_matches_term_by_term_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        x = rng.normal(0.0, 1.0, 6)
-        beta = rng.normal(0.0, 0.5, 6)
-        oracle = np.exp(sum(a * b for a, b in zip(x, beta)))
-        assert covariate_link(x, beta) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_covariate_link_dimension_mismatch():
-    with pytest.raises(ValueError):
-        covariate_link([1.0, 2.0], [0.5])
 
 
 def test_mean_value_geometric_closed_form():
@@ -184,6 +164,24 @@ def test_stepwise_zero_candidates_matches_plain_fit():
     assert step.selected() == ()
 
 
+@pytest.mark.parametrize("names, message", [
+    (("F1", "F1"), r"repeated covariates: \['F1'\]"),
+    (("F1", "Nope"), r"unknown covariates: \['Nope'\]"),
+])
+def test_unknown_or_repeated_covariate_names_rejected(data_dir, names, message):
+    # a repeated name would fit two copies of one column, split its effect
+    # and charge AIC for both
+    from aireliab.datasets import load
+    from aireliab.simulate import interval_series_from_adversarial
+
+    records = load(data_dir / "adversarial-attacks" / "adversarial.csv", "adversarial")
+    series = interval_series_from_adversarial(records, scenario=1)
+    with pytest.raises(ValueError, match=message):
+        fit_srgm(series, "gm", covariates=names)
+    with pytest.raises(ValueError, match=message):
+        forward_stepwise(series, "gm", candidates=names)
+
+
 def resilience_series(noise=0.0, seed=0):
     # accuracy drops under attack, then recovers under retraining
     rng = np.random.default_rng(seed)
@@ -258,3 +256,12 @@ def test_non_finite_hazard_parameters_rejected(family, params):
     # every constraint is an open interval: NaN and +-inf lie outside both
     with pytest.raises(ValueError, match="must lie in"):
         DiscreteHazard(family, params)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("attack", "attack"), r"repeated covariates: \['attack'\]"),
+    (("Nope",), r"unknown covariates: \['Nope'\]"),
+])
+def test_resilience_rejects_unknown_or_repeated_candidates(names, message):
+    with pytest.raises(ValueError, match=message):
+        fit_resilience(resilience_series(), "linear", names)

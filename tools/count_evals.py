@@ -45,11 +45,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import scipy.optimize  # noqa: E402
 
-from aireliab import _optim, cli, propagation, recurrent, regression, srgm  # noqa: E402
+from aireliab import _optim, cli, propagation, recurrent, srgm  # noqa: E402
 from bench.workloads import BundledCLI, Context, DMVFleet  # noqa: E402
 
-FITTERS = {"propagation": propagation, "recurrent": recurrent, "srgm": srgm,
-           "regression": regression}
+FITTERS = {"propagation": propagation, "recurrent": recurrent, "srgm": srgm}
 COLUMNS = ("searches", "starts", "dropped", "gradient", "fallbacks", "simplex", "simplex_evals",
            "score_evals", "evals")
 DMV_SEED = 5
