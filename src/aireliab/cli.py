@@ -189,8 +189,6 @@ def _fit_payload(fit, tau, grid_points):
     }
     if fit.stderr is not None:
         payload["stderr"] = list(fit.stderr)
-    if fit.beta is not None:
-        payload["beta"] = dict(zip(fit.covariate_names, fit.beta))
     return payload
 
 

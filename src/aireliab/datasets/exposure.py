@@ -138,6 +138,8 @@ class ExposureSchedule:
             raise ValueError("breakpoints must have exactly one more entry than daily_rate")
         if not np.isfinite(bp).all():
             raise ValueError("breakpoints must be finite")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if bp[0] != 0.0 or abs(bp[-1] - self.tau) > 1e-9:
             raise ValueError("breakpoints must run from 0 to tau")
         if not (np.diff(bp) > 0).all():

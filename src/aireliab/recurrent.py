@@ -22,17 +22,14 @@ so each unit's compensator reduces to rate-weighted differences of the
 cumulative baseline at segment boundaries; summed over units, they need
 the cumulative baseline only at the distinct breakpoints.
 
-The fits search the profile likelihood.  Each family's cumulative
+The fits search the profile likelihood.  Each shaped family's cumulative
 baseline is an amplitude times a shape, A * S(t; phi), and for given
-shape parameters and covariate effects the amplitude has a closed-form
-maximum, so the search runs over (log phi, beta) alone, with an exact
-score (``_Profile``), and maps its optimum back to the family's
-parameters.  Its compensator at A = 1 is the reported log-likelihood's,
-from the same cumulative baseline; the reported log-likelihood is the
-one at the returned parameters.
-The HPP has no shape (S(t) = t): ``fit_mle`` returns its closed-form rate,
-and ``fit_proportional`` searches the effects alone, or nothing when no
-covariate column varies.
+shape parameters the amplitude has a closed-form maximum, so the search
+runs over log phi alone, with an exact score (``_Profile``), and maps its
+optimum back to the family's parameters.  Its compensator at A = 1 is the
+reported log-likelihood's, from the same cumulative baseline; the
+reported log-likelihood is the one at the returned parameters.  The HPP
+has no shape (S(t) = t), and ``fit_mle`` returns its closed-form rate.
 
 Each unit is observed over its own horizon, so units may differ in
 ``tau``.  ``propagation`` fits an error-propagation module without
@@ -62,8 +59,6 @@ FAMILIES = tuple(FAMILY_PARAMS)
 
 #: relative objective tolerance of the maximum-likelihood searches
 TOLERANCE = 1e-8
-#: iteration cap per optimizer stage of ``fit_proportional``
-_MAX_ITER = 4000
 
 
 class DataInconsistencyError(ValueError):
@@ -180,6 +175,8 @@ class EventSeries:
         times = np.asarray(self.event_times, dtype=float)
         if times.ndim != 1:
             raise ValueError("event_times must be one-dimensional")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         check_event_times(times, self.tau)
         if abs(self.exposure.tau - self.tau) > 1e-9:
             raise ValueError("exposure horizon does not match tau")
@@ -212,8 +209,6 @@ class RecurrentFit:
     converged: bool
     iterations: int
     stderr: tuple[float, ...] | None = None
-    beta: tuple[float, ...] | None = None
-    covariate_names: tuple[str, ...] | None = None
 
 
 class _Packed:
@@ -224,10 +219,8 @@ class _Packed:
     on each distinct exposure interval, so one evaluation costs O(distinct
     event times + distinct breakpoints), not O(events + unit segments).
     Both are small for DMV data: events fall on whole days and every
-    vehicle shares the month breakpoints.  The interval and the unit of
-    every positive-rate segment are kept for per-unit intensity scales.
-    Units may differ in horizon; ``tau``, which only the moment seed
-    reads, is the longest.
+    vehicle shares the month breakpoints.  Units may differ in horizon;
+    ``tau``, which only the moment seed reads, is the longest.
     """
 
     def __init__(self, units):
@@ -235,8 +228,6 @@ class _Packed:
         if not units:
             raise ValueError("no units supplied")
         self.tau = max(u.tau for u in units)
-        self.n_units = len(units)
-        self.events_per_unit = np.array([u.n_events for u in units])
         times = np.concatenate([u.event_times for u in units])
         self.n_events = len(times)
         self.event_times, self.event_counts = np.unique(times, return_counts=True)
@@ -252,15 +243,17 @@ class _Packed:
         first = np.cumsum(n_seg + 1) - n_seg - 1
         lo_idx, hi_idx = np.delete(at, first + n_seg), np.delete(at, first)
         seg_rate = np.concatenate(rates)
-        seg_unit = np.repeat(np.arange(self.n_units), n_seg)
+        # each segment's (unit, lower breakpoint) as one ascending key
+        unit = np.arange(len(units))
+        seg_key = np.repeat(unit, n_seg) * n_grid + lo_idx
 
         # exposure at each event: the unit's segment holding the grid cell
         # (grid[g], grid[g+1]] that contains the event (t = 0 and t past the
         # unit's own tau fall in its first and last segments, as in
         # ExposureSchedule.rate_at)
         cell = np.clip(np.searchsorted(self.grid, times) - 1, 0, n_grid - 2)
-        event_key = np.repeat(np.arange(self.n_units), self.events_per_unit) * n_grid + cell
-        xs = seg_rate[np.searchsorted(seg_unit * n_grid + lo_idx, event_key, side="right") - 1]
+        event_key = np.repeat(unit, [u.n_events for u in units]) * n_grid + cell
+        xs = seg_rate[np.searchsorted(seg_key, event_key, side="right") - 1]
         if (xs <= 0).any():
             bad = int(np.nonzero(xs <= 0)[0][0])
             raise DataInconsistencyError(
@@ -271,12 +264,10 @@ class _Packed:
         # compensator = sum over distinct intervals (lo, hi) of the summed
         # rate times L0(hi) - L0(lo); zero-rate segments are left out
         keep = seg_rate > 0
-        seg_rate, seg_unit = seg_rate[keep], seg_unit[keep]
-        lo_idx, hi_idx = lo_idx[keep], hi_idx[keep]
-        self.seg_rate, self.seg_unit = seg_rate, seg_unit
-        intervals, self.seg_interval = np.unique(lo_idx * n_grid + hi_idx, return_inverse=True)
+        intervals, seg_interval = np.unique(lo_idx[keep] * n_grid + hi_idx[keep],
+                                            return_inverse=True)
         self.interval_lo, self.interval_hi = np.divmod(intervals, n_grid)
-        self.interval_rate = np.bincount(self.seg_interval, seg_rate, minlength=len(intervals))
+        self.interval_rate = np.bincount(seg_interval, seg_rate[keep], minlength=len(intervals))
         # summed over the distinct intervals: a BLAS dot over every segment
         # of a large fleet runs threaded, after which the L-BFGS-B search
         # that follows stalls for milliseconds at a time on a 2-core host
@@ -284,11 +275,11 @@ class _Packed:
             self.interval_rate, self.grid[self.interval_hi] - self.grid[self.interval_lo]))
 
     @quiet()
-    def log_lik(self, model: BaselineIntensityModel, unit_scale=None) -> float:
-        """Log-likelihood; ``unit_scale`` multiplies each unit's intensity."""
-        return self.log_lik_theta(model.family, model.theta, unit_scale)
+    def log_lik(self, model: BaselineIntensityModel) -> float:
+        """The log-likelihood of the units under ``model``."""
+        return self.log_lik_theta(model.family, model.theta)
 
-    def log_lik_theta(self, family: str, theta, unit_scale=None) -> float:
+    def log_lik_theta(self, family: str, theta) -> float:
         """``log_lik`` at raw parameters of a family the caller checked.
 
         The event times are positive and the breakpoints non-negative by
@@ -299,21 +290,10 @@ class _Packed:
         if (lam0 <= 0).any():
             return -np.inf
         event_term = float(np.dot(self.event_counts, np.log(lam0))) + self.log_exposure_sum
-        if unit_scale is not None:
-            event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
         cum = _cumulative(family, theta, self.grid)
-        total = event_term - float(self.weights(unit_scale)
+        total = event_term - float(self.interval_rate
                                    @ (cum[self.interval_hi] - cum[self.interval_lo]))
         return total if np.isfinite(total) else -np.inf
-
-    def weights(self, unit_scale=None):
-        """The summed rate on each distinct interval, each unit's scaled by
-        ``unit_scale``: the compensator is their dot with the increments of
-        the cumulative baseline."""
-        if unit_scale is None:
-            return self.interval_rate
-        return np.bincount(self.seg_interval, self.seg_rate * unit_scale[self.seg_unit],
-                           minlength=len(self.interval_rate))
 
 
 def log_likelihood(units, model: BaselineIntensityModel) -> float:
@@ -328,11 +308,9 @@ def log_likelihood(units, model: BaselineIntensityModel) -> float:
 
 
 def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
-    """Method-of-moments-flavored starting parameters."""
+    """Method-of-moments-flavored starting parameters of a shaped family."""
     tau = packed.tau
     rate = max(packed.n_events, 1) / max(packed.total_exposure, 1e-12)
-    if family == "hpp":
-        return np.array([rate])
     if family == "power_law":
         return np.array([1.0, 1.0 / rate])
     if family == "weibull_growth":
@@ -345,23 +323,18 @@ def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
     return np.array([rate * tau / np.log(2.0), 1.0 / tau])
 
 
-# The searches run on the profile likelihood.  Each family splits its
-# baseline into an amplitude and a shape, Lambda0(t) = A * S(t; phi):
-# A = scale**-shape for power_law and A = theta1 (the rate for the hpp)
-# for the others.  For fixed phi and beta the log-likelihood is
-# N log A - A C plus terms free of A, where C is the compensator at
-# A = 1, so A has the closed-form maximum N / C.  The search coordinates
-# are z = (log phi, beta).  For |z| <= 300 every exp(z) is positive and
-# finite, so the shape parameters need no check inside the search; a z
-# whose amplitude parameter (theta1, or the power-law scale) leaves that
-# range on the log scale is refused too.
+# The searches run on the profile likelihood.  Each shaped family splits
+# its baseline into an amplitude and a shape, Lambda0(t) = A * S(t; phi):
+# A = scale**-shape for power_law and A = theta1 for the others.  For
+# fixed phi the log-likelihood is N log A - A C plus terms free of A,
+# where C is the compensator at A = 1, so A has the closed-form maximum
+# N / C.  The search coordinates are z = log phi.  For |z| <= 300 every
+# exp(z) is positive and finite, so the shape parameters need no check
+# inside the search; a z whose amplitude parameter (theta1, or the
+# power-law scale) leaves that range on the log scale is refused too.
 
-#: the index of the amplitude parameter among each family's parameters
-_AMPLITUDE = {"hpp": 0, "power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
-
-
-def _hpp_terms(p, psi, phi, cum):
-    return 0.0, [], []
+#: the index of the amplitude parameter among each shaped family's parameters
+_AMPLITUDE = {"power_law": 1, "weibull_growth": 0, "gompertz": 0, "musa_okumoto": 0}
 
 
 def _power_law_terms(p, psi, phi, cum):
@@ -401,14 +374,13 @@ def _musa_okumoto_terms(p, psi, phi, cum):
 #: per family, at psi = log phi and phi, with S = ``_cumulative`` at A = 1 on
 #: the grid: the event term sum_j c_j log S'(t_j) and its gradient in psi,
 #: and the derivative of S on the grid in each psi
-_SHAPE_TERMS = {"hpp": _hpp_terms, "power_law": _power_law_terms,
-                "weibull_growth": _weibull_growth_terms, "gompertz": _gompertz_terms,
-                "musa_okumoto": _musa_okumoto_terms}
+_SHAPE_TERMS = {"power_law": _power_law_terms, "weibull_growth": _weibull_growth_terms,
+                "gompertz": _gompertz_terms, "musa_okumoto": _musa_okumoto_terms}
 
 
 class _Profile:
-    """Negative profile log-likelihood of ``family`` with unit scales
-    exp(X beta), at z = (log phi, beta), and its exact gradient.
+    """Negative profile log-likelihood of a shaped ``family`` at z = log phi,
+    and its exact gradient.
 
     Calling the object gives the value and the gradient together: the event
     term from ``_SHAPE_TERMS``, on logs of the event times and the grid
@@ -416,9 +388,8 @@ class _Profile:
     from ``_cumulative`` at A = 1.
     """
 
-    def __init__(self, packed: _Packed, family: str, X):
-        self.packed, self.family, self.X = packed, family, X
-        self.k = len(FAMILY_PARAMS[family]) - 1
+    def __init__(self, packed: _Packed, family: str):
+        self.packed, self.family = packed, family
         n = packed.n_events
         self.log_n = math.log(n)
         self.const = packed.log_exposure_sum + n * self.log_n - n
@@ -432,9 +403,6 @@ class _Profile:
         self.skip, self.stop = int(packed.grid[0] == 0), int(packed.interval_hi.max()) + 1
         self.grid = packed.grid[self.skip:self.stop]
         self.log_grid = np.log(self.grid)
-        if X.shape[1]:
-            self.columns = [np.ascontiguousarray(col) for col in X.T]
-            self.events_x = (X.T @ packed.events_per_unit.astype(float)).tolist()
 
     def _increments(self, values):
         """``values`` on the grid as their increments over each distinct interval."""
@@ -450,23 +418,20 @@ class _Profile:
         return abs(-log_a / math.exp(z[0]) if self.family == "power_law" else log_a) > 300
 
     def _at(self, z):
-        """The shape parameters phi at z, the shape terms, the unit scales
-        exp(X beta), the interval weights and increments of S, and the
+        """The shape parameters phi at z, the shape terms, and the
         compensator at A = 1."""
-        phi = np.exp(z[:self.k]).tolist()
+        phi = np.exp(z).tolist()
         theta = phi.copy()
         theta.insert(_AMPLITUDE[self.family], 1.0)
         cum = _cumulative(self.family, theta, self.grid)
-        terms = _SHAPE_TERMS[self.family](self, z[:self.k].tolist(), phi, cum)
-        scale = np.exp(self.X @ z[self.k:]) if self.X.shape[1] else None
-        weights, increments = self.packed.weights(scale), self._increments(cum)
-        return phi, terms, scale, weights, increments, float(weights @ increments)
+        terms = _SHAPE_TERMS[self.family](self, z.tolist(), phi, cum)
+        return phi, terms, float(self.packed.interval_rate @ self._increments(cum))
 
     def theta(self, z) -> tuple[float, ...]:
         """The family's parameters at z, with the amplitude at its maximum for
         the compensator that calling the object takes."""
         if np.maximum.reduce(abs(z), initial=0.0) <= 300:
-            phi, *_, compensator = self._at(z)
+            phi, _, compensator = self._at(z)
             if not self._outside(z, compensator):
                 n = self.packed.n_events
                 if self.family == "power_law":
@@ -480,53 +445,17 @@ class _Profile:
         fail = np.inf, np.zeros(len(z))
         if np.maximum.reduce(abs(z), initial=0.0) > 300:
             return fail
-        _, (event, d_event, d_cum), scale, weights, increments, compensator = self._at(z)
-        packed, covariates = self.packed, bool(self.X.shape[1])
-        if covariates:
-            event += float(np.dot(self.events_x, z[self.k:]))
+        _, (event, d_event, d_cum), compensator = self._at(z)
         if self._outside(z, compensator):
             return fail
-        n = packed.n_events
+        n = self.packed.n_events
         value = n * math.log(compensator) - event - self.const
         if not np.isfinite(value):
             return fail
-        ratio = n / compensator
+        ratio, weights = n / compensator, self.packed.interval_rate
         grad = [ratio * float(weights @ self._increments(d)) - de
                 for d, de in zip(d_cum, d_event)]
-        if covariates:
-            # d compensator / d beta_j = sum_i x_ij s_i C_i, with C_i unit i's compensator at A = 1
-            per_unit = np.bincount(packed.seg_unit,
-                                   packed.seg_rate * increments[packed.seg_interval],
-                                   packed.n_units) * scale
-            grad += [ratio * float(np.dot(col, per_unit)) - ex
-                     for col, ex in zip(self.columns, self.events_x)]
         return value, np.array(grad)
-
-
-def _search(packed: _Packed, family: str, X, multistarts: int, max_iter: int):
-    """Multistart search of the profile likelihood from the moment seed with
-    zero effects; returns the model, log-likelihood, beta, convergence flag
-    and iterations.
-
-    The starts are those of the full parameters, with the amplitude
-    coordinate dropped.  With no coordinates left (the HPP without an
-    effect to fit) nothing is searched.  The reported log-likelihood is
-    ``_Packed.log_lik`` at the returned parameters.
-    """
-    k, q = len(FAMILY_PARAMS[family]), X.shape[1]
-    seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q)])
-    spread = np.repeat([0.5, 0.25], [k, q])
-    z0s = [np.delete(z0, _AMPLITUDE[family]) for z0 in starts(seed, multistarts, spread, key=12345)]
-    profile = _Profile(packed, family, X)
-    if z0s[0].size:
-        _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter)
-    else:
-        z_hat, ok, iters = z0s[0], True, 0
-    with quiet():  # the search met this optimum under the same error state
-        model = BaselineIntensityModel(family, profile.theta(z_hat))
-    beta = z_hat[k - 1:]
-    ll = packed.log_lik(model, np.exp(X @ beta) if q else None)
-    return model, ll, beta, ok, iters
 
 
 def fit_mle(units, family: str, *, multistarts: int = 5,
@@ -535,9 +464,10 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
 
     Parameters are log-reparameterized to enforce positivity; the search
     runs on the profile likelihood, with the amplitude parameter in closed
-    form, from ``multistarts`` jittered moment-based seeds.  The HPP rate
-    has the closed form (total events / total exposure) and is returned
-    exactly.
+    form, from ``multistarts`` jittered moment-based seeds with the
+    amplitude coordinate dropped; the reported log-likelihood is the one at
+    the returned parameters.  The HPP rate has the closed form (total
+    events / total exposure) and is returned exactly.
 
     Parameters
     ----------
@@ -573,8 +503,13 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     if packed.n_events == 0:
         raise ValueError(f"no events across units; cannot fit the {family} family")
 
-    model, ll, _, ok, iters = _search(packed, family, np.zeros((packed.n_units, 0)),
-                                      multistarts, max_iter)
+    z0s = [np.delete(z0, _AMPLITUDE[family])
+           for z0 in starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345)]
+    profile = _Profile(packed, family)
+    _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter)
+    with quiet():  # the search met this optimum under the same error state
+        model = BaselineIntensityModel(family, profile.theta(z_hat))
+    ll = packed.log_lik(model)
     theta = np.array(model.theta)
 
     def negloglik_theta(th):
@@ -596,66 +531,6 @@ def fit_manufacturer_level(event_times, fleet_exposure, family: str, **options) 
     fleet = sum_schedules(fleet_exposure)
     series = EventSeries("fleet", np.asarray(event_times, dtype=float), fleet.tau, fleet)
     return fit_mle([series], family, **options)
-
-
-def _covariate_matrix(covariates, packed: _Packed) -> np.ndarray:
-    """``covariates`` as a float matrix with one finite row per unit."""
-    X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if X.shape[0] != packed.n_units:
-        raise ValueError("one covariate row per unit is required")
-    if not np.isfinite(X).all():
-        raise ValueError("covariates must be finite")
-    return X
-
-
-def proportional_log_likelihood(units, covariates, model: BaselineIntensityModel,
-                                beta) -> float:
-    """Log-likelihood of lambda_i(t) = lambda0(t) exp(x_i' beta) x_i(t)."""
-    packed = _Packed(units)
-    X = _covariate_matrix(covariates, packed)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (X.shape[1],):
-        raise ValueError(f"beta must hold one effect per covariate column: got shape "
-                         f"{beta.shape} for {X.shape[1]} columns")
-    return packed.log_lik(model, unit_scale=np.exp(X @ beta))
-
-
-def fit_proportional(units, covariates, family: str, *, names=None,
-                     multistarts: int = 5) -> RecurrentFit:
-    """Joint fit of baseline parameters and proportional-intensity effects.
-
-    Covariates are fixed per-unit vectors entering as ``exp(x_i' beta)``.
-    A covariate that is constant across units (or any collinear set, once
-    an implicit intercept column is included) is confounded with the
-    baseline scale and is rejected as singular.  The search is the one of
-    ``fit_mle``, with zero effects in the seed and ``_MAX_ITER`` per stage.
-    """
-    packed = _Packed(units)
-    X = _covariate_matrix(covariates, packed)
-    q = X.shape[1]
-    names = tuple(f"x{j + 1}" for j in range(q)) if names is None else tuple(names)
-    if len(names) != q:
-        raise ValueError(f"{len(names)} names given for {q} covariate columns")
-    # all-zero columns contribute exp(0) = 1 regardless of beta: pin them at 0.
-    # any other collinearity (with the implicit baseline-scale intercept) is a
-    # genuine identifiability failure and is rejected.
-    active = [j for j in range(q) if (X[:, j] != 0).any()]
-    X_act = X[:, active]
-    with_intercept = np.column_stack([np.ones(X.shape[0]), X_act])
-    if np.linalg.matrix_rank(with_intercept) < len(active) + 1:
-        raise ValueError(
-            "collinear covariates (singular information): effects are not "
-            "identifiable jointly with the baseline scale"
-        )
-    if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {family!r}")
-    if packed.n_events == 0:
-        raise ValueError("no events across units; nothing to fit")
-    model, ll, beta_act, ok, iters = _search(packed, family, X_act, multistarts, _MAX_ITER)
-    beta = np.zeros(q)
-    beta[active] = beta_act
-    k = len(model.theta) + len(active)
-    return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, None, tuple(beta), names)
 
 
 def curve_table(model: BaselineIntensityModel, t_grid):

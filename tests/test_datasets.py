@@ -260,6 +260,14 @@ def test_non_finite_breakpoints_rejected(breakpoints, tau):
         datasets.ExposureSchedule("u", np.array(breakpoints), np.ones(2), tau)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_tau_rejected(tau):
+    # every horizon check compares with tau, and each such comparison with a
+    # NaN is False, so a NaN tau used to pass them all
+    with pytest.raises(ValueError, match="tau must be finite"):
+        datasets.ExposureSchedule("u", np.array([0.0, 10.0]), np.ones(1), tau)
+
+
 def test_derive_exposure_conserves_mileage():
     months = MonthTable(build_months())
     rng = np.random.default_rng(0)

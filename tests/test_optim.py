@@ -42,7 +42,8 @@ def recurrent_starts(seed_params, multistarts):
 
 
 def proportional_starts(seed, k_theta, q_act, multistarts):
-    # recurrent.fit_proportional: baseline block 0.5, covariate block 0.25
+    # two jitter blocks, 0.5 on a baseline block and 0.25 on an effects
+    # block: ``starts`` with one SD per coordinate
     out = [seed]
     jitter = np.random.default_rng(12345)
     for _ in range(max(0, multistarts - 1)):
@@ -437,18 +438,29 @@ def test_an_abnormal_lbfgsb_end_falls_back_to_the_simplex(scipy_runs):
     assert iterations > lbfgsb.nit
 
 
-def test_a_run_that_never_leaves_its_start_falls_back_to_the_simplex(scipy_runs):
-    # L-BFGS-B's first step has unit length; here it lands past the inf wall,
-    # and scipy returns the start as converged although its gradient is not 0
-    score = scored_bowl([3.0, 0.0], [1.0, 1.0], wall=0.5)
-    start = np.array([0.0, 0.5])
+@pytest.mark.parametrize("centre, weights, start, lowest, polish_gains", [
+    # the bowl's lowest finite point is (0.5, 0) on the wall, where the value is 6.25
+    ([3.0, 0.0], [1.0, 1.0], [0.0, 0.5], [0.5, 0.0], False),
+    # the minimum lies 0.05 inside the wall, so a unit first step from the
+    # simplex's end would cross it too: only a scaled polish gets below the simplex
+    ([0.45, -0.2], [1.0, 3.0], [0.0, 0.0], [0.45, -0.2], True),
+], ids=["past-wall", "near-wall"])
+def test_a_run_that_never_leaves_its_start_falls_back_to_the_simplex(
+        scipy_runs, centre, weights, start, lowest, polish_gains):
+    # L-BFGS-B's first step has unit length; here it lands past the inf wall at
+    # x[0] = 0.5, and scipy returns the start as converged although its
+    # gradient is not 0
+    score = scored_bowl(centre, weights, wall=0.5)
+    start = np.array(start)
     fun, x, ok, iterations = maximize(score, [start], 1e-10, 400)
     (lbfgsb,) = scipy_runs["results"]
     assert lbfgsb.success and lbfgsb.x.tobytes() == start.tobytes()
     assert [r.tobytes() for r in scipy_runs["simplex"]] == [start.tobytes()]
-    # the bowl's lowest finite point is (0.5, 0), where the value is 6.25
-    assert fun < 6.25 + 1e-6 < score(start)[0]
-    assert x[0] <= 0.5 and abs(x[1]) < 1e-3
+    (simplex_end,), (polish,) = scipy_runs["polish"], scipy_runs["polished"]
+    simplex_value = score(simplex_end)[0]
+    assert polish.fun < simplex_value if polish_gains else polish.fun <= simplex_value
+    assert fun < score(lowest)[0] + 1e-6 < score(start)[0]
+    assert x[0] <= 0.5 and np.allclose(x, lowest, rtol=0.0, atol=1e-3)
 
 
 def test_an_abnormal_end_that_the_fallback_confirms_counts_as_converged(monkeypatch):

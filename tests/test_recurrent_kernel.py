@@ -6,8 +6,7 @@ one evaluation needs the baseline only at the distinct event times and
 the cumulative baseline only at the distinct breakpoints.  The reference
 below is the evaluation that came before: the baseline at every event and
 the cumulative baseline at both ends of every unit segment.  Properties
-hold ``log_likelihood`` and ``proportional_log_likelihood`` to it within
-1e-12 relative for all five families, on generated units with tied event
+hold ``log_likelihood`` to it within 1e-12 relative for all five families, on generated units with tied event
 days (within and across units), zero-event units, zero-rate segments,
 events at t = tau, and per-unit breakpoints: constant, month-derived and
 arbitrary schedules side by side, and ``sum_schedules`` unions of them.
@@ -15,11 +14,11 @@ Units over their own horizons give the likelihood and the fit of the
 same units padded with a zero-rate segment to the longest horizon, bit
 for bit.
 
-The search objective of ``fit_mle``, ``fit_manufacturer_level`` and
-``fit_proportional`` is the profile likelihood (``recurrent._Profile``),
-for every family, the hpp included: the log-form event terms of each
-family and the compensator of ``_Packed.log_lik_theta``, with the
-amplitude at its closed-form maximum.  It is held to a reference that
+The search objective of ``fit_mle`` and ``fit_manufacturer_level`` is the
+profile likelihood (``recurrent._Profile``), for every shaped family (the
+hpp has its closed form): the log-form event terms of each family and the
+compensator of ``_Packed.log_lik_theta``, with the amplitude at its
+closed-form maximum.  It is held to a reference that
 builds a validated ``BaselineIntensityModel`` at amplitude 1 per call and
 goes through the validating ``baseline_intensity`` and
 ``cumulative_baseline``, as the search did before it was prepared once.
@@ -55,9 +54,7 @@ from aireliab.recurrent import (
     cumulative_baseline,
     fit_manufacturer_level,
     fit_mle,
-    fit_proportional,
     log_likelihood,
-    proportional_log_likelihood,
     _AMPLITUDE,
     _Packed,
     _Profile,
@@ -93,20 +90,17 @@ class DenseReference:
                 f"event at t={self.times[bad]:g} has zero exposure (intensity would be zero)"
             )
         self.log_exposure_sum = float(np.sum(np.log(xs)))
-        lo, hi, rate, unit_idx = [], [], [], []
-        for k, u in enumerate(units):
+        lo, hi, rate = [], [], []
+        for u in units:
             keep = u.exposure.daily_rate > 0
             lo.append(u.exposure.breakpoints[:-1][keep])
             hi.append(u.exposure.breakpoints[1:][keep])
             rate.append(u.exposure.daily_rate[keep])
-            unit_idx.append(np.full(int(keep.sum()), k))
         self.seg_lo = np.concatenate(lo)
         self.seg_hi = np.concatenate(hi)
         self.seg_rate = np.concatenate(rate)
-        self.seg_unit = np.concatenate(unit_idx)
-        self.events_per_unit = np.array([u.n_events for u in units])
 
-    def log_lik(self, model, unit_scale=None):
+    def log_lik(self, model):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             lam0 = baseline_intensity(model, self.times) if self.n_events else np.array([])
             if np.any(lam0 <= 0):
@@ -115,9 +109,6 @@ class DenseReference:
             comp = self.seg_rate * (
                 cumulative_baseline(model, self.seg_hi) - cumulative_baseline(model, self.seg_lo)
             )
-            if unit_scale is not None:
-                event_term += float(np.dot(self.events_per_unit, np.log(unit_scale)))
-                comp = comp * unit_scale[self.seg_unit]
             total = event_term - float(np.sum(comp))
         return total if np.isfinite(total) else -np.inf
 
@@ -206,19 +197,6 @@ def unit_lists(draw, drop_unexposed=True):
 @given(units=unit_lists(), model=models())
 def test_log_likelihood_matches_reference(units, model):
     assert_close(log_likelihood(units, model), DenseReference(units).log_lik(model))
-
-
-@PROPERTY
-@given(data=st.data(), model=models())
-def test_proportional_log_likelihood_matches_reference(data, model):
-    units = data.draw(unit_lists())
-    n = len(units)
-    covariates = np.array(data.draw(st.lists(
-        st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2), min_size=n, max_size=n)))
-    beta = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
-    scale = np.exp(covariates @ beta)
-    assert_close(proportional_log_likelihood(units, covariates, model, beta),
-                 DenseReference(units).log_lik(model, unit_scale=scale))
 
 
 @PROPERTY
@@ -314,10 +292,6 @@ def test_mixed_units_match_reference(family):
     model = BaselineIntensityModel(family, FIXED_THETA[family])
     reference = DenseReference(units)
     assert_close(log_likelihood(units, model), reference.log_lik(model))
-    covariates = np.linspace(-1.0, 1.0, len(units))[:, None]
-    scale = np.exp(0.6 * covariates[:, 0])
-    assert_close(proportional_log_likelihood(units, covariates, model, [0.6]),
-                 reference.log_lik(model, unit_scale=scale))
 
 
 def test_event_in_zero_rate_segment_raises():
@@ -340,10 +314,6 @@ def test_fits_report_the_reference_log_likelihood(family):
     reference = DenseReference(units)
     fit = fit_mle(units, family, multistarts=2)
     assert_close(fit.log_lik, reference.log_lik(fit.model))
-    covariates = np.array([[0.0], [1.0], [0.0], [1.0]])
-    prop = fit_proportional(units, covariates, family, multistarts=2)
-    scale = np.exp(covariates @ np.array(prop.beta))
-    assert_close(prop.log_lik, reference.log_lik(prop.model, unit_scale=scale))
     times = np.sort(np.concatenate([u.event_times for u in units]))
     fleet = fit_manufacturer_level(times, exposures, family, multistarts=2)
     fleet_unit = EventSeries("fleet", times, units[0].tau, sum_schedules(exposures))
@@ -354,7 +324,7 @@ def test_fits_report_the_reference_log_likelihood(family):
 # search objectives against the model-building path
 
 
-def reference_terms(packed, model, unit_scale=None):
+def reference_terms(packed, model):
     """The event term and the compensator of ``_Packed.log_lik_theta``
     through the validating public functions, or None where the intensity
     is not positive at some event."""
@@ -363,32 +333,20 @@ def reference_terms(packed, model, unit_scale=None):
         if (lam0 <= 0).any():
             return None
         event_term = float(np.dot(packed.event_counts, np.log(lam0))) + packed.log_exposure_sum
-        if unit_scale is not None:
-            event_term += float(np.dot(packed.events_per_unit, np.log(unit_scale)))
         cum = cumulative_baseline(model, packed.grid)
-        weights = interval_weights(packed, unit_scale)
-        return event_term, float(weights @ (cum[packed.interval_hi] - cum[packed.interval_lo]))
+        return event_term, float(packed.interval_rate
+                                 @ (cum[packed.interval_hi] - cum[packed.interval_lo]))
 
 
-def interval_weights(packed, unit_scale):
-    """The summed rate on each distinct interval, each unit's scaled by ``unit_scale``."""
-    if unit_scale is None:
-        return packed.interval_rate
-    return np.bincount(packed.seg_interval, packed.seg_rate * unit_scale[packed.seg_unit],
-                       minlength=len(packed.interval_rate))
+def at_unit_amplitude(family, z):
+    """The validated model at amplitude 1, at z = log phi."""
+    phi = tuple(np.exp(z))
+    return BaselineIntensityModel(family, (phi[0], 1.0) if family == "power_law"
+                                  else (1.0, *phi))
 
 
-def at_unit_amplitude(family, X, z):
-    """The validated model at amplitude 1 and the unit scales, at z = (log phi, beta)."""
-    k = len(FAMILY_PARAMS[family]) - 1
-    phi = tuple(np.exp(z[:k]))
-    model = BaselineIntensityModel(family, (phi[0], 1.0) if family == "power_law"
-                                   else (1.0, *phi))
-    return model, (np.exp(X @ z[k:]) if X.shape[1] else None)
-
-
-def reference_profile_objective(packed, family, X):
-    """The negative log-likelihood at z = (log phi, beta), maximized over the
+def reference_profile_objective(packed, family):
+    """The negative log-likelihood at z = log phi, maximized over the
     amplitude A in closed form: a validated model at A = 1 per call, and
     A = N / C with C its compensator, refused where log theta1 (log scale
     for power_law) leaves [-300, 300]."""
@@ -397,8 +355,8 @@ def reference_profile_objective(packed, family, X):
     def negloglik_z(z):
         if np.any(np.abs(z) > 300):
             return np.inf
-        model, scale = at_unit_amplitude(family, X, z)
-        terms = reference_terms(packed, model, unit_scale=scale)
+        model = at_unit_amplitude(family, z)
+        terms = reference_terms(packed, model)
         if terms is None or not 0.0 < terms[1] < np.inf:
             return np.inf
         event_term, compensator = terms
@@ -423,19 +381,12 @@ Z = st.floats(-300.0, 300.0) | st.floats(-6.0, 6.0) | st.sampled_from(
     [300.0, -300.0, np.nextafter(300.0, 301.0), -301.0, 709.0, -745.0])
 
 
-def draw_columns(data, n_units):
-    q = data.draw(st.integers(0, 2))
-    X = np.array(data.draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q),
-                                    min_size=n_units, max_size=n_units)))
-    return X.reshape(n_units, q)
-
-
-def assert_profile_matches_reference(packed, family, X, draws):
+def assert_profile_matches_reference(packed, family, draws):
     """``_Profile``'s value at each drawn z against the reference's: within
     ``PROFILE_RTOL`` relative where the reference is finite, and anything
     but NaN where it overflowed to inf."""
-    objective = _Profile(packed, family, X)
-    reference = reference_profile_objective(packed, family, X)
+    objective = _Profile(packed, family)
+    reference = reference_profile_objective(packed, family)
     for z in draws:
         want, got = reference(z), objective(z)[0]
         assert not np.isnan(got), z
@@ -454,19 +405,7 @@ def test_search_objectives_equal_model_building_path(data, family):
     assume(any(u.n_events for u in units))  # the fitters refuse units without events
     k = len(FAMILY_PARAMS[family]) - 1
     for packed in (_Packed(units), _Packed(fleet_of(units))):
-        no_columns = np.zeros((packed.n_units, 0))
-        assert_profile_matches_reference(packed, family, no_columns, draw_zs(data, k))
-    X = draw_columns(data, len(units))
-    assert_profile_matches_reference(_Packed(units), family, X, draw_zs(data, k + X.shape[1]))
-
-
-@PROPERTY
-@given(data=st.data())
-def test_hpp_search_objective_equals_model_building_path(data):
-    units = data.draw(unit_lists())
-    assume(any(u.n_events for u in units))
-    X = draw_columns(data, len(units))
-    assert_profile_matches_reference(_Packed(units), "hpp", X, draw_zs(data, X.shape[1]))
+        assert_profile_matches_reference(packed, family, draw_zs(data, k))
 
 
 def test_breakpoints_after_the_last_exposure_do_not_enter_the_profile():
@@ -474,10 +413,9 @@ def test_breakpoints_after_the_last_exposure_do_not_enter_the_profile():
     exposure = ExposureSchedule("u", np.array([0.0, 31.0, 62.0]), np.array([0.5, 0.0]), 62.0)
     packed = _Packed([EventSeries("u", [20.0, 29.0, 30.0], 62.0, exposure)])
     z = np.array([math.log(179.5)])
-    no_columns = np.zeros((1, 0))
-    want = reference_profile_objective(packed, "power_law", no_columns)(z)
+    want = reference_profile_objective(packed, "power_law")(z)
     assert np.isfinite(want)
-    assert _Profile(packed, "power_law", no_columns)(z)[0] == pytest.approx(want, rel=PROFILE_RTOL)
+    assert _Profile(packed, "power_law")(z)[0] == pytest.approx(want, rel=PROFILE_RTOL)
 
 
 @pytest.mark.parametrize("family", FAMILIES[1:])
@@ -485,10 +423,9 @@ def test_search_path_equals_model_building_path(family):
     model = BaselineIntensityModel("power_law", (1.3, 30.0))
     exposures = [u.exposure for u in mixed_units()[:4]]
     packed = _Packed(simulate_fleet(model, exposures, exposures[0].tau, seed=4))
-    no_columns = np.zeros((packed.n_units, 0))
     start = [np.delete(np.log(FIXED_THETA[family]), _AMPLITUDE[family])]
-    got = maximize(_Profile(packed, family, no_columns), start, 1e-8, 300)
-    want = maximize(reference_profile_objective(packed, family, no_columns), start, 1e-8, 300)
+    got = maximize(_Profile(packed, family), start, 1e-8, 300)
+    want = maximize(reference_profile_objective(packed, family), start, 1e-8, 300)
     assert got[0] == pytest.approx(want[0], rel=OPTIMUM_RTOL, abs=0.0)
     assert got[2] and want[2]
     # on this fleet the gompertz and musa_okumoto fits run along a ridge, the

@@ -1,12 +1,11 @@
 """The recurrent searches' profile likelihood and its exact score.
 
-``recurrent._Profile`` maximizes each family's amplitude in closed form and
-gives the negative profile log-likelihood in z = (log phi, beta) with its
+``recurrent._Profile`` maximizes each shaped family's amplitude in closed
+form and gives the negative profile log-likelihood in z = log phi with its
 gradient, from the family's derivatives of log S' at the event times and
 of S on the breakpoint grid.  A property holds that gradient to a central
-difference of the same value, for the four shaped families with and
-without covariate columns, and another for the hpp with one or two.  At
-every bundled ``air fit-recurrent`` optimum the full-parameter score of
+difference of the same value, for the four shaped families.  At every
+bundled ``air fit-recurrent`` optimum the full-parameter score of
 ``_Packed.log_lik`` vanishes: the expected count equals the observed
 count to rounding, which the closed-form amplitude gives exactly, and
 each partial derivative in log theta is at most 1e-6 per event.
@@ -32,7 +31,7 @@ from aireliab.recurrent import (
 
 from conftest import DATA_DIR, PROPERTY
 
-TRUTH = {"hpp": (0.4,), "power_law": (1.3, 8.0), "weibull_growth": (30.0, 0.05, 0.9),
+TRUTH = {"power_law": (1.3, 8.0), "weibull_growth": (30.0, 0.05, 0.9),
          "gompertz": (20.0, 1.5, 0.1), "musa_okumoto": (10.0, 0.3)}
 TAU = 30.0
 #: central-difference step in z
@@ -46,11 +45,10 @@ OPTIMUM_SCORE_TOL = 1e-6
 
 
 @st.composite
-def profiles(draw, families=FAMILIES[1:], min_columns=0):
+def profiles(draw):
     """A family's profile on 1-5 simulated units with cut, partly unexposed
-    schedules, ``min_columns`` to 2 covariate columns, and a z within reach
-    of the truth."""
-    family = draw(st.sampled_from(families))
+    schedules, and a z within reach of the truth."""
+    family = draw(st.sampled_from(FAMILIES[1:]))
     exposures = []
     for i in range(draw(st.integers(1, 5))):
         cuts = sorted(draw(st.sets(st.integers(1, 2 * int(TAU) - 1), max_size=4)))
@@ -61,14 +59,9 @@ def profiles(draw, families=FAMILIES[1:], min_columns=0):
     units = simulate.simulate_fleet(BaselineIntensityModel(family, TRUTH[family]), exposures, TAU,
                                     draw(st.integers(0, 2**16)))
     assume(any(u.n_events for u in units))
-    q = draw(st.integers(min_columns, 2))
-    X = np.array(draw(st.lists(st.lists(st.floats(-1.5, 1.5), min_size=q, max_size=q),
-                               min_size=len(units), max_size=len(units)))).reshape(len(units), q)
     shape = np.delete(np.log(TRUTH[family]), _AMPLITUDE[family])
-    z = np.concatenate([shape + draw(st.lists(st.floats(-1.0, 1.0), min_size=len(shape),
-                                              max_size=len(shape))),
-                        draw(st.lists(st.floats(-0.8, 0.8), min_size=q, max_size=q))])
-    return _Profile(_Packed(units), family, X), z
+    z = shape + draw(st.lists(st.floats(-1.0, 1.0), min_size=len(shape), max_size=len(shape)))
+    return _Profile(_Packed(units), family), z
 
 
 def assert_score_matches_a_central_difference(profile, z):
@@ -87,17 +80,10 @@ def test_profile_score_matches_a_central_difference(problem):
     assert_score_matches_a_central_difference(*problem)
 
 
-@PROPERTY
-@given(profiles(families=("hpp",), min_columns=1))
-def test_hpp_score_matches_a_central_difference(problem):
-    # the hpp has no shape coordinate: its score is the effects' alone
-    assert_score_matches_a_central_difference(*problem)
-
-
 def test_the_score_is_zero_where_the_search_region_ends():
     units = simulate.simulate_fleet(BaselineIntensityModel("power_law", TRUTH["power_law"]),
                                     [datasets.constant_exposure(1.0, TAU)], TAU, 3)
-    profile = _Profile(_Packed(units), "weibull_growth", np.zeros((1, 0)))
+    profile = _Profile(_Packed(units), "weibull_growth")
     for z in (np.array([301.0, 0.0]), np.array([0.0, -300.5])):
         value, score = profile(z)
         assert value == np.inf

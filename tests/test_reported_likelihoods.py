@@ -27,9 +27,7 @@ from aireliab.recurrent import (
     EventSeries,
     fit_manufacturer_level,
     fit_mle,
-    fit_proportional,
     log_likelihood,
-    proportional_log_likelihood,
 )
 
 from conftest import unit_exposures
@@ -101,9 +99,3 @@ def test_fit_manufacturer_level_reports_log_likelihood(fleet, family):
     total = sum_schedules(exposures)
     assert fit.log_lik == log_likelihood([EventSeries("fleet", times, total.tau, total)],
                                          fit.model)
-
-
-def test_fit_proportional_reports_log_likelihood(fleet):
-    x = np.random.default_rng(3).normal(0.0, 1.0, (len(fleet), 2))
-    fit = fit_proportional(fleet, x, "power_law")
-    assert fit.log_lik == proportional_log_likelihood(fleet, x, fit.model, fit.beta)

@@ -2,21 +2,18 @@
 
 ``srgm.forward_stepwise`` and the covariate selection of
 ``srgm.fit_resilience`` run one greedy AIC loop (``srgm._forward_aic``);
-``recurrent.fit_mle`` and ``recurrent.fit_proportional`` run one search
-objective and one multistart path (``recurrent._search``).  The oracles
-below are the code that came before, each with its own loop, objective
+``recurrent.fit_mle`` runs one search objective (``recurrent._Profile``)
+for every shaped family.  The oracles below are the code that came before, each with its own loop, objective
 and search.  The stepwise paths must reproduce them exactly: the same
 traces, selections and coefficients, bit for bit.
 
-The recurrent oracles search the full parameters with the simplex; the
+The recurrent oracle searches the full parameters with the simplex; the
 shared path searches the profile likelihood, with the amplitude at its
-closed-form maximum, on an exact score, for every family.  So it must
-reach at least the oracle's log-likelihood less 1e-9 relative, at the
-same theta and beta to 1e-5 relative (gompertz, whose fits run along a
-ridge, is held to the log-likelihood only).  The hpp fit of ``fit_mle``
-keeps its closed form and stays equal to its oracle in every field.  A
-covariate block scaled by 400 sends L-BFGS-B's first unit step out of
-the finite region; the fit must still reach the oracle.
+closed-form maximum, on an exact score.  So it must reach at least the
+oracle's log-likelihood less 1e-9 relative, at the same theta to 1e-5
+relative (gompertz, whose fits run along a ridge, is held to the
+log-likelihood only).  The hpp fit of ``fit_mle`` keeps its closed form
+and stays equal to its oracle in every field.
 
 The stepwise loop is exercised on generated AIC tables through a stand-in
 for ``fit_srgm`` (ties, improvements at the 1e-9 threshold, sets that
@@ -45,12 +42,11 @@ from aireliab.recurrent import (
     _moment_seed,
     _Packed,
     fit_mle,
-    fit_proportional,
 )
 from aireliab.simulate import interval_series_from_adversarial, simulate_fleet, simulate_srgm_counts
 from aireliab.srgm import IntervalCountSeries, _expand_features
 
-from conftest import DATA_DIR, PROPERTY, unit_exposures
+from conftest import DATA_DIR, PROPERTY
 
 # ---------------------------------------------------------------------------
 # oracles: the searches as they were before they shared one path
@@ -164,19 +160,6 @@ def oracle_mle_objective(packed, family):
     return negloglik_z
 
 
-def oracle_proportional_objective(packed, family, X):
-    k = len(FAMILY_PARAMS[family])
-    ones = np.ones(packed.n_units)
-
-    def negloglik_z(z):
-        if np.maximum.reduce(abs(z)) > 300:
-            return np.inf
-        scale = np.exp(X @ z[k:]) if X.shape[1] else ones
-        return -packed.log_lik_theta(family, np.exp(z[:k]).tolist(), scale)
-
-    return negloglik_z
-
-
 def oracle_fit_mle(units, family, *, multistarts=5, max_iter=2000):
     packed = _Packed(units)
     k = len(FAMILY_PARAMS[family])
@@ -202,31 +185,6 @@ def oracle_fit_mle(units, family, *, multistarts=5, max_iter=2000):
 
     stderr = numeric_stderr(negloglik_theta, theta, 1e-5 * (np.abs(theta) + 1e-8))
     return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, stderr)
-
-
-def oracle_fit_proportional(units, covariates, family, *, names=None, multistarts=5,
-                            max_iter=4000):
-    packed = _Packed(units)
-    X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    q = X.shape[1]
-    if names is None:
-        names = tuple(f"x{j + 1}" for j in range(q))
-    active = [j for j in range(q) if (X[:, j] != 0).any()]
-    X_act = X[:, active]
-    k_theta = len(FAMILY_PARAMS[family])
-    q_act = len(active)
-    seed = np.concatenate([np.log(_moment_seed(family, packed)), np.zeros(q_act)])
-    spread = np.repeat([0.5, 0.25], [k_theta, q_act])
-    fun, z_hat, ok, iters = maximize(oracle_proportional_objective(packed, family, X_act),
-                                     starts(seed, multistarts, spread, key=12345),
-                                     TOLERANCE, max_iter)
-    theta = tuple(np.exp(z_hat[:k_theta]))
-    beta = np.zeros(q)
-    beta[active] = z_hat[k_theta:]
-    model = BaselineIntensityModel(family, theta)
-    ll = -fun
-    k = k_theta + q_act
-    return RecurrentFit(model, ll, 2 * k - 2 * ll, ok, iters, None, tuple(beta), tuple(names))
 
 
 def same(a, b) -> bool:
@@ -398,10 +356,6 @@ def fleet(seed):
     return simulate_fleet(truth, exposures, 120.0, seed)
 
 
-COVARIATES = np.array([[0.0, 0.0, 0.4], [1.0, 0.0, -0.2], [0.0, 0.0, 1.1],
-                       [1.0, 0.0, 0.0], [0.0, 0.0, -0.7], [1.0, 0.0, 0.3]])
-
-
 #: how far short of the oracle's log-likelihood a profile search may end, relative
 LOGLIK_RTOL = 1e-9
 #: how far the fitted parameters may move from the oracle's, relative
@@ -410,14 +364,12 @@ PARAM_RTOL = 1e-5
 
 def assert_reaches_the_oracle(ours, oracle, family):
     """At least the oracle's log-likelihood, at the oracle's optimum: the same
-    theta and beta to ``PARAM_RTOL``, except for gompertz, whose fits ride a
-    ridge where theta1 * theta2 is all the data fix."""
+    theta to ``PARAM_RTOL``, except for gompertz, whose fits ride a ridge
+    where theta1 * theta2 is all the data fix."""
     assert ours.model.family == oracle.model.family
-    assert ours.covariate_names == oracle.covariate_names
     assert ours.log_lik >= oracle.log_lik - LOGLIK_RTOL * abs(oracle.log_lik)
     if family != "gompertz":
         assert np.allclose(ours.model.theta, oracle.model.theta, rtol=PARAM_RTOL, atol=0.0)
-        assert np.allclose(ours.beta or (), oracle.beta or (), rtol=PARAM_RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -429,24 +381,3 @@ def test_fit_mle_matches_the_oracle(family, seed):
         assert ours == oracle
     else:
         assert_reaches_the_oracle(ours, oracle, family)
-
-
-@pytest.mark.parametrize("columns", [[0, 1, 2], [1], []], ids=["mixed", "all-zero", "none"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_fit_proportional_matches_the_oracle(family, columns):
-    units = fleet(3)
-    X = COVARIATES[:, columns]
-    ours = fit_proportional(units, X, family, multistarts=3)
-    assert_reaches_the_oracle(ours, oracle_fit_proportional(units, X, family, multistarts=3),
-                              family)
-
-
-@pytest.mark.parametrize("family", ["hpp", "power_law"])
-def test_a_search_whose_first_step_overflows_reaches_the_oracle(family):
-    units = simulate_fleet(BaselineIntensityModel("power_law", (1.3, 8.0)),
-                           unit_exposures(30, 15.0), 15.0, 5)
-    X = 400.0 * np.random.default_rng(7).normal(size=(30, 2))
-    ours = fit_proportional(units, X, family)
-    oracle = oracle_fit_proportional(units, X, family)
-    assert ours.converged
-    assert ours.log_lik >= oracle.log_lik - LOGLIK_RTOL * abs(oracle.log_lik)

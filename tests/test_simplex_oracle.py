@@ -35,7 +35,6 @@ from aireliab.recurrent import (
     FAMILY_PARAMS,
     BaselineIntensityModel,
     fit_mle,
-    fit_proportional,
 )
 from aireliab.simulate import (
     interval_series_from_adversarial,
@@ -261,7 +260,6 @@ def test_no_fitter_calls_scipy_nelder_mead(monkeypatch):
     # ``maximize`` imports ``minimize`` when it is called, so it gets the guard
     assert not hasattr(_optim, "minimize")
 
-    rng = np.random.default_rng(3)
     logs = [simulate_ep_cascade(EPModel({"2d": (1.2, 2.0), "3d": (1.2, 2.0),
                                          "localization": (1.1, 3.0)},
                                         {("localization", "2d"): (0.3, 1.0),
@@ -273,5 +271,4 @@ def test_no_fitter_calls_scipy_nelder_mead(monkeypatch):
     units = simulate_fleet(BaselineIntensityModel("power_law", (1.2, 5.0)),
                            unit_exposures(4, 30.0), 30.0, 5)
     fit_mle(units, "power_law", multistarts=1)
-    fit_proportional(units, rng.normal(size=(4, 1)), "power_law", multistarts=1)
     assert methods.count("L-BFGS-B") >= 5 and "Nelder-Mead" not in methods
