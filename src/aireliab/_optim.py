@@ -36,11 +36,11 @@ def quiet():
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-def starts(seed, n: int, spread, key: int) -> list[np.ndarray]:
-    """``seed`` plus ``n - 1`` normal jitters of it with SD ``spread``.
+def starts(seed, n: int, spread: float, key: int) -> list[np.ndarray]:
+    """``seed`` plus ``n - 1`` normal jitters of it, each coordinate with SD ``spread``.
 
-    ``spread`` is a scalar or one SD per coordinate.  Each fitter passes
-    its own fixed ``key``, so a fit is a pure function of its inputs.
+    Each fitter passes its own fixed ``key``, so a fit is a pure function
+    of its inputs.
     """
     seed = np.asarray(seed, dtype=float)
     jitter = np.random.default_rng(key)

@@ -391,10 +391,15 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (``true`` and ``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numbers(value, what: str, n: int | None = None) -> tuple:
     """``value`` as a tuple if it is a JSON list of numbers (``n`` of them
     when given), else a ValueError naming ``what``."""
-    if not (isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)
+    if not (isinstance(value, list) and all(map(_is_number, value))
             and len(value) == (n or len(value))):
         raise ValueError(f"{what} is not a list of {'' if n is None else f'{n} '}numbers")
     return tuple(value)
@@ -424,6 +429,8 @@ def cmd_simulate(args, run: Run) -> int:
         missing = [key for key in ("baseline", "window", "scenarios") if key not in spec]
         if missing:
             raise ValueError(f"cascade spec lacks the key(s) {missing}")
+        if not _is_number(spec["window"]):
+            raise ValueError("window is not a number")
         edges = {tuple(key.split("<-")): _numbers(v, f"edge {key!r}")
                  for key, v in _object(spec.get("edges", {}), "edges").items()}
         bad = ["<-".join(pair) for pair in edges if len(pair) != 2]
@@ -612,7 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = Run(args)
+    try:
+        run = Run(args)
+    except OSError as exc:  # --out names a file, or a path that cannot be made
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         code = args.func(args, run)
     except datasets.SchemaViolationError as exc:

@@ -26,28 +26,29 @@ class MonthTable:
     """
 
     def __init__(self, rows):
-        rows = sorted(rows, key=lambda r: r.month_id)
-        if not rows:
+        """``rows``: a month table or a list of ``MonthRow``, read by column."""
+        if not isinstance(rows, RecordTable):
+            rows = list(rows)
+        cols = [column(rows, name) for name in ("month_id", "start_date", "end_date", "n_days")]
+        order = sorted(range(len(rows)), key=cols[0].__getitem__)
+        if not order:
             raise ValueError("month table is empty")
-        for i, row in enumerate(rows):
-            if row.month_id != rows[0].month_id + i:
+        ids, starts, ends, n_days = ([col[i] for i in order] for col in cols)
+        for i, (month, start, end, n) in enumerate(zip(ids, starts, ends, n_days)):
+            if month != ids[0] + i:
                 raise ValueError("month ids are not consecutive")
-            expected = (row.end_date - row.start_date).days + 1
+            expected = (end - start).days + 1
             if expected < 1:
+                raise ValueError(f"month {month}: end date {end} precedes start date {start}")
+            if n != expected:
+                raise ValueError(f"month {month}: n_days={n} but dates span {expected}")
+        for i in range(1, len(ids)):
+            if starts[i] != ends[i - 1] + dt.timedelta(days=1):
                 raise ValueError(
-                    f"month {row.month_id}: end date {row.end_date} precedes "
-                    f"start date {row.start_date}"
+                    f"month {ids[i]} does not start the day after month {ids[i - 1]} ends"
                 )
-            if row.n_days != expected:
-                raise ValueError(
-                    f"month {row.month_id}: n_days={row.n_days} but dates span {expected}"
-                )
-        for prev, nxt in zip(rows, rows[1:]):
-            if nxt.start_date != prev.end_date + dt.timedelta(days=1):
-                raise ValueError(
-                    f"month {nxt.month_id} does not start the day after month {prev.month_id} ends"
-                )
-        self.rows = tuple(rows)
+        self.month_ids, self.n_days = tuple(ids), tuple(n_days)
+        self.rows = tuple(map(MonthRow, ids, starts, ends, n_days))
 
     def __len__(self):
         return len(self.rows)
@@ -63,7 +64,7 @@ class MonthTable:
     @property
     def tau(self) -> float:
         """Total length of the observation period in days."""
-        return float(sum(r.n_days for r in self.rows))
+        return float(sum(self.n_days))
 
     def day_index(self, date: dt.date) -> int:
         """1-based day offset of ``date`` within the period."""
@@ -100,7 +101,7 @@ class MonthTable:
     def day_month_ids(self) -> tuple[int, ...]:
         """The month id of each day of the period."""
         # the rows tile the period in order (checked in __init__)
-        ids = np.repeat([r.month_id for r in self.rows], [r.n_days for r in self.rows])
+        ids = np.repeat(self.month_ids, self.n_days)
         return tuple(ids.tolist())
 
 
@@ -208,7 +209,7 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
         months = MonthTable(months)
     rows = mileage_rows if isinstance(mileage_rows, RecordTable) else list(mileage_rows)
     miles = column(rows, "monthly_miles")
-    n_days = np.array([r.n_days for r in months.rows], dtype=float)
+    n_days = np.array(months.n_days, dtype=float)
     breakpoints = np.concatenate([[0.0], np.cumsum(n_days)])
     tau = float(breakpoints[-1])
     n_months = len(months)

@@ -389,18 +389,18 @@ def _module_loglik(module, logs, source_names):
     return loglik
 
 
-def _module_objective(module, logs, source_names, decay_bounds):
+def _module_objective(module, logs, source_names):
     """Negative log-likelihood of ``module`` and the map from its parameters.
 
     The parameter vector is z = (log shape, log scale, then log jump and
-    log decay per source); decays are clipped to ``decay_bounds``.  The
+    log decay per source); decays are clipped to ``DECAY_BOUNDS``.  The
     clip bounds are two vectors, so a call maps z to every parameter with
     one ``exp(minimum(maximum(z, lo), hi))``.
     """
     loglik = _module_loglik(module, logs, source_names)
     lo = np.full(2 + 2 * len(source_names), -np.inf)
     hi = np.full(lo.size, np.inf)
-    lo[3::2], hi[3::2] = np.log(decay_bounds[0]), np.log(decay_bounds[1])
+    lo[3::2], hi[3::2] = np.log(DECAY_BOUNDS[0]), np.log(DECAY_BOUNDS[1])
 
     def params(z):
         return np.exp(np.minimum(np.maximum(z, lo), hi))
@@ -441,7 +441,7 @@ def _fit_module(module, logs, source_names, family="power_law", *, multistarts=3
                 fit.converged, fit.iterations)
     n_src = sum(len(log.events.get(src, ())) for log in logs for src in source_names)
     total_window = float(sum(log.window for log in logs))
-    negloglik, unpack = _module_objective(module, logs, source_names, DECAY_BOUNDS)
+    negloglik, unpack = _module_objective(module, logs, source_names)
 
     # seeds: unit-shape power law matching the event rate; mild triggering
     # with the decay at the geometric midpoint of its bounds

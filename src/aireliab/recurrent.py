@@ -308,19 +308,13 @@ def log_likelihood(units, model: BaselineIntensityModel) -> float:
 
 
 def _moment_seed(family: str, packed: _Packed) -> np.ndarray:
-    """Method-of-moments-flavored starting parameters of a shaped family."""
-    tau = packed.tau
-    rate = max(packed.n_events, 1) / max(packed.total_exposure, 1e-12)
-    if family == "power_law":
-        return np.array([1.0, 1.0 / rate])
-    if family == "weibull_growth":
-        # theta3 = 1, theta2 = 1/tau: average intensity over (0, tau] matches
-        return np.array([rate * tau / (1.0 - np.exp(-1.0)), 1.0 / tau, 1.0])
-    if family == "gompertz":
-        mass = np.exp(-np.exp(-1.0)) - np.exp(-1.0)
-        return np.array([rate * tau / mass, 1.0, 1.0 / tau])
-    # musa_okumoto
-    return np.array([rate * tau / np.log(2.0), 1.0 / tau])
+    """The starting shape parameters phi of a shaped family: 1 for each
+    shape and 1 / tau for each time scale.  The search profiles the
+    amplitude out, so it has no seed."""
+    inv_tau = 1.0 / packed.tau
+    seeds = {"power_law": [1.0], "weibull_growth": [inv_tau, 1.0],
+             "gompertz": [1.0, inv_tau], "musa_okumoto": [inv_tau]}
+    return np.array(seeds[family])
 
 
 # The searches run on the profile likelihood.  Each shaped family splits
@@ -503,8 +497,11 @@ def fit_mle(units, family: str, *, multistarts: int = 5,
     if packed.n_events == 0:
         raise ValueError(f"no events across units; cannot fit the {family} family")
 
-    z0s = [np.delete(z0, _AMPLITUDE[family])
-           for z0 in starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345)]
+    # the jitter is drawn over the full parameter vector, amplitude slot
+    # included, so the shape coordinates are those of the full-parameter starts
+    slot = _AMPLITUDE[family]
+    seed = np.insert(np.log(_moment_seed(family, packed)), slot, 0.0)
+    z0s = [np.delete(z0, slot) for z0 in starts(seed, multistarts, 0.5, key=12345)]
     profile = _Profile(packed, family)
     _, z_hat, ok, iters = maximize(profile, z0s, TOLERANCE, max_iter)
     with quiet():  # the search met this optimum under the same error state

@@ -1,5 +1,4 @@
-"""Covariate regression models: ordinary least squares and the simplex
-mixture model with covariate interactions.
+"""The simplex mixture regression model with covariate interactions.
 
 The mixture model is the no-intercept second-order form over proportions
 (x1, x2, x3) summing to one, with binary covariates z entering through
@@ -38,60 +37,6 @@ def _check_rank(X, names):
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
         raise RankDeficiencyError([names[j] for j in sorted(piv[rank:])])
-
-
-def _with_intercept(X, names, add_intercept):
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if names is None:
-        names = [f"x{j + 1}" for j in range(X.shape[1])]
-    names = list(names)
-    if add_intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-        names = ["intercept"] + names
-    return X, names
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    names: tuple[str, ...]
-    coef: np.ndarray
-    stderr: np.ndarray
-    resid_sd: float
-    n: int
-    df_resid: int
-    add_intercept: bool
-
-    def predict(self, X):
-        return _with_intercept(X, None, self.add_intercept)[0] @ self.coef
-
-
-def fit_linear(X, y, *, names=None, add_intercept=True) -> LinearFit:
-    """Ordinary least squares with standard errors.
-
-    Raises RankDeficiencyError naming the offending columns when the
-    design (including the intercept, if added) is not full rank.
-    """
-    y = np.asarray(y, dtype=float)
-    D, cols = _with_intercept(X, names, add_intercept)
-    if D.shape[0] <= D.shape[1]:
-        raise ValueError("need more rows than coefficients")
-    _check_rank(D, cols)
-    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-    resid = y - D @ coef
-    df = D.shape[0] - D.shape[1]
-    sigma2 = float(resid @ resid) / df
-    cov = sigma2 * np.linalg.inv(D.T @ D)
-    return LinearFit(
-        names=tuple(cols),
-        coef=coef,
-        stderr=np.sqrt(np.diag(cov)),
-        resid_sd=float(np.sqrt(sigma2)),
-        n=D.shape[0],
-        df_resid=df,
-        add_intercept=add_intercept,
-    )
 
 
 MIXTURE_COMPONENTS = ("x1", "x2", "x3")
@@ -190,17 +135,24 @@ def fit_mixture(records, response: str = "y1", *, scenario: str | None = None,
     support = np.any(D != 0.0, axis=0)
     D = D[:, support]
     terms = tuple(t for t, keep in zip(terms, support) if keep)
-    fit = fit_linear(D, floats(response), names=terms, add_intercept=False)
+    if D.shape[0] <= D.shape[1]:
+        raise ValueError("need more rows than coefficients")
+    _check_rank(D, terms)
+    y = floats(response)
+    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
+    resid = y - D @ coef
+    df = D.shape[0] - D.shape[1]
+    sigma2 = float(resid @ resid) / df
     return MixtureFit(
         response=response,
         scenario=scenario,
         z_names=z_names,
-        terms=fit.names,
-        coef=fit.coef,
-        stderr=fit.stderr,
-        resid_sd=fit.resid_sd,
-        n=fit.n,
-        df_resid=fit.df_resid,
+        terms=terms,
+        coef=coef,
+        stderr=np.sqrt(np.diag(sigma2 * np.linalg.inv(D.T @ D))),
+        resid_sd=float(np.sqrt(sigma2)),
+        n=D.shape[0],
+        df_resid=df,
     )
 
 

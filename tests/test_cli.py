@@ -44,6 +44,16 @@ def test_alt_af_bad_inputs(tmp_path, capsys):
     assert "error" in err
 
 
+def test_out_naming_a_file_is_an_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    code, out, err = run_cli(["alt-af", "--ln", "10", "--la", "2", "--out", str(taken)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def test_validate_conforming_file_exit_zero(tmp_path, capsys, data_dir):
     path = data_dir / "mixture-robustness" / "mixture.csv"
     code, out, _ = run_cli(["validate", str(path), "--schema", "mixture",
@@ -917,9 +927,16 @@ def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_di
     ({key: v for key, v in DEFAULT_EP_SPEC.items() if key != "sources"},
      "edge 'localization<-2d': sources 'localization' does not list '2d'"),
     (dict(DEFAULT_EP_SPEC, scenarios=[{"weather": 3}]), "scenario 1 weather is not a string"),
+    (dict(DEFAULT_EP_SPEC, window=None), "window is not a number"),
+    (dict(DEFAULT_EP_SPEC, window="20"), "window is not a number"),
+    (dict(DEFAULT_EP_SPEC, window=True), "window is not a number"),
+    # JSON true and false are not numbers, though Python takes them as ints
+    (dict(DEFAULT_EP_SPEC, baseline=dict(DEFAULT_EP_SPEC["baseline"], **{"2d": [True, 0.8]})),
+     "baseline '2d' is not a list of numbers"),
 ], ids=["array spec", "list scenario", "list injection", "short injection",
         "string injection", "no scenarios", "list baseline", "number edge", "list sources",
-        "string sources", "unlisted edge source", "number weather"])
+        "string sources", "unlisted edge source", "number weather", "null window",
+        "string window", "boolean window", "boolean baseline"])
 def test_simulate_ep_cascade_malformed_spec_is_an_error_line(tmp_path, spec, message):
     # a fresh interpreter, so an escaping exception would print its traceback
     path = tmp_path / "spec.json"
@@ -934,7 +951,6 @@ def test_simulate_ep_cascade_malformed_spec_is_an_error_line(tmp_path, spec, mes
 
 
 def test_bundled_jobs_read_tables_by_column(tmp_path, capsys, data_dir, monkeypatch):
-    # fit-recurrent and simulate nhpp are left out: MonthTable reads month records
     from aireliab.datasets import RecordTable
 
     def refuse(table):
@@ -943,7 +959,19 @@ def test_bundled_jobs_read_tables_by_column(tmp_path, capsys, data_dir, monkeypa
     monkeypatch.setattr(RecordTable, "__iter__", refuse)
     adversarial = str(data_dir / "adversarial-attacks" / "adversarial.csv")
     mixture = str(data_dir / "mixture-robustness" / "mixture.csv")
+    disengagements, collisions = data_dir / "disengagements", data_dir / "collisions"
     jobs = [
+        ["fit-recurrent", "--family", "power_law", "--level", "vehicle",
+         "--events", str(disengagements / "disengagements.csv"),
+         "--mileage", str(disengagements / "mileage.csv"),
+         "--months", str(disengagements / "months.csv"), "--manufacturer", "Waymo"],
+        ["fit-recurrent", "--family", "weibull_growth", "--level", "manufacturer",
+         "--events", str(collisions / "collisions.csv"),
+         "--mileage", str(collisions / "mileage.csv"),
+         "--months", str(collisions / "months.csv")],
+        ["simulate", "nhpp", "--seed", "5", "--family", "hpp", "--theta", "0.1",
+         "--mileage", str(disengagements / "mileage.csv"),
+         "--months", str(disengagements / "months.csv"), "--manufacture", "Zoox"],
         ["fit-ep", "--log", str(data_dir / "module-errors" / "module_errors.csv"),
          "--mae-grid", "10"],
         ["fit-srgm", "--input", adversarial, "--hazard", "gm", "--stepwise"],

@@ -35,7 +35,7 @@ from aireliab.datasets import (
 )
 from aireliab.datasets.schemas import MODULE_FLAGS
 from aireliab.propagation import DEFAULT_SOURCES, InjectionWindow, ModuleEventLog
-from aireliab.regression import SCENARIOS, MixtureFit, fit_linear, fit_mixture, mixture_design
+from aireliab.regression import SCENARIOS, MixtureFit, _check_rank, fit_mixture, mixture_design
 from aireliab.simulate import (
     _ADVERSARIAL_COLUMNS,
     IntervalCountSeries,
@@ -127,17 +127,23 @@ def oracle_fit_mixture(records, response: str = "y1", *, scenario: str | None = 
     support = np.any(D != 0.0, axis=0)
     D = D[:, support]
     terms = tuple(t for t, keep in zip(terms, support) if keep)
-    fit = fit_linear(D, y, names=terms, add_intercept=False)
+    if D.shape[0] <= D.shape[1]:
+        raise ValueError("need more rows than coefficients")
+    _check_rank(D, terms)
+    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
+    resid = y - D @ coef
+    df = D.shape[0] - D.shape[1]
+    sigma2 = float(resid @ resid) / df
     return MixtureFit(
         response=response,
         scenario=scenario,
         z_names=z_names,
-        terms=fit.names,
-        coef=fit.coef,
-        stderr=fit.stderr,
-        resid_sd=fit.resid_sd,
-        n=fit.n,
-        df_resid=fit.df_resid,
+        terms=terms,
+        coef=coef,
+        stderr=np.sqrt(np.diag(sigma2 * np.linalg.inv(D.T @ D))),
+        resid_sd=float(np.sqrt(sigma2)),
+        n=D.shape[0],
+        df_resid=df,
     )
 
 

@@ -1,8 +1,8 @@
 """Tests of the shared optimizer helpers in ``aireliab._optim``.
 
-The oracles are the four multistart jitter loops that the fitters wrote
-out inline before ``starts`` replaced them; each must be reproduced bit
-for bit, so every fit keeps its starts.
+The oracles are the multistart jitter loops that the fitters wrote out
+inline before ``starts`` replaced them; each must be reproduced bit for
+bit, so every fit keeps its starts.
 
 ``maximize`` drops a start whose objective is +inf or NaN before any
 search.  Its oracle is the ``maximize`` that searched from every start;
@@ -38,19 +38,6 @@ def recurrent_starts(seed_params, multistarts):
     jitter = np.random.default_rng(12345)
     for _ in range(max(0, multistarts - 1)):
         out.append(z0 + jitter.normal(0.0, 0.5, size=len(z0)))
-    return out
-
-
-def proportional_starts(seed, k_theta, q_act, multistarts):
-    # two jitter blocks, 0.5 on a baseline block and 0.25 on an effects
-    # block: ``starts`` with one SD per coordinate
-    out = [seed]
-    jitter = np.random.default_rng(12345)
-    for _ in range(max(0, multistarts - 1)):
-        s = seed.copy()
-        s[:k_theta] += jitter.normal(0.0, 0.5, size=k_theta)
-        s[k_theta:] += jitter.normal(0.0, 0.25, size=q_act)
-        out.append(s)
     return out
 
 
@@ -104,16 +91,6 @@ def test_starts_match_propagation_loop(seed, n):
 def test_starts_match_srgm_loop(seed, n):
     seed = np.array(seed)
     assert_same_bits(starts(seed, n, 0.4, key=777), srgm_starts(seed, n))
-
-
-@PROPERTY
-@given(st.lists(finite, min_size=1, max_size=3), st.integers(0, 3), multistarts)
-def test_starts_match_proportional_loop(theta, q_act, n):
-    k_theta = len(theta)
-    seed = np.concatenate([theta, np.zeros(q_act)])
-    spread = np.repeat([0.5, 0.25], [k_theta, q_act])
-    assert_same_bits(starts(seed, n, spread, key=12345),
-                     proportional_starts(seed, k_theta, q_act, n))
 
 
 def test_numeric_stderr_recovers_quadratic_with_absolute_step():

@@ -9,7 +9,6 @@ from aireliab import datasets, simulate
 from aireliab._optim import maximize, starts
 from aireliab.datasets import constant_exposure
 from aireliab.propagation import (
-    DECAY_BOUNDS,
     DEFAULT_SOURCES,
     TOLERANCE,
     EPModel,
@@ -151,7 +150,7 @@ def own_search_loglik(module, logs, multistarts=3, max_iter=4000):
     ``propagation`` before they went through ``recurrent.fit_mle``: its
     objective, seed and starts."""
     n_own = sum(len(log.events[module]) for log in logs)
-    negloglik, _ = _module_objective(module, logs, (), DECAY_BOUNDS)
+    negloglik, _ = _module_objective(module, logs, ())
     seed = [0.0, np.log(float(sum(log.window for log in logs)) / n_own)]
     fun, *_ = maximize(negloglik, starts(seed, multistarts, 0.5, key=2024), TOLERANCE, max_iter)
     return -fun

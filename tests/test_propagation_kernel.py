@@ -330,7 +330,7 @@ def test_fit_objective_matches_gap_tables(cases, z):
     # log decays of +-3 reach both sides of the clip
     logs = [log for log, _ in cases]
     z = np.asarray(z)
-    negloglik, _ = _module_objective("localization", logs, SOURCES, DECAY_BOUNDS)
+    negloglik, _ = _module_objective("localization", logs, SOURCES)
     reference, magnitude = dense_module_negloglik("localization", logs, SOURCES, DECAY_BOUNDS)(z)
     assert_close(negloglik(z), reference, magnitude)
 
@@ -348,7 +348,7 @@ def test_edge_case_logs_match_dense(index):
     reference, magnitude = dense_log_likelihood(EDGE_MODEL, [log])
     assert_close(ep_log_likelihood(EDGE_MODEL, log), reference, magnitude)
     z = np.log([1.3, 2.0, 1.7, 0.8, 0.4, 3.0])
-    negloglik, _ = _module_objective("localization", [log], SOURCES, DECAY_BOUNDS)
+    negloglik, _ = _module_objective("localization", [log], SOURCES)
     reference, magnitude = dense_module_negloglik("localization", [log], SOURCES, DECAY_BOUNDS)(z)
     assert_close(negloglik(z), reference, magnitude)
 
@@ -399,7 +399,7 @@ Z_EDGE = [[0.2, 0.5, -0.3, LOG_DECAY_BOUNDS[0] - 0.5, 0.1, LOG_DECAY_BOUNDS[1] +
 def test_prepared_objective_matches_oracle_bit_for_bit(cases, sources, zs):
     # several z per objective, so a buffer left stale by one call shows in the next
     logs = [log for log, _ in cases]
-    negloglik, unpack = _module_objective("localization", logs, sources, DECAY_BOUNDS)
+    negloglik, unpack = _module_objective("localization", logs, sources)
     oracle, oracle_unpack = oracle_module_objective("localization", logs, sources, DECAY_BOUNDS)
     for z in zs:
         z = np.array(z[:2 + 2 * len(sources)])
@@ -415,8 +415,9 @@ def test_prepared_objective_search_matches_oracle(data_dir):
     records = datasets.load(data_dir / "module-errors" / "module_errors.csv", "module_error")
     logs = list(simulate.module_event_log(records).values())
     z0 = starts([0.0, 0.5, -1.0, 0.0, -1.0, 0.0], 3, 0.5, key=2024)
-    runs = [maximize(build("localization", logs, SOURCES, DECAY_BOUNDS)[0], z0, TOLERANCE, 4000)
-            for build in (_module_objective, oracle_module_objective)]
+    objectives = (_module_objective("localization", logs, SOURCES)[0],
+                  oracle_module_objective("localization", logs, SOURCES, DECAY_BOUNDS)[0])
+    runs = [maximize(objective, z0, TOLERANCE, 4000) for objective in objectives]
     (value, point, ok, iterations), expected = runs
     assert bits(value) == bits(expected[0])
     assert np.array_equal(bits(point), bits(expected[1]))

@@ -1,58 +1,63 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aireliab.regression import (
     RankDeficiencyError,
-    fit_linear,
     fit_mixture,
     mixture_design,
     predict_simplex_grid,
     simplex_lattice,
 )
+from aireliab.datasets import column, select
 from aireliab.simulate import simulate_mixture_records
 from aireliab._rng import derive_seed
 
 
-def test_linear_noiseless_interpolation():
-    x = np.linspace(0.0, 1.0, 12)
-    fit = fit_linear(x, 2.0 * x + 1.0)
-    assert fit.coef == pytest.approx([1.0, 2.0], abs=1e-10)
-
-
-def test_linear_constant_response():
-    x = np.linspace(0.0, 1.0, 9)
-    fit = fit_linear(x, np.full(9, 3.5))
-    assert fit.coef == pytest.approx([3.5, 0.0], abs=1e-12)
+def noisy_c1_fit(seed):
+    """A scenario-c1 fit of noisy mixture records, with its design and response."""
+    rng = np.random.default_rng(seed)
+    records = simulate_mixture_records(rng.normal(0.5, 0.2, 13), np.zeros(13),
+                                       noise_sd_y1=0.1, seed=seed)
+    rows = select(records, "c1", 1)
+    D, _ = mixture_design(np.column_stack([column(rows, x) for x in ("x1", "x2", "x3")]),
+                          np.column_stack([column(rows, z) for z in ("z1", "z2")]))
+    return fit_mixture(records, "y1", scenario="c1"), D, np.asarray(column(rows, "y1"))
 
 
 def test_linear_matches_normal_equations_oracle():
-    rng = np.random.default_rng(1)
-    X = rng.normal(0.0, 1.0, (40, 4))
-    y = rng.normal(0.0, 1.0, 40)
-    fit = fit_linear(X, y)
-    D = np.column_stack([np.ones(40), X])
+    fit, D, y = noisy_c1_fit(1)
     oracle = np.linalg.solve(D.T @ D, D.T @ y)
     assert np.max(np.abs(fit.coef - oracle)) < 1e-9
 
 
 def test_linear_residuals_orthogonal_to_design():
-    rng = np.random.default_rng(2)
-    X = rng.normal(0.0, 1.0, (60, 3))
-    y = X @ [1.0, -0.5, 0.3] + rng.normal(0.0, 0.4, 60)
-    fit = fit_linear(X, y)
-    D = np.column_stack([np.ones(60), X])
+    fit, D, y = noisy_c1_fit(2)
     resid = y - D @ fit.coef
+    assert fit.resid_sd > 0.05
     scaled = np.abs(D.T @ resid) / (np.linalg.norm(resid) + 1e-30)
     assert np.max(scaled) < 1e-8
 
 
 def test_linear_rank_deficiency_names_columns():
-    rng = np.random.default_rng(3)
-    a = rng.normal(0.0, 1.0, 30)
-    X = np.column_stack([a, 2.0 * a, rng.normal(0.0, 1.0, 30)])
+    # z2 copies z1, so each z2:xj column repeats z1:xj
+    records = simulate_mixture_records(np.full(13, 0.5), np.zeros(13), seed=3)
+    twins = [replace(r, z2=r.z1) for r in records]
     with pytest.raises(RankDeficiencyError) as err:
-        fit_linear(X, rng.normal(0.0, 1.0, 30), names=["a", "double_a", "b"])
-    assert "double_a" in err.value.columns or "a" in err.value.columns
+        fit_mixture(twins, "y1", scenario="c1")
+    for x in ("x1", "x2", "x3"):
+        assert f"z1:{x}" in err.value.columns or f"z2:{x}" in err.value.columns
+
+
+def test_mixture_needs_more_rows_than_coefficients():
+    records = simulate_mixture_records(np.full(13, 0.5), np.zeros(13), seed=4)
+    # every sixth row of the layout: 13 rows that give each of the 13 terms
+    # support, so no term is dropped and no residual is left
+    rows = list(select(records, "c1", 1))[::6][:13]
+    assert len(rows) == 13
+    with pytest.raises(ValueError, match="^need more rows than coefficients$"):
+        fit_mixture(rows, "y1", scenario="c1")
 
 
 def test_mixture_noiseless_recovery():
@@ -91,8 +96,11 @@ def test_mixture_relabel_symmetry():
 def test_mixture_rank_deficiency_for_constant_z():
     records = [r for r in simulate_mixture_records(np.full(13, 0.5), np.zeros(13), seed=13)
                if r.z1 == 1]
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError) as err:
         fit_mixture(records, "y1", scenario="c1")
+    # with z1 = 1 each z1:xj column repeats xj
+    for x in ("x1", "x2", "x3"):
+        assert x in err.value.columns or f"z1:{x}" in err.value.columns
 
 
 def test_mixture_pooled_fit_uses_scenario_flags():

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aireliab import srgm
+from aireliab import recurrent, srgm
 from aireliab._optim import maximize, numeric_stderr, starts
 from aireliab.datasets import constant_exposure, load
 from aireliab.recurrent import (
@@ -39,7 +39,7 @@ from aireliab.recurrent import (
     TOLERANCE,
     BaselineIntensityModel,
     RecurrentFit,
-    _moment_seed,
+    _AMPLITUDE,
     _Packed,
     fit_mle,
 )
@@ -160,6 +160,21 @@ def oracle_mle_objective(packed, family):
     return negloglik_z
 
 
+def oracle_moment_seed(family, packed):
+    """The full starting parameters, amplitude included, that the search's
+    starts came from before the amplitude was profiled out."""
+    tau = packed.tau
+    rate = max(packed.n_events, 1) / max(packed.total_exposure, 1e-12)
+    if family == "power_law":
+        return np.array([1.0, 1.0 / rate])
+    if family == "weibull_growth":
+        return np.array([rate * tau / (1.0 - np.exp(-1.0)), 1.0 / tau, 1.0])
+    if family == "gompertz":
+        mass = np.exp(-np.exp(-1.0)) - np.exp(-1.0)
+        return np.array([rate * tau / mass, 1.0, 1.0 / tau])
+    return np.array([rate * tau / np.log(2.0), 1.0 / tau])
+
+
 def oracle_fit_mle(units, family, *, multistarts=5, max_iter=2000):
     packed = _Packed(units)
     k = len(FAMILY_PARAMS[family])
@@ -171,7 +186,7 @@ def oracle_fit_mle(units, family, *, multistarts=5, max_iter=2000):
         return RecurrentFit(model, ll, 2 * k - 2 * ll, True, 0, stderr)
     fun, z_hat, ok, iters = maximize(
         oracle_mle_objective(packed, family),
-        starts(np.log(_moment_seed(family, packed)), multistarts, 0.5, key=12345),
+        starts(np.log(oracle_moment_seed(family, packed)), multistarts, 0.5, key=12345),
         TOLERANCE, max_iter
     )
     theta = np.exp(z_hat)
@@ -381,3 +396,24 @@ def test_fit_mle_matches_the_oracle(family, seed):
         assert ours == oracle
     else:
         assert_reaches_the_oracle(ours, oracle, family)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "hpp"])
+def test_fit_mle_starts_are_the_oracle_starts_less_the_amplitude(family):
+    # the jitter is drawn over the full parameter vector, so each shape
+    # coordinate of each start is the oracle's, bit for bit
+    units = fleet(1)
+    searched = []
+
+    def record(objective, z0_list, tol, max_iter):
+        searched.extend(z0_list)
+        return real_maximize(objective, z0_list, tol, max_iter)
+
+    real_maximize = recurrent.maximize
+    with mock.patch.object(recurrent, "maximize", record):
+        fit_mle(units, family)
+    full = starts(np.log(oracle_moment_seed(family, _Packed(units))), 5, 0.5, key=12345)
+    want = [np.delete(z0, _AMPLITUDE[family]) for z0 in full]
+    assert len(searched) == len(want)
+    for got, expected in zip(searched, want):
+        assert got.tobytes() == expected.tobytes()

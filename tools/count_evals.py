@@ -22,14 +22,14 @@ and counts in that row.
 - ``evals``: every evaluation inside ``maximize``: start values, simplex,
   finite-difference polish and score calls.
 
-The workloads are ``bundled-cli`` (the 46 jobs of
-``bench.workloads.BundledCLI.job_specs`` on the bundled ``data/`` tree) and
-``dmv-fleet`` (the jobs of ``bench.workloads.DMVFleet`` on the fleets that
-its ``setup`` builds for seed 5, in a temporary directory).  These counts
-do not depend on the clock, so they can back a claim of less search work
-where wall time on a busy host cannot.
+The pass is the one that ``tools/compare_outputs.py`` runs: the jobs of
+the workload in ``bench.workloads``, on the inputs that its ``setup``
+builds for seed 5 in a temporary directory (``bundled-cli`` reads the
+bundled ``data/`` tree).  These counts do not depend on the clock, so they
+can back a claim of less search work where wall time on a busy host
+cannot.
 
-    python3 tools/count_evals.py [--workload {bundled-cli,dmv-fleet}]
+    python3 tools/count_evals.py [--workload {bundled-cli,dmv-fleet,ep-scale}]
 """
 
 import argparse
@@ -46,27 +46,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import scipy.optimize  # noqa: E402
 
 from aireliab import _optim, cli, propagation, recurrent, srgm  # noqa: E402
-from bench.workloads import BundledCLI, Context, DMVFleet  # noqa: E402
+from compare_outputs import WORKLOADS, workload_jobs  # noqa: E402
 
 FITTERS = {"propagation": propagation, "recurrent": recurrent, "srgm": srgm}
 COLUMNS = ("searches", "starts", "dropped", "gradient", "fallbacks", "simplex", "simplex_evals",
            "score_evals", "evals")
-DMV_SEED = 5
-
-
-def bundled_cli_jobs(tmp: Path) -> list[tuple[str, list[str]]]:
-    return [(name, [*argv, "--out", str(tmp / name)])
-            for name, argv, _ in BundledCLI().job_specs(ROOT / "data")]
-
-
-def dmv_fleet_jobs(tmp: Path) -> list[tuple[str, list[str]]]:
-    ctx = Context(tmp / "inputs", DMV_SEED, 1, ROOT / "data")
-    workload = DMVFleet()
-    workload.setup(ctx)
-    return [(job.name, job.argv) for job in workload.jobs(ctx, tmp / "pass")]
-
-
-WORKLOADS = {"bundled-cli": bundled_cli_jobs, "dmv-fleet": dmv_fleet_jobs}
+SEED = 5
 
 
 def count_pass(jobs) -> tuple[dict, list[str]]:
@@ -141,10 +126,10 @@ def count_pass(jobs) -> tuple[dict, list[str]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="bundled-cli")
+    parser.add_argument("--workload", choices=WORKLOADS, default="bundled-cli")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        counts, failed = count_pass(WORKLOADS[args.workload](Path(tmp)))
+        counts, failed = count_pass(zip(*workload_jobs(args.workload, SEED, Path(tmp))))
     rows = [[name, *tally.values()] for name, tally in counts.items()]
     rows.append(["total", *(sum(col) for col in zip(*(row[1:] for row in rows)))])
     widths = [max(len(str(v)) for v in col) for col in zip(["fitter", *COLUMNS], *rows)]
