@@ -197,7 +197,7 @@ def constant_exposure(rate: float, tau: float, unit_id: str = "unit") -> Exposur
 
 def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
     """Daily exposure schedules from monthly mileage rows (a table or a list
-    of ``MileageRow``) and month lengths.
+    of ``MileageRow``) and the month lengths of ``months``.
 
     Each month's rate is that month's mileage divided by its number of
     days, so the schedule integrates back to the monthly totals exactly.
@@ -205,8 +205,6 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
     whole matrix of rates are checked once, with the errors and messages
     that building each schedule on its own would raise, row by row.
     """
-    if not isinstance(months, MonthTable):
-        months = MonthTable(months)
     rows = mileage_rows if isinstance(mileage_rows, RecordTable) else list(mileage_rows)
     miles = column(rows, "monthly_miles")
     n_days = np.array(months.n_days, dtype=float)

@@ -46,14 +46,6 @@ class LatinHypercube:
                 raise ValueError(f"column {j} is not a permutation of the level midpoints")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[1]
-
 
 def lh_levels(n: int) -> np.ndarray:
     """Cell midpoints (2i - 1) / (2n) for i = 1..n."""
@@ -61,12 +53,13 @@ def lh_levels(n: int) -> np.ndarray:
 
 
 def phi_criterion(design, k: int = 15, m: float = 2.0) -> float:
-    """Distance-reciprocal space-filling criterion; smaller is better.
+    """Distance-reciprocal space-filling criterion of the n x p point matrix
+    ``design``; smaller is better.
 
     This is the public entry point and validates the design and powers;
     ``search_mmlhd`` keeps the same criterion up to date under swaps.
     """
-    pts = design.matrix if isinstance(design, LatinHypercube) else np.asarray(design, float)
+    pts = np.asarray(design, float)
     if pts.shape[0] < 2:
         raise ValueError("need at least two design points")
     if not 1 <= k < np.inf:
@@ -257,16 +250,17 @@ def acceleration_factor(*, life_normal: float | None = None,
 
 
 def transform_cdf(stress_cdf, factor: float, grid) -> np.ndarray:
-    """Normal-condition CDF values F0(t) = Fs(t / factor) on a time grid."""
+    """Normal-condition CDF values F0(t) = Fs(t / factor) on a time grid.
+
+    ``stress_cdf`` takes the array of scaled grid times and returns one
+    value per time, as ``scipy.stats`` CDFs do; any other shape raises
+    ValueError.
+    """
     _check_positive(factor=factor)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) < 0) or not np.isfinite(grid).all():
         raise ValueError("grid must be an ascending 1-D array of finite times")
-    scaled = grid / factor
-    try:
-        values = np.asarray(stress_cdf(scaled), dtype=float)
-        if values.shape != scaled.shape:
-            raise TypeError
-    except TypeError:
-        values = np.array([float(stress_cdf(t)) for t in scaled])
+    values = np.asarray(stress_cdf(grid / factor), dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError("stress_cdf must return one value per grid time")
     return values

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._optim import maximize, quiet, starts
 from .datasets.exposure import constant_exposure
-from .recurrent import BaselineIntensityModel, EventSeries, fit_mle
+from .recurrent import BaselineIntensityModel, EventSeries, check_event_times, fit_mle
 
 DEFAULT_SOURCES = {"localization": ("2d", "3d")}
 
@@ -75,12 +75,10 @@ class ModuleEventLog:
         events = {}
         for name, times in self.events.items():
             times = np.asarray(times, dtype=float)
-            if not np.isfinite(times).all():
-                raise ValueError(f"module {name}: event times must be finite")
-            if np.any(np.diff(times) < 0):
-                raise ValueError(f"module {name}: event times must be ascending")
-            if times.size and (times[0] <= 0 or times[-1] > self.window + 1e-9):
-                raise ValueError(f"module {name}: event times must lie in (0, window]")
+            try:
+                check_event_times(times, self.window)
+            except ValueError as err:
+                raise ValueError(f"module {name}: {err}") from None
             events[name] = times
         object.__setattr__(self, "events", events)
         sources = {m: tuple(srcs) for m, srcs in self.sources.items()}
@@ -512,23 +510,19 @@ def fit_independent_hpp(logs) -> EPFit:
     return _assemble(modules, lambda m: _fit_module(m, logs, (), "hpp"), n_baseline=1)
 
 
-def evaluate_mae(model, logs, grid) -> float:
-    """Mean absolute error of predicted vs observed cumulative counts.
-
-    ``model`` is an EPModel or any callable ``(log, module, grid) ->
-    counts``.  The mean runs over held-out logs, their modules, and grid
-    points.
+def evaluate_mae(model: EPModel, logs, grid) -> float:
+    """Mean absolute error of ``expected_counts`` under ``model`` against
+    observed cumulative counts.  The mean runs over held-out logs, their
+    modules, and grid points.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("prediction grid is empty")
-    predict = model if callable(model) else lambda *args: expected_counts(model, *args)
     errors = []
     for log in _as_logs(logs):
         for module in log.events:
             observed = np.searchsorted(log.events[module], grid, side="right")
-            predicted = np.asarray(predict(log, module, grid), dtype=float)
-            errors.append(np.abs(predicted - observed))
+            errors.append(np.abs(expected_counts(model, log, module, grid) - observed))
     return float(np.mean(np.concatenate(errors)))
 
 

@@ -150,16 +150,18 @@ def cumulative_baseline(model: BaselineIntensityModel, t):
 
 
 def check_event_times(times: np.ndarray, tau: float, same_unit=True) -> None:
-    """Raise unless the float array ``times`` is finite, inside (0, tau] and
-    ascending (ties allowed).  For the times of several units laid end to
-    end, ``same_unit`` flags each pair of neighbours that one unit holds,
-    and only those pairs must ascend."""
+    """Raise ValueError unless the float array ``times`` is finite, inside
+    (0, tau] and ascending (ties allowed).  For the times of several units
+    laid end to end, ``same_unit`` flags each pair of neighbours that one
+    unit holds, and only those pairs must ascend.  This is the one
+    event-time rule: ``EventSeries``, the DMV event converter and
+    ``propagation.ModuleEventLog`` (with its window as ``tau``) apply it."""
     if not np.isfinite(times).all():
-        raise ValueError("event_times must be finite")
+        raise ValueError("event times must be finite")
     if ((np.diff(times) < 0) & same_unit).any():
-        raise ValueError("event_times must be ascending (ties allowed)")
+        raise ValueError("event times must be ascending (ties allowed)")
     if times.size and (times.min() <= 0 or times.max() > tau + 1e-9):
-        raise ValueError("event_times must lie in (0, tau]")
+        raise ValueError("event times must lie in (0, tau]")
 
 
 @dataclass(frozen=True)

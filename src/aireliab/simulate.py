@@ -238,9 +238,13 @@ def simulate_ep_cascade(model: EPModel, sources: dict, window: float,
 
 
 def simulate_srgm_counts(omega: float, hazard: DiscreteHazard, beta, covariates,
-                         T: int, seed: int, *, covariate_names=None,
+                         T: int, seed: int, *, covariate_names=(),
                          performance=None) -> IntervalCountSeries:
-    """Interval counts drawn as independent Poissons of the mean increments."""
+    """Interval counts drawn as independent Poissons of the mean increments.
+
+    ``covariates`` is None or a matrix with a row per step; its columns
+    need ``covariate_names``, one name each.
+    """
     if not 0 <= omega < np.inf:
         raise ValueError(f"omega must be finite and non-negative, got {omega}")
     if T < 2:
@@ -248,10 +252,7 @@ def simulate_srgm_counts(omega: float, hazard: DiscreteHazard, beta, covariates,
     beta = np.asarray(beta, dtype=float)
     if covariates is None:
         covariates = np.zeros((T, 0))
-        covariate_names = ()
     covariates = np.asarray(covariates, dtype=float)
-    if covariate_names is None:
-        covariate_names = tuple(f"x{j + 1}" for j in range(covariates.shape[1]))
     increments = mean_value_increments(omega, hazard, beta, covariates, T)
     rng = make_rng(seed)
     counts = rng.poisson(increments)

@@ -100,7 +100,12 @@ def _hazard(family: str, p, l):
 
 @dataclass(frozen=True)
 class IntervalCountSeries:
-    """Failure counts per testing interval with a named covariate matrix."""
+    """Failure counts per testing interval with a named covariate matrix.
+
+    Every covariate and performance value must be finite: a ValueError
+    names each covariate column that holds a NaN or an infinity, as the
+    schema sets no range on some columns (the loss columns among them).
+    """
 
     counts: np.ndarray
     covariates: np.ndarray
@@ -123,10 +128,14 @@ class IntervalCountSeries:
             raise ValueError("one name per covariate column is required")
         if len(set(names)) != len(names):
             raise ValueError("covariate names must be unique")
+        if bad := [c for c, ok in zip(names, np.isfinite(X).all(axis=0)) if not ok]:
+            raise ValueError(f"covariate column(s) {bad} hold a value that is not finite")
         if self.performance is not None:
             r = np.asarray(self.performance, dtype=float)
             if r.shape != counts.shape:
                 raise ValueError("performance series must align with counts")
+            if not np.isfinite(r).all():
+                raise ValueError("the performance series holds a value that is not finite")
             object.__setattr__(self, "performance", r)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "covariates", X)
@@ -248,7 +257,6 @@ class _Objective:
 
         _, self.unpack, self.k_h = _transforms(family)
         self.family = family
-        self.upper = tuple(_UPPER[kind] for _, kind in HAZARD_FAMILIES[family])
         n = len(counts)
         self.steps = np.arange(1, n + 1, dtype=float)
         self.X = X
@@ -263,14 +271,12 @@ class _Objective:
 
     def __call__(self, z):
         # beyond +-30 the logit transform rounds onto the (0, 1) boundary;
-        # the ufunc reductions are the array methods without their wrappers
-        if np.maximum.reduce(abs(z)) > 30:
+        # inside the wall every parameter lies in its open interval, and a
+        # NaN coordinate fails it.  The ufunc reductions are the array
+        # methods without their wrappers
+        if not np.maximum.reduce(abs(z)) <= 30:
             return np.inf
-        params = self.unpack(z[:self.k_h])
-        for value, upper in zip(params, self.upper):
-            if not 0 < value < upper:
-                return np.inf
-        h = _hazard(self.family, params, self.steps)
+        h = _hazard(self.family, self.unpack(z[:self.k_h]), self.steps)
         # in-domain parameters give no NaN hazard, so the extremes decide
         if np.minimum.reduce(h) <= 0 or np.maximum.reduce(h) > 1:
             return np.inf
@@ -444,9 +450,6 @@ class ResilienceFit:
     holdout_mae: float
     baseline_mae: float
     n_fit: int
-
-    def selected(self) -> tuple[str, ...]:
-        return tuple(self.coef)
 
 
 def _expand_features(X, names, form: str, degree: int):

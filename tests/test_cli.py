@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -462,6 +464,28 @@ def test_data_root_is_a_summarize_flag_only(tmp_path, capsys, data_dir):
     assert json.loads(out)["rows"] == 72
 
 
+def test_summarize_by_name_passes_over_a_csv_of_no_schema(tmp_path, capsys, data_dir):
+    root = tmp_path / "root"
+    shutil.copytree(data_dir / "ai-incidents", root / "ai-incidents")
+    (root / "DataList.csv").write_text("name,path,description\nai-incidents,ai-incidents,x\n",
+                                       encoding="utf-8")
+    (root / "ai-incidents" / "a-notes.csv").write_text("note\nread me\n", encoding="utf-8")
+    code, out, _ = run_cli(["summarize", "ai-incidents", "--data-root", str(root),
+                            "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["schema"] == "incident" and json.loads(out)["rows"] == 72
+
+
+def test_run_without_out_writes_under_air_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["alt-af", "--ln", "10", "--la", "2"], capsys)
+    assert (code, out) == (EXIT_OK, "5\n")
+    [run] = (tmp_path / "air-out").iterdir()
+    assert re.fullmatch(r"\d{8}-\d{6}-\d{6}", run.name)
+    assert sorted(p.name for p in run.iterdir()) == ["alt.json", "manifest.json"]
+    assert json.loads((run / "manifest.json").read_text())["flags"]["out"] is None
+
+
 def test_simulate_ep_cascade_rejects_a_nan_decay(tmp_path, capsys):
     # json reads NaN, so a spec file can carry one
     spec = dict(DEFAULT_EP_SPEC, edges={"localization<-2d": [2.0, float("nan")]})
@@ -895,6 +919,35 @@ def test_count_series_with_repeated_or_missing_steps_is_rejected(tmp_path, capsy
         assert err.startswith("error: scenario 1: steps T must run 1..")
 
 
+def nan_training_loss(rows):
+    """The rows with scenario 1's step-4 TrainingLoss cell set to nan."""
+    i = scenario_1_step(rows, 4)
+    cells = rows[i].split(",")
+    cells[11] = "nan"
+    return [*rows[:i], ",".join(cells), *rows[i + 1:]]
+
+
+@pytest.mark.parametrize("command, message", [
+    (["fit-srgm", "--hazard", "gm", "--covariates", "TrainingLoss"],
+     "covariate column(s) ['TrainingLoss'] hold a value that is not finite"),
+    (["fit-srgm", "--hazard", "gm", "--covariates", "Alpha,TrainingLoss", "--stepwise"],
+     "covariate column(s) ['TrainingLoss'] hold a value that is not finite"),
+    (["fit-resilience", "--covariates", "TrainingLoss"],
+     "covariate column(s) ['TrainingLoss'] hold a value that is not finite"),
+    (["fit-resilience", "--response", "TrainingLoss"],
+     "the performance series holds a value that is not finite"),
+], ids=["srgm", "srgm stepwise", "resilience covariate", "resilience response"])
+def test_a_non_finite_loss_cell_is_an_error_line(tmp_path, capsys, data_dir, command, message):
+    # a loss column has no range rule, so validate passes the NaN; a fit
+    # raised a RuntimeError, an SVD error or wrote all-null coefficients
+    path = adversarial_copy(data_dir, tmp_path, nan_training_loss)
+    assert run_cli(["validate", str(path), "--schema", "adversarial",
+                    "--out", str(tmp_path / "v")], capsys)[0] == EXIT_OK
+    code, out, err = run_cli([*command, "--input", str(path), "--scenario", "1",
+                              "--out", str(tmp_path / "fit")], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_dir):
     path = adversarial_copy(data_dir, tmp_path, lambda rows: rows[::-1])
     written = []
@@ -926,6 +979,8 @@ def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_di
      "sources 'localization' is not a list of strings"),
     ({key: v for key, v in DEFAULT_EP_SPEC.items() if key != "sources"},
      "edge 'localization<-2d': sources 'localization' does not list '2d'"),
+    (dict(DEFAULT_EP_SPEC, sources={"localization": ["2d"]}),
+     "edge 'localization<-3d': sources 'localization' does not list '3d'"),
     (dict(DEFAULT_EP_SPEC, scenarios=[{"weather": 3}]), "scenario 1 weather is not a string"),
     (dict(DEFAULT_EP_SPEC, window=None), "window is not a number"),
     (dict(DEFAULT_EP_SPEC, window="20"), "window is not a number"),
@@ -935,8 +990,8 @@ def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_di
      "baseline '2d' is not a list of numbers"),
 ], ids=["array spec", "list scenario", "list injection", "short injection",
         "string injection", "no scenarios", "list baseline", "number edge", "list sources",
-        "string sources", "unlisted edge source", "number weather", "null window",
-        "string window", "boolean window", "boolean baseline"])
+        "string sources", "unlisted edge source", "partly listed sources", "number weather",
+        "null window", "string window", "boolean window", "boolean baseline"])
 def test_simulate_ep_cascade_malformed_spec_is_an_error_line(tmp_path, spec, message):
     # a fresh interpreter, so an escaping exception would print its traceback
     path = tmp_path / "spec.json"

@@ -229,10 +229,11 @@ def test_transform_cdf_preserves_monotonicity():
     assert np.all(np.diff(values) >= 0)
 
 
-def test_transform_cdf_scalar_callable():
-    import math
-
-    stress = lambda t: float(1.0 - math.exp(-t))  # rejects arrays
-    grid = np.linspace(0.0, 5.0, 11)
-    values = transform_cdf(stress, 2.0, grid)
-    assert values[0] == 0.0 and values[-1] == pytest.approx(1 - math.exp(-2.5), abs=1e-12)
+@pytest.mark.parametrize("stress", [
+    lambda t: weibull_min.cdf(t[:-1], 2.0, scale=5.0),
+    lambda t: 0.5,
+    lambda t: np.column_stack([t, t]),
+], ids=["one short", "one value", "two columns"])
+def test_transform_cdf_rejects_a_cdf_without_one_value_per_grid_time(stress):
+    with pytest.raises(ValueError, match="one value per grid time"):
+        transform_cdf(stress, 2.0, np.linspace(0.0, 10.0, 5))

@@ -260,19 +260,10 @@ def test_fit_reaches_generator_loglik_at_w100(seed):
     assert fitted >= generator - 1e-6 * abs(generator)
 
 
-def test_evaluate_mae_perfect_prediction_is_zero():
-    _, log = cascade(31)
-
-    def oracle(one_log, module, grid):
-        return np.searchsorted(one_log.events[module], grid, side="right")
-
-    assert evaluate_mae(oracle, [log], np.linspace(1.0, 20.0, 10)) == 0.0
-
-
 def test_evaluate_mae_empty_grid_rejected():
-    _, log = cascade(32)
-    with pytest.raises(ValueError):
-        evaluate_mae(lambda *a: np.array([]), [log], [])
+    model, log = cascade(32)
+    with pytest.raises(ValueError, match="prediction grid is empty"):
+        evaluate_mae(model, [log], [])
 
 
 def test_mae_alpha_zero_world_ep_close_to_nhpp():

@@ -9,6 +9,8 @@ from aireliab.simulate import (
     DiscreteHazard,
     intensity_supremum,
     mixture_layout,
+    module_error_records,
+    module_event_log,
     simulate_ep_cascade,
     simulate_fleet,
     simulate_mixture_records,
@@ -280,3 +282,19 @@ def test_module_event_log_takes_nan_cells_in_every_row_as_agreeing(tmp_path, dat
     assert {v.rule for v in report.violations} == {"injection window"}
     with pytest.raises(ValueError, match="injection interval must satisfy"):
         module_event_log(records)
+
+
+def test_module_error_rows_of_a_log_without_injection_hold_the_whole_window():
+    model = EPModel({"2d": (1.0, 2.0), "3d": (1.0, 2.0), "localization": (1.0, 2.0)},
+                    {("localization", "2d"): (2.0, 1.0)})
+    log = simulate_ep_cascade(model, DEFAULT_SOURCES, 12.0, seed=4, scenario_id=3)
+    assert log.injection is None
+    rows = module_error_records(log)
+    assert len(rows) == sum(map(len, log.events.values())) > 0
+    for record in rows:
+        assert (record.ei_time_2d, record.ei_prob_2d) == ((0.0, 12.0), 1.0)
+        assert (record.ei_time_3d, record.ei_prob_3d) == ((0.0, 12.0), 1.0)
+    back = module_event_log(rows)[3]
+    assert back.injection == {m: InjectionWindow(0.0, 12.0, 1.0) for m in ("2d", "3d")}
+    for module, times in log.events.items():
+        assert np.array_equal(back.events[module], times)

@@ -258,6 +258,19 @@ def test_non_finite_hazard_parameters_rejected(family, params):
         DiscreteHazard(family, params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_rejects_a_non_finite_covariate_or_performance_value(bad):
+    X = np.column_stack([np.arange(6.0), np.ones(6), np.ones(6)])
+    X[2, 1] = X[4, 2] = bad
+    with pytest.raises(ValueError, match=r"covariate column\(s\) \['b', 'c'\] hold a value "
+                                         "that is not finite"):
+        IntervalCountSeries(np.ones(6), X, ("a", "b", "c"))
+    r = np.linspace(0.5, 0.9, 6)
+    r[3] = bad
+    with pytest.raises(ValueError, match="performance series holds a value that is not finite"):
+        IntervalCountSeries(np.ones(6), X[:, :1], ("a",), performance=r)
+
+
 @pytest.mark.parametrize("names, message", [
     (("attack", "attack"), r"repeated covariates: \['attack'\]"),
     (("Nope",), r"unknown covariates: \['Nope'\]"),

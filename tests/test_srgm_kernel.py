@@ -6,7 +6,8 @@ product buffer once per fit.  The reference below is the objective that
 came before: every call builds and validates a ``DiscreteHazard`` and
 goes through the validating ``mean_value_increments``.  The two must
 agree exactly, ``inf`` included, for all six families with 0-3
-covariates, at points beyond the +-30 guard, where saturating families
+covariates, at points beyond the +-30 guard, at points with NaN
+coordinates (which the guard refuses too), where saturating families
 round the hazard onto 1, and on count series with zero intervals.
 """
 
@@ -68,7 +69,7 @@ def reference_objective(family, X, counts_fit):
 # generated series and points
 
 EDGES = [30.0, -30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 31.0), 29.5, -29.5,
-         -18.0, 18.0, 36.8, -36.8, 0.0]
+         -18.0, 18.0, 36.8, -36.8, 0.0, np.nan]
 Z = st.floats(-35.0, 35.0) | st.sampled_from(EDGES) | st.floats(-120.0, 120.0)
 
 
@@ -144,9 +145,13 @@ def test_bundled_series_all_families_equal_reference(data_dir):
             k = len(HAZARD_FAMILIES[family]) + q
             objective = _Objective(family, X, counts)
             reference = reference_objective(family, X, counts)
-            for _ in range(40):
+            for i in range(40):
                 z = rng.normal(0.0, 4.0, k)
                 assert objective(z) == reference(z)
+                z[i % k] = np.nan
+                assert objective(z) == reference(z) == np.inf
+            # the finite-difference polish evaluates the all-NaN point
+            assert objective(np.full(k, np.nan)) == reference(np.full(k, np.nan)) == np.inf
 
 
 def test_search_path_equals_reference(data_dir):
