@@ -630,7 +630,7 @@ def main(argv=None) -> int:
         run.write_json("report.json", exc.report.to_dict())
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VIOLATIONS
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_ERROR
     finally:

@@ -105,9 +105,6 @@ class MonthTable:
         return tuple(ids.tolist())
 
 
-_NOT_ASCENDING = "breakpoints must be strictly ascending"
-
-
 def _check_rates(rate: np.ndarray) -> None:
     """Reject a row of daily rates, or the first bad row of a matrix of them."""
     rate = np.atleast_2d(rate)
@@ -144,7 +141,7 @@ class ExposureSchedule:
         if bp[0] != 0.0 or abs(bp[-1] - self.tau) > 1e-9:
             raise ValueError("breakpoints must run from 0 to tau")
         if not (np.diff(bp) > 0).all():
-            raise ValueError(_NOT_ASCENDING)
+            raise ValueError("breakpoints must be strictly ascending")
         _check_rates(rate)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "daily_rate", rate)
@@ -201,9 +198,10 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
 
     Each month's rate is that month's mileage divided by its number of
     days, so the schedule integrates back to the monthly totals exactly.
-    The schedules share one grid of month breakpoints; the grid and the
-    whole matrix of rates are checked once, with the errors and messages
-    that building each schedule on its own would raise, row by row.
+    The schedules share one grid of month breakpoints, strictly ascending
+    as every month of a ``MonthTable`` lasts at least one day; the whole
+    matrix of rates is checked once, with the errors and messages that
+    building each schedule on its own would raise, row by row.
     """
     rows = mileage_rows if isinstance(mileage_rows, RecordTable) else list(mileage_rows)
     miles = column(rows, "monthly_miles")
@@ -216,8 +214,6 @@ def derive_exposure(mileage_rows, months: MonthTable) -> list[ExposureSchedule]:
     rates = np.array(miles[:n_good], dtype=float).reshape(n_good, n_months)
     rates /= n_days
     if n_good:
-        if not (np.diff(breakpoints) > 0).all():
-            raise ValueError(_NOT_ASCENDING)
         _check_rates(rates)
     if n_good < len(rows):
         row = rows[n_good]

@@ -45,7 +45,7 @@ class SchemaViolationError(ValueError):
         first = report.violations[0]
         super().__init__(
             f"{report.schema}: {len(report.violations)} violation(s), "
-            f"first at row {first.row} column {first.column}: {first.rule}"
+            f"first at row {first.row} column {first.column}: {first.rule}: {first.detail}"
         )
 
 

@@ -39,7 +39,7 @@ class Violation:
     detail: str = ""
 
     def to_dict(self):
-        return {"row": self.row, "column": self.column, "rule": self.rule}
+        return {"row": self.row, "column": self.column, "rule": self.rule, "detail": self.detail}
 
 
 # ---------------------------------------------------------------------------

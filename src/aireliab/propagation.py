@@ -247,16 +247,13 @@ class _ModuleIntensity:
 
     with A_n and C_n the unit sums of the source's ``_ExpKernel``,
     prepared once here.  The query arrays are flattened and laid out in
-    log order, and so are the results.  A lone scalar query stays a scalar
-    in the power law, which numpy then raises as
-    ``recurrent.baseline_intensity`` does: its scalar and array ``pow``
-    may differ in the last bit.
+    log order, and so are the results.
     """
 
     def __init__(self, logs, source_names, queries):
-        queries = [q if q.ndim == 0 else q.ravel() for q in queries]
+        queries = [q.ravel() for q in queries]
         # no logs: an empty sum
-        self.times = queries[0] if len(queries) == 1 else np.concatenate([np.zeros(0), *queries])
+        self.times = np.concatenate([np.zeros(0), *queries])
         self.kernels = [_ExpKernel([log.events.get(src, np.array([])) for log in logs], queries)
                         for src in source_names]
 

@@ -127,26 +127,30 @@ def baseline_intensity(model: BaselineIntensityModel, t):
     """Baseline intensity lambda0(t) for t > 0 (scalar or array).
 
     This is the public entry point and validates ``t``; the fitters
-    evaluate the same formulas on a prepared grid of event times.
+    evaluate the same formulas on a prepared grid of event times.  A
+    scalar is evaluated as an array of one, so it gets the same bits as
+    the same point inside an array (numpy may raise a lone scalar with a
+    different ``pow``).
     """
     t = np.asarray(t, dtype=float)
     if not (t > 0).all():
         raise ValueError("baseline intensity requires t > 0")
-    out = _intensity(model.family, model.theta, t)
-    return out if out.ndim else float(out)
+    out = _intensity(model.family, model.theta, np.atleast_1d(t))
+    return out if t.ndim else float(out[0])
 
 
 def cumulative_baseline(model: BaselineIntensityModel, t):
     """Cumulative baseline intensity Lambda0(t) for t >= 0 (closed form).
 
     This is the public entry point and validates ``t``; the fitters
-    evaluate the same formulas on a prepared grid of breakpoints.
+    evaluate the same formulas on a prepared grid of breakpoints.  A
+    scalar is evaluated as an array of one, as in ``baseline_intensity``.
     """
     t = np.asarray(t, dtype=float)
     if not (t >= 0).all():
         raise ValueError("cumulative baseline requires t >= 0")
-    out = _cumulative(model.family, model.theta, t)
-    return out if out.ndim else float(out)
+    out = _cumulative(model.family, model.theta, np.atleast_1d(t))
+    return out if t.ndim else float(out[0])
 
 
 def check_event_times(times: np.ndarray, tau: float, same_unit=True) -> None:

@@ -57,30 +57,16 @@ def _mode(model: BaselineIntensityModel) -> float | None:
 
 
 def intensity_supremum(model: BaselineIntensityModel, lo: float, hi: float) -> float:
-    """Exact supremum of the baseline intensity over [lo, hi], lo > 0."""
+    """Exact supremum of the baseline intensity over [lo, hi], lo > 0: the
+    largest of lambda0 at lo, at hi and at the family's mode where it lies
+    inside, the first of them on a tie."""
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
     candidates = [lo, hi]
     mode = _mode(model)
     if mode is not None and lo < mode < hi:
         candidates.append(mode)
-    return float(max(baseline_intensity(model, t) for t in candidates))
-
-
-def _pointwise_intensity(model: BaselineIntensityModel, t: np.ndarray) -> np.ndarray:
-    """lambda0 at each point of the array ``t`` > 0, bit for bit as
-    ``baseline_intensity`` returns it for the points one at a time.
-
-    The power law raises a numpy scalar to a power when given one point,
-    which numpy does with the C library's pow; over an array numpy may use
-    its own SIMD pow, which can differ in the last bit.  ``float_power``
-    calls the C library's pow for every element.  The other families give
-    the same bits either way.
-    """
-    if model.family == "power_law":
-        shape, scale = model.theta
-        return (shape / scale) * np.float_power(t / scale, shape - 1.0)
-    return baseline_intensity(model, t)
+    return float(max(baseline_intensity(model, np.array(candidates))))
 
 
 def _envelope(model: BaselineIntensityModel, exposure: ExposureSchedule) -> float:
@@ -90,7 +76,8 @@ def _envelope(model: BaselineIntensityModel, exposure: ExposureSchedule) -> floa
     Each segment's supremum is taken over its start (clipped at the cutoff
     and at T_MIN), its end and the family's mode where it lies inside, as
     ``intensity_supremum`` takes it, and the segments are compared as a
-    running maximum would compare them, so the bound is the same float.
+    running maximum would compare them, so the bound is the same float:
+    ``baseline_intensity`` gives a point the same bits wherever it sits.
     """
     lo = _left_cutoff(model)
     a, b = exposure.breakpoints[:-1], exposure.breakpoints[1:]
@@ -98,12 +85,12 @@ def _envelope(model: BaselineIntensityModel, exposure: ExposureSchedule) -> floa
     rate, a, b = exposure.daily_rate[keep], np.maximum(a[keep], max(lo, T_MIN)), b[keep]
     if (b < a).any():
         raise ValueError("need 0 < lo <= hi")
-    sup = _pointwise_intensity(model, a)
-    at_end = _pointwise_intensity(model, b)
+    sup = baseline_intensity(model, a)
+    at_end = baseline_intensity(model, b)
     sup = np.where(at_end > sup, at_end, sup)
     mode = _mode(model)
     if mode is not None:
-        at_mode = _pointwise_intensity(model, np.array([mode]))
+        at_mode = baseline_intensity(model, np.array([mode]))
         sup = np.where((a < mode) & (mode < b) & (at_mode > sup), at_mode, sup)
     # a NaN never wins a running maximum that starts at 0
     return np.fmax.reduce(rate * sup, initial=0.0)
@@ -138,7 +125,7 @@ def simulate_nhpp(model: BaselineIntensityModel, exposure: ExposureSchedule,
     if not np.isfinite(envelope):
         raise ValueError("intensity is unbounded on the window; cannot build an envelope")
     times = _thin(rng, lo, tau, envelope, lambda u: baseline_intensity(
-        model, np.maximum(u, T_MIN)) * np.atleast_1d(exposure.rate_at(u)))
+        model, np.maximum(u, T_MIN)) * exposure.rate_at(u))
     return EventSeries(exposure.unit_id, times, tau, exposure)
 
 

@@ -55,7 +55,11 @@ _MULTISTARTS, _MAX_ITER = 3, 4000
 
 @dataclass(frozen=True)
 class DiscreteHazard:
-    """Discrete hazard h(l) in (0, 1) for integer intervals l >= 1."""
+    """Discrete hazard h(l) in (0, 1) for integer intervals l >= 1.
+
+    Called on a scalar or an array of steps; a scalar is evaluated as an
+    array of one, so it gets the same bits as the same step inside an array.
+    """
 
     family: str
     params: tuple[float, ...]
@@ -76,8 +80,8 @@ class DiscreteHazard:
         l = np.asarray(steps, dtype=float)
         if (l < 1).any():
             raise ValueError("hazard is defined for intervals l >= 1")
-        out = _hazard(self.family, self.params, l)
-        return out if out.ndim else float(out)
+        out = _hazard(self.family, self.params, np.atleast_1d(l))
+        return out if l.ndim else float(out[0])
 
 
 def _hazard(family: str, p, l):
@@ -179,7 +183,6 @@ def mean_value_increments(omega, hazard: DiscreteHazard, beta, covariates, t: in
     else:
         g = np.ones(t)
     h = hazard(np.arange(1, t + 1))
-    h = np.atleast_1d(h)
     # saturating families can round h onto 1.0 at late intervals; that is
     # the valid limit where the remaining mass collapses into one step
     if (h <= 0).any() or (h > 1).any():

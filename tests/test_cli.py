@@ -79,6 +79,23 @@ def test_validate_violations_exit_two(tmp_path, capsys):
     assert report["violations"][0]["rule"] == "simplex sum"
 
 
+def test_the_reason_a_cell_failed_reaches_the_report_and_the_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "x1,x2,x3,z1,z2,c1,c2,c3,y1,y2\n0.5,0.25,0.5,1,0,1,0,0,0.9,-2.5\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["fit-mixture", "--input", str(bad), "--response", "y1",
+                              "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (EXIT_VIOLATIONS, "")
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    detail = "x1 + x2 + x3 = 1.25, expected 1"
+    assert report["violations"] == [{"row": 1, "column": "x1", "rule": "simplex sum",
+                                     "detail": detail}]
+    assert err == ("error: mixture: 1 violation(s), first at row 1 column x1: "
+                   f"simplex sum: {detail}\n")
+
+
 def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alt-af", "--nope", "5"])
@@ -946,6 +963,22 @@ def test_a_non_finite_loss_cell_is_an_error_line(tmp_path, capsys, data_dir, com
     code, out, err = run_cli([*command, "--input", str(path), "--scenario", "1",
                               "--out", str(tmp_path / "fit")], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_fit_that_fails_at_every_start_is_an_error_line(tmp_path, capsys, data_dir,
+                                                          monkeypatch):
+    from aireliab import srgm
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("likelihood evaluation failed for every start")
+
+    monkeypatch.setattr(srgm, "fit_srgm", fails)
+    out_dir = tmp_path / "fit"
+    code, out, err = run_cli(["fit-srgm", "--hazard", "gm", "--out", str(out_dir),
+                              "--input", str(data_dir / "adversarial-attacks" / "adversarial.csv")],
+                             capsys)
+    assert (code, out, err) == (1, "", "error: likelihood evaluation failed for every start\n")
+    assert [p.name for p in out_dir.iterdir()] == ["manifest.json"]
 
 
 def test_count_series_rows_in_reversed_order_fit_alike(tmp_path, capsys, data_dir):

@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ def test_non_finite_tau_rejected(tau):
     # NaN is False, so a NaN tau used to pass them all
     with pytest.raises(ValueError, match="tau must be finite"):
         datasets.ExposureSchedule("u", np.array([0.0, 10.0]), np.ones(1), tau)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: datasets.ExposureSchedule("u", np.array([0.0, 5.0, 10.0]), np.ones(1), 10.0),
+     "breakpoints must have exactly one more entry than daily_rate"),
+    (lambda: datasets.ExposureSchedule("u", np.array([1.0, 10.0]), np.ones(1), 10.0),
+     "breakpoints must run from 0 to tau"),
+    (lambda: datasets.ExposureSchedule("u", np.array([0.0, 8.0]), np.ones(1), 10.0),
+     "breakpoints must run from 0 to tau"),
+    (lambda: datasets.ExposureSchedule("u", np.array([0.0, 6.0, 4.0, 10.0]), np.ones(3), 10.0),
+     "breakpoints must be strictly ascending"),
+    (lambda: sum_schedules([]), "no schedules to sum"),
+    (lambda: sum_schedules([constant_exposure(1.0, 10.0), constant_exposure(1.0, 12.0)]),
+     "schedules do not share the same horizon"),
+], ids=["length", "start", "end", "order", "no schedules", "horizons"])
+def test_schedule_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build()
 
 
 def test_derive_exposure_conserves_mileage():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,11 +11,13 @@ from aireliab.recurrent import (
     DataInconsistencyError,
     EventSeries,
     baseline_intensity,
+    check_event_times,
     cumulative_baseline,
     fit_manufacturer_level,
     fit_mle,
     log_likelihood,
 )
+from aireliab.propagation import ModuleEventLog
 from aireliab.simulate import simulate_fleet
 from aireliab._rng import derive_seed
 
@@ -88,6 +91,48 @@ def test_non_finite_tau_rejected(tau):
     # used to fail at every start, from the moment seed
     with pytest.raises(ValueError, match="tau must be finite"):
         EventSeries("a", [1.0], tau, constant_exposure(1.0, 10.0))
+
+
+UNSORTED, TOO_LATE, AT_ZERO = [2.0, 1.0], [1.0, 6.0], [0.0, 1.0]
+NOT_ASCENDING = "event times must be ascending (ties allowed)"
+OUT_OF_RANGE = "event times must lie in (0, tau]"
+
+
+@pytest.mark.parametrize("times, message", [
+    (UNSORTED, NOT_ASCENDING), (TOO_LATE, OUT_OF_RANGE), (AT_ZERO, OUT_OF_RANGE),
+], ids=["unsorted", "after tau", "at zero"])
+@pytest.mark.parametrize("build, prefix", [
+    (lambda times: EventSeries("u", times, 5.0, constant_exposure(1.0, 5.0)), ""),
+    (lambda times: ModuleEventLog({"a": np.array([1.0]), "b": np.array(times)}, 5.0),
+     "module b: "),
+    (lambda times: check_event_times(np.array(times), 5.0, same_unit=np.array([True])), ""),
+], ids=["EventSeries", "ModuleEventLog", "fleet"])
+def test_event_times_out_of_order_or_range_rejected(times, message, build, prefix):
+    with pytest.raises(ValueError, match=re.escape(prefix + message) + "$"):
+        build(times)
+
+
+def test_fleet_times_descend_only_between_units():
+    # two units' times laid end to end: 3 -> 1 crosses units and passes,
+    # 1 -> 0.5 lies inside the second unit
+    times = np.array([3.0, 5.0, 1.0, 0.5])
+    check_event_times(times, 5.0, same_unit=np.array([True, False, False]))
+    with pytest.raises(ValueError, match=re.escape(NOT_ASCENDING)):
+        check_event_times(times, 5.0, same_unit=np.array([True, False, True]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EventSeries("u", [[1.0, 2.0]], 5.0, constant_exposure(1.0, 5.0)),
+     "event_times must be one-dimensional"),
+    (lambda: EventSeries("u", [1.0], 5.0, constant_exposure(1.0, 6.0)),
+     "exposure horizon does not match tau"),
+    (lambda: fit_mle([], "power_law"), "no units supplied"),
+    (lambda: fit_mle([EventSeries("u", [1.0], 5.0, constant_exposure(1.0, 5.0))], "linear"),
+     "unknown family 'linear'"),
+], ids=["2-D times", "horizon", "no units", "unknown family"])
+def test_series_and_fit_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build()
 
 
 def test_log_likelihood_hpp_closed_form():

@@ -59,8 +59,8 @@ def test_ragged_rows_reported_and_skipped():
     assert records[0].extras == {"note": "kept"}
     assert report.rows == 3
     assert [v.to_dict() for v in report.violations] == [
-        {"row": 2, "column": None, "rule": "row length"},
-        {"row": 3, "column": None, "rule": "row length"},
+        {"row": 2, "column": None, "rule": "row length", "detail": "10 cells under 11 columns"},
+        {"row": 3, "column": None, "rule": "row length", "detail": "12 cells under 11 columns"},
     ]
 
 
@@ -69,7 +69,8 @@ def test_month_window_in_year_9999():
     text = header + "\nWaymo,V1,9999-12-31,9999-12,24\nWaymo,V1,9999-11-30,9999-12,24\n"
     _, report = parse_records(io.StringIO(text), "disengagement")
     assert [v.to_dict() for v in report.violations] == [
-        {"row": 2, "column": "Date", "rule": "date month mismatch"},
+        {"row": 2, "column": "Date", "rule": "date month mismatch",
+         "detail": "9999-11-30 not in month 9999-12"},
     ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,33 @@ def test_invalid_hazard_parameters_rejected():
         DiscreteHazard("dw3", (0.5, -1.0))
     with pytest.raises(ValueError):
         DiscreteHazard("unknown", (0.5,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DiscreteHazard("gm", (0.5, 0.5)), "gm takes 1 parameters, got 2"),
+    (lambda: DiscreteHazard("gm", (0.5,))(np.array([1.0, 0.5])),
+     "hazard is defined for intervals l >= 1"),
+    (lambda: IntervalCountSeries([1, -1, 2], np.zeros((3, 0)), ()),
+     "counts must be non-negative integers"),
+    (lambda: IntervalCountSeries([1, 1.5, 2], np.zeros((3, 0)), ()),
+     "counts must be non-negative integers"),
+    (lambda: IntervalCountSeries([1, 0, 2], np.zeros((2, 1)), ("x",)),
+     "covariate matrix must have one row per interval"),
+    (lambda: IntervalCountSeries([1, 0, 2], np.zeros((3, 2)), ("x",)),
+     "one name per covariate column is required"),
+    (lambda: IntervalCountSeries([1, 0, 2], np.zeros((3, 2)), ("x", "x")),
+     "covariate names must be unique"),
+    (lambda: IntervalCountSeries([1, 0, 2], np.zeros((3, 0)), (), performance=[0.5, 0.6]),
+     "performance series must align with counts"),
+    (lambda: mean_value_increments(10.0, DiscreteHazard("gm", (0.5,)), [], None, 0),
+     "t must be at least 1"),
+    (lambda: mean_value_increments(10.0, DiscreteHazard("gm", (0.5,)), [0.1], np.zeros((2, 1)), 3),
+     "covariates must cover intervals 1..t"),
+], ids=["parameter count", "step below 1", "negative count", "fractional count", "row count",
+        "name count", "repeated name", "performance length", "t below 1", "short covariates"])
+def test_hazard_series_and_increment_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        build()
 
 
 def test_fit_recovers_omega_within_ten_percent():

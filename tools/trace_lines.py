@@ -1,21 +1,26 @@
-"""List the lines of ``src/aireliab`` that one pass of benchmark workloads does not reach.
+"""List the lines of ``src/aireliab`` that benchmark workloads or tests do not reach.
 
     python3 tools/trace_lines.py [--workload {bundled-cli,dmv-fleet,ep-scale} ...]
-        [--seed N] [--demos]
+        [--seed N] [--demos] [--pytest [ARGS ...]]
 
-Each named workload (all three by default) builds its inputs in a
-temporary directory with ``tools/compare_outputs.py``'s ``workload_jobs``,
-which is not traced.  Then one pass of its jobs runs in process through
-``aireliab.cli.main`` under ``sys.settrace``, which follows only frames of
-files under ``src/aireliab``.  With ``--demos`` the five narrative demos run
-too, each as ``__main__``; ``demos/build_sample_data.py`` does not, since
-it rewrites ``data/``.
+Each named workload (all three by default, none by default with
+``--pytest``) builds its inputs in a temporary directory with
+``tools/compare_outputs.py``'s ``workload_jobs``, which is not traced.
+Then one pass of its jobs runs in process through ``aireliab.cli.main``
+under ``sys.settrace``, which follows only frames of files under
+``src/aireliab``.  With ``--demos`` the five narrative demos run too, each
+as ``__main__``; ``demos/build_sample_data.py`` does not, since it
+rewrites ``data/``.  With ``--pytest`` the rest of the command line is
+passed to ``pytest.main``, which runs in process under the same tracer:
+``--pytest -q tests`` lists the lines that no test reaches.  A test that
+sets its own tracer hides the lines it runs meanwhile.
 
 The tool prints, per file, the lines inside functions (lambdas and
 comprehensions included, module and class bodies not) that nothing
 reached, as ranges that no reached function line splits, then their
 count.  A function's ``def`` line counts as reached when the function is
-called.  Code that runs in a child process is not seen.
+called.  Code that runs in a child process is not seen.  The exit status
+is pytest's under ``--pytest`` and 0 otherwise.
 """
 
 import argparse
@@ -125,16 +130,27 @@ def main(argv=None) -> int:
                         help="a workload to run (repeatable; default: all three)")
     parser.add_argument("--seed", type=int, default=5, help="the workload seed (default 5)")
     parser.add_argument("--demos", action="store_true", help="run the narrative demos too")
+    parser.add_argument("--pytest", nargs=argparse.REMAINDER, metavar="ARGS",
+                        help="run pytest.main(ARGS) too; takes the rest of the command line")
     args = parser.parse_args(argv)
     reached: dict[Path, set[int]] = {}
     failed: list[str] = []
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or ([] if args.pytest is not None else WORKLOADS):
         with tempfile.TemporaryDirectory() as tmp:
             jobs = zip(*workload_jobs(workload, args.seed, Path(tmp)))
             for path, lines in trace(cli_call(*job, failed) for job in jobs).items():
                 reached.setdefault(path, set()).update(lines)
     if args.demos:
         for path, lines in trace(demo_call(name) for name in DEMOS).items():
+            reached.setdefault(path, set()).update(lines)
+    status = 0
+    if args.pytest is not None:
+        import pytest
+
+        def run_tests():
+            nonlocal status
+            status = int(pytest.main(args.pytest))
+        for path, lines in trace([run_tests]).items():
             reached.setdefault(path, set()).update(lines)
     missed = unreached(reached)
     for path, runs in missed.items():
@@ -144,7 +160,7 @@ def main(argv=None) -> int:
     print(f"{total} function lines in {len(missed)} files not reached")
     if failed:
         print(f"jobs that exited non-zero: {', '.join(failed)}", file=sys.stderr)
-    return 0
+    return status
 
 
 if __name__ == "__main__":
